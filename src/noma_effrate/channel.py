@@ -62,36 +62,21 @@ class AlphaMuChannel:
 class ChannelPair:
     """Strong/weak link pair with shared alpha, mu and ordered gains.
 
-    The production constructor requires weak.omega^alpha < strong.omega^alpha.
-    Use :meth:`relaxed` in tests that need the symmetric (equal-omega) case.
+    The constructor requires weak.omega^alpha < strong.omega^alpha.
     """
 
     strong: AlphaMuChannel
     weak: AlphaMuChannel
 
     def __post_init__(self):
-        self._check_common()
+        if self.strong.alpha != self.weak.alpha or self.strong.mu != self.weak.mu:
+            raise ValueError("both links must share alpha and mu")
         if not self.weak.omega**self.alpha < self.strong.omega**self.alpha:
             raise ValueError(
                 "weak link must be strictly weaker: "
                 f"omega_w^alpha={self.weak.omega**self.alpha} >= "
                 f"omega_s^alpha={self.strong.omega**self.alpha}"
             )
-
-    def _check_common(self):
-        if self.strong.alpha != self.weak.alpha or self.strong.mu != self.weak.mu:
-            raise ValueError("both links must share alpha and mu")
-
-    @classmethod
-    def relaxed(cls, strong: AlphaMuChannel, weak: AlphaMuChannel) -> "ChannelPair":
-        """Test-only constructor that permits omega_w == omega_s."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "strong", strong)
-        object.__setattr__(pair, "weak", weak)
-        pair._check_common()
-        if weak.omega > strong.omega:
-            raise ValueError("weak.omega must not exceed strong.omega")
-        return pair
 
     @property
     def alpha(self) -> int:
@@ -158,16 +143,18 @@ def gain_cdf(ch: AlphaMuChannel, x) -> np.ndarray | float:
 def min_gain_mixture(pair: ChannelPair) -> list[tuple[float, AlphaMuChannel]]:
     """Decompose the minimum-gain law as a finite alpha-mu mixture.
 
-    Each branch term of the minimum-gain density is itself an alpha-mu
-    density with clustering mu+k and alpha-root-mean set by omega_tilde.
+    The k-th term of either branch sum (one per link being the smaller) is
+    the alpha-mu density with clustering mu+k and alpha-root-mean set by
+    omega_tilde, so each of the mu components carries both branch weights.
     Returns (weight, component) pairs; the weights sum to 1.
     """
     a, m = pair.alpha, pair.mu
     wt = pair.omega_tilde
     comps: list[tuple[float, AlphaMuChannel]] = []
-    for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
-        for k in range(m):
-            log_c = (
+    for k in range(m):
+        weight = 0.0
+        for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
+            weight += math.exp(
                 gammaln(m + k)
                 - gammaln(m)
                 - gammaln(k + 1)
@@ -175,46 +162,14 @@ def min_gain_mixture(pair: ChannelPair) -> list[tuple[float, AlphaMuChannel]]:
                 - k * a * math.log(second.omega)
                 - m * a * math.log(first.omega)
             )
-            omega_k = ((m + k) * wt / m) ** (1.0 / a)
-            comps.append((math.exp(log_c), AlphaMuChannel(a, m + k, omega_k)))
+        omega_k = ((m + k) * wt / m) ** (1.0 / a)
+        comps.append((weight, AlphaMuChannel(a, m + k, omega_k)))
     return comps
 
 
 def min_gain_pdf(pair: ChannelPair, x) -> np.ndarray | float:
-    """Density of min(g_strong, g_weak) via the two-branch closed form."""
-    arr = _as_array(x)
-    a, m = pair.alpha, pair.mu
-    wt = pair.omega_tilde
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    xp = arr[pos]
-    log_x = np.log(xp)
-    decay = m * xp ** (0.5 * a) / wt
-    acc = np.zeros_like(xp)
-    for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
-        for k in range(m):
-            log_term = (
-                math.log(a)
-                - math.log(2.0)
-                + (m + k) * math.log(m)
-                + (0.5 * a * (m + k) - 1.0) * log_x
-                - gammaln(m)
-                - gammaln(k + 1)
-                - m * a * math.log(first.omega)
-                - k * a * math.log(second.omega)
-                - decay
-            )
-            acc += np.exp(log_term)
-    out[pos] = acc
-    if a * m == 2:
-        # only the k=0 branches survive at the origin (exponent 0.5*a*m-1 = 0)
-        c = a * m**m / (2.0 * math.gamma(m))
-        out[arr == 0] = c * (pair.strong.omega ** (-a * m) + pair.weak.omega ** (-a * m))
-    elif a * m < 2 and np.any(arr == 0):
-        raise UnboundedDensityError(
-            "minimum-gain density is unbounded at x=0 for alpha=mu=1"
-        )
-    return out if out.ndim else float(out)
+    """Density of min(g_strong, g_weak), the mixture sum of gain densities."""
+    return sum(w * gain_pdf(c, x) for w, c in min_gain_mixture(pair))
 
 
 def min_gain_cdf(pair: ChannelPair, x) -> np.ndarray | float:
@@ -235,26 +190,10 @@ def gain_moment(ch: AlphaMuChannel, k: int) -> float:
 
 
 def min_gain_moment(pair: ChannelPair, k: int) -> float:
-    """First or second moment of min(g_strong, g_weak), double-sum closed form."""
+    """First or second moment of min(g_strong, g_weak), the mixture sum of gain moments."""
     if k not in (1, 2):
         raise ValueError(f"unsupported order: min-gain moments exist for k in {{1, 2}}, got {k}")
-    a, m = pair.alpha, pair.mu
-    wt = pair.omega_tilde
-    r = 2.0 * k / a
-    total = 0.0
-    for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
-        for j in range(m):
-            log_term = (
-                (m + j + r) * math.log(wt)
-                - gammaln(j + 1)
-                - r * math.log(m)
-                - j * a * math.log(second.omega)
-                - m * a * math.log(first.omega)
-                - gammaln(m)
-                + gammaln(m + j + r)
-            )
-            total += math.exp(log_term)
-    return total
+    return sum(w * gain_moment(c, k) for w, c in min_gain_mixture(pair))
 
 
 def sample_gain(ch: AlphaMuChannel, rng: np.random.Generator, size=None):

@@ -38,10 +38,12 @@ from .effrate import (
     ergodic_rate,
     min_energy_per_bit,
     power_search,
+    sum_er_noma,
     wideband_slope,
 )
 from .sim import SimPlan, queue_dvp
 from .snc import SncConfig, dvp_curve
+from .specfun import ContourError, ConvergenceError
 
 log = logging.getLogger("noma_effrate")
 
@@ -99,7 +101,6 @@ class SweepConfig:
     s_max: float = 5.0
     vartheta_max: int = 30
     seed: int = 12345
-    draws: int = 1_000_000
     slots: int = 0
     batches: int = 10
     out_path: str | None = None
@@ -117,14 +118,19 @@ class SweepConfig:
         )
 
 
-def _get(cp, section, key, cast, default):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except Exception as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
+# [section] key -> parser; no other key is accepted.  A key sets the
+# SweepConfig field of its own name unless FIELD_OF renames it.
+CONFIG_KEYS = {
+    "channel": {"alpha": int, "mu": int, "omega_s": float, "omega_w": float},
+    "system": {"a_s": parse_values, "a_s_grid": parse_values, "rho_db": parse_values,
+               "theta": parse_values, "tb": float, "strategy": str.strip},
+    "snc": {"symbols_per_slot": int, "lambda": parse_values, "s_min": float,
+            "s_max": float, "vartheta_max": int},
+    "sim": {"seed": int, "slots": int, "batches": int},
+    "output": {"path": str, "format": str.strip},
+}
+FIELD_OF = {"a_s": "a_s_values", "a_s_grid": "a_s_values", "lambda": "lambdas",
+            "path": "out_path", "format": "out_format"}
 
 
 def load_config(path: str | None) -> SweepConfig:
@@ -135,36 +141,20 @@ def load_config(path: str | None) -> SweepConfig:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    known = {"channel", "system", "snc", "sim", "output"}
-    unknown = set(cp.sections()) - known
+    unknown = set(cp.sections()) - CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    cfg.alpha = _get(cp, "channel", "alpha", int, cfg.alpha)
-    cfg.mu = _get(cp, "channel", "mu", int, cfg.mu)
-    cfg.omega_s = _get(cp, "channel", "omega_s", float, cfg.omega_s)
-    cfg.omega_w = _get(cp, "channel", "omega_w", float, cfg.omega_w)
-    has_as = cp.has_option("system", "a_s")
-    has_grid = cp.has_option("system", "a_s_grid")
-    if has_as and has_grid:
+    if cp.has_option("system", "a_s") and cp.has_option("system", "a_s_grid"):
         raise ConfigError("[system] give either a_s or a_s_grid, not both")
-    if has_as or has_grid:
-        key = "a_s" if has_as else "a_s_grid"
-        cfg.a_s_values = _get(cp, "system", key, parse_values, cfg.a_s_values)
-    cfg.rho_db = _get(cp, "system", "rho_db", parse_values, cfg.rho_db)
-    cfg.theta = _get(cp, "system", "theta", parse_values, cfg.theta)
-    cfg.tb = _get(cp, "system", "tb", float, cfg.tb)
-    cfg.strategy = _get(cp, "system", "strategy", str, cfg.strategy).strip()
-    cfg.symbols_per_slot = _get(cp, "snc", "symbols_per_slot", int, cfg.symbols_per_slot)
-    cfg.lambdas = _get(cp, "snc", "lambda", parse_values, cfg.lambdas)
-    cfg.s_min = _get(cp, "snc", "s_min", float, cfg.s_min)
-    cfg.s_max = _get(cp, "snc", "s_max", float, cfg.s_max)
-    cfg.vartheta_max = _get(cp, "snc", "vartheta_max", int, cfg.vartheta_max)
-    cfg.seed = _get(cp, "sim", "seed", int, cfg.seed)
-    cfg.draws = _get(cp, "sim", "draws", int, cfg.draws)
-    cfg.slots = _get(cp, "sim", "slots", int, cfg.slots)
-    cfg.batches = _get(cp, "sim", "batches", int, cfg.batches)
-    cfg.out_path = _get(cp, "output", "path", str, cfg.out_path)
-    cfg.out_format = _get(cp, "output", "format", str, cfg.out_format).strip()
+    for section in cp.sections():
+        for key, raw in cp.items(section):
+            cast = CONFIG_KEYS[section].get(key)
+            if cast is None:
+                raise ConfigError(f"[{section}] unknown key: {key}")
+            try:
+                setattr(cfg, FIELD_OF.get(key, key), cast(raw))
+            except Exception as exc:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
     _validate(cfg)
     return cfg
 
@@ -262,14 +252,9 @@ def cmd_dvp(cfg: SweepConfig, jobs: int, lambda_scale: float) -> tuple[str, list
                 cfg.vartheta_max,
             )
         for d, b in enumerate(curve):
-            if emp is None:
-                empirical = (None, None, None)
-            else:
-                empirical = (
-                    emp.probabilities[d],
-                    emp.ci_low[d],
-                    emp.ci_high[d],
-                )
+            empirical = (None,) * 3 if emp is None else (
+                emp.probabilities[d], emp.ci_low[d], emp.ci_high[d]
+            )
             rows.append((user, d, b.bound, b.minimizer_s, b.feasible) + empirical)
     return DVP_HEADER, rows
 
@@ -287,10 +272,7 @@ APPROX_HEADER = (
 def _approx_point(args):
     cfg, a_s, theta, rho_db = args
     sysm = cfg.system(a_s, theta, rho_db)
-    exact = (
-        er_noma(sysm, "strong", cfg.strategy).value
-        + er_noma(sysm, "weak", cfg.strategy).value
-    )
+    exact = sum_er_noma(sysm, cfg.strategy)
     ergodic = (
         ergodic_rate(sysm, "strong", cfg.strategy).value
         + ergodic_rate(sysm, "weak", cfg.strategy).value
@@ -432,12 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "svg"), help="output format")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--seed", type=int, help="simulation seed override")
-        p.add_argument(
-            "--lambda-scale",
-            type=float,
-            default=1.0,
-            help="multiplier applied to configured arrival rates",
-        )
+        if name == "dvp":
+            p.add_argument(
+                "--lambda-scale",
+                type=float,
+                default=1.0,
+                help="multiplier applied to configured arrival rates",
+            )
     return parser
 
 
@@ -448,12 +431,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_path = args.out
-        if args.format is not None:
-            cfg.out_format = args.format
+        flags = {"seed": args.seed, "out_path": args.out, "out_format": args.format}
+        for name, value in flags.items():
+            if value is not None:
+                setattr(cfg, name, value)
         log.info("command %s with %d jobs", args.command, args.jobs)
         if args.command == "er":
             header, rows = cmd_er(cfg, args.jobs)
@@ -470,7 +451,7 @@ def main(argv=None) -> int:
         else:
             writer(header, rows, _sys.stdout)
         return 0
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, ContourError, ConvergenceError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except OSError as exc:

@@ -17,7 +17,7 @@ import math
 from scipy.special import gammaln
 from scipy.special import gamma as _gamma
 
-from .channel import AlphaMuChannel, ChannelPair
+from .channel import AlphaMuChannel, ChannelPair, min_gain_mixture
 from .specfun import (
     DEFAULT_CONTOUR,
     ContourConfig,
@@ -77,30 +77,18 @@ def ratio_mellin_analytic(
     """E[((1 + rho*g_min) / (1 + a_s*rho*g_min))^-w], bivariate Fox-H form.
 
     This is the weak-user SINR kernel: the ratio equals 1 + sinr where
-    sinr = (1-a_s)*rho*g_min / (a_s*rho*g_min + 1).
+    sinr = (1-a_s)*rho*g_min / (a_s*rho*g_min + 1).  One Fox-H value per
+    component of the minimum-gain mixture.
     """
     if not (rho > 0 and 0 < a_s < 1):
         raise ValueError("need rho > 0 and a_s in (0, 1)")
-    al, mu = pair.alpha, pair.mu
-    wt = pair.omega_tilde
-    z1 = rho * (wt / mu) ** (2.0 / al)
-    z2 = a_s * z1
-    h_vals = []
-    for k in range(mu):
-        spec = FoxH2Spec(outer_c=mu + k, outer_r=2.0 / al, power=w)
-        h_vals.append(fox_h2(spec, z1, z2, cfg).value)
+    r = 2.0 / pair.alpha
     total = 0.0
-    for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
-        for k in range(mu):
-            coef = math.exp(
-                (mu + k) * math.log(wt)
-                - gammaln(k + 1)
-                - k * al * math.log(second.omega)
-                - mu * al * math.log(first.omega)
-            )
-            total += coef * h_vals[k]
-    pref = 1.0 / (_gamma(mu) * _gamma(w) * _gamma(-w))
-    return pref * total
+    for weight, c in min_gain_mixture(pair):
+        z1 = rho * (c.omega**c.alpha / c.mu) ** r
+        h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1, cfg)
+        total += weight * h.value / _gamma(c.mu)
+    return total / (_gamma(w) * _gamma(-w))
 
 
 def log_mean_analytic(
@@ -147,36 +135,7 @@ def min_log_mean_difference_analytic(
     """
     if not (rho > 0 and 0 < a_s < 1):
         raise ValueError("need rho > 0 and a_s in (0, 1)")
-    al, mu = pair.alpha, pair.mu
-    wt = pair.omega_tilde
-
-    def script_g(x: float, y: int) -> float:
-        psi = _delta(al, -0.5 * al * (mu + y))
-        phi = _delta(al, 1.0 - 0.5 * al * (mu + y))
-        spec = MeijerGSpec(
-            a=psi + phi,
-            b=_delta(2, 0.0) + psi + psi,
-            m=2 + 2 * al,
-            n=al,
-        )
-        z = (mu / (2.0 * wt)) ** 2 / x**al
-        g = meijer_g(spec, z, cfg)
-        return g.sign * math.exp(g.log_abs - 0.5 * al * (mu + y) * math.log(x))
-
-    total = 0.0
-    for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
-        for y in range(mu):
-            coef = math.exp(
-                (mu + y) * math.log(mu)
-                - gammaln(y + 1)
-                - y * al * math.log(second.omega)
-                - mu * al * math.log(first.omega)
-            )
-            total += coef * (script_g(rho, y) - script_g(a_s * rho, y))
-    pref = 1.0 / (
-        math.sqrt(2.0)
-        * LN2
-        * (2.0 * math.pi) ** (al - 0.5)
-        * _gamma(mu)
+    return sum(
+        weight * (log_mean_analytic(c, rho, cfg) - log_mean_analytic(c, a_s * rho, cfg))
+        for weight, c in min_gain_mixture(pair)
     )
-    return pref * total

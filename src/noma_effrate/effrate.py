@@ -29,7 +29,8 @@ LN2 = math.log(2.0)
 LOG2_E = 1.0 / LN2
 
 User = Literal["strong", "weak"]
-Strategy = Literal["closed-form", "quadrature", "monte-carlo"]
+Route = Literal["closed-form", "quadrature"]  # the routes a rate can be asked for
+Strategy = Literal[Route, "monte-carlo"]  # the routes a result can come from
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,30 @@ def _check_user(user: str):
         raise ValueError(f"user must be 'strong' or 'weak', got {user!r}")
 
 
-def _weak_kernel(rho: float, a_s: float, nu: float):
-    def kernel(x):
-        return (1.0 + rho * x) ** -nu * (1.0 + a_s * rho * x) ** nu
+def log1p_sinr(sys: NomaSystem, user: User):
+    """The user's gain law and the map g -> ln(1 + SINR(g)) over it.
 
-    return kernel
+    The strong user's law is its own gain with SINR a_s*rho*g; the weak
+    user's is the minimum gain, with 1 + SINR = (1 + rho*g) / (1 + a_s*rho*g).
+    """
+    c = sys.a_s * sys.rho
+    if user == "strong":
+        return sys.pair.strong, lambda g: np.log1p(c * g)
+    rho = sys.rho
+    return sys.pair, lambda g: np.log1p(rho * g) - np.log1p(c * g)
+
+
+def mellin_closed_form(sys: NomaSystem, user: User, w: float, cfg: ContourConfig) -> float:
+    """E[(1 + SINR)^-w] through the user's Meijer-G or bivariate Fox-H closed form."""
+    if user == "strong":
+        return closedform.power_mellin_analytic(sys.pair.strong, sys.a_s * sys.rho, w, cfg)
+    return closedform.ratio_mellin_analytic(sys.pair, sys.rho, sys.a_s, w, cfg)
 
 
 def er_noma(
     sys: NomaSystem,
     user: User,
-    strategy: Strategy = "quadrature",
+    strategy: Route = "quadrature",
     cfg: ContourConfig = DEFAULT_CONTOUR,
 ) -> RateResult:
     """Effective rate of one user under superposition transmission."""
@@ -114,20 +128,11 @@ def er_noma(
     if nu == 0.0:
         return ergodic_rate(sys, user, strategy, cfg)
     if strategy == "quadrature":
-        if user == "strong":
-            mean = laguerre_expectation(
-                sys.pair.strong, lambda x: (1.0 + sys.a_s * sys.rho * x) ** -nu
-            )
-        else:
-            mean = laguerre_expectation(sys.pair, _weak_kernel(sys.rho, sys.a_s, nu))
+        target, f = log1p_sinr(sys, user)
+        mean = laguerre_expectation(target, lambda g: np.exp(-nu * f(g)))
         err = 1e-9 / (nu * LN2)
     elif strategy == "closed-form":
-        if user == "strong":
-            mean = closedform.power_mellin_analytic(
-                sys.pair.strong, sys.a_s * sys.rho, nu, cfg
-            )
-        else:
-            mean = closedform.ratio_mellin_analytic(sys.pair, sys.rho, sys.a_s, nu, cfg)
+        mean = mellin_closed_form(sys, user, nu, cfg)
         err = cfg.rtol / (nu * LN2)
     else:
         raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
@@ -137,7 +142,7 @@ def er_noma(
 def er_oma(
     sys: NomaSystem,
     user: User,
-    strategy: Strategy = "quadrature",
+    strategy: Route = "quadrature",
     cfg: ContourConfig = DEFAULT_CONTOUR,
 ) -> RateResult:
     """Effective rate under time-shared orthogonal access (half exponent, full power)."""
@@ -232,7 +237,7 @@ def wideband_slope(sys: NomaSystem, user: User) -> float:
 def ergodic_rate(
     sys: NomaSystem,
     user: User,
-    strategy: Strategy = "quadrature",
+    strategy: Route = "quadrature",
     cfg: ContourConfig = DEFAULT_CONTOUR,
 ) -> RateResult:
     """Mean log-rate E[log2(1+gamma)]; the theta->0 upper bound on the ER."""
@@ -247,27 +252,20 @@ def ergodic_rate(
         return RateResult(val, strategy, cfg.rtol * abs(val))
     if strategy != "quadrature":
         raise ValueError(f"unsupported strategy {strategy!r}")
-    if user == "strong":
-        val = laguerre_expectation(
-            sys.pair.strong, lambda x: np.log2(1.0 + sys.a_s * sys.rho * x)
-        )
-    else:
-        val = laguerre_expectation(
-            sys.pair,
-            lambda x: np.log2(1.0 + sys.rho * x) - np.log2(1.0 + sys.a_s * sys.rho * x),
-        )
+    target, f = log1p_sinr(sys, user)
+    val = laguerre_expectation(target, lambda g: f(g) / LN2)
     return RateResult(val, strategy, 1e-9 * abs(val))
 
 
-def sum_er_noma(sys: NomaSystem, strategy: Strategy = "quadrature") -> float:
+def sum_er_noma(sys: NomaSystem, strategy: Route = "quadrature") -> float:
     return er_noma(sys, "strong", strategy).value + er_noma(sys, "weak", strategy).value
 
 
-def sum_er_oma(sys: NomaSystem, strategy: Strategy = "quadrature") -> float:
+def sum_er_oma(sys: NomaSystem, strategy: Route = "quadrature") -> float:
     return er_oma(sys, "strong", strategy).value + er_oma(sys, "weak", strategy).value
 
 
-def rate_loss(sys: NomaSystem, strategy: Strategy = "quadrature") -> float:
+def rate_loss(sys: NomaSystem, strategy: Route = "quadrature") -> float:
     """Ergodic sum-rate minus effective sum-rate; nonnegative, vanishing as theta->0."""
     erg = (
         ergodic_rate(sys, "strong", strategy).value
@@ -276,7 +274,7 @@ def rate_loss(sys: NomaSystem, strategy: Strategy = "quadrature") -> float:
     return erg - sum_er_noma(sys, strategy)
 
 
-def noma_oma_gap(sys: NomaSystem, strategy: Strategy = "quadrature") -> float:
+def noma_oma_gap(sys: NomaSystem, strategy: Route = "quadrature") -> float:
     """Sum-rate advantage of superposition over time sharing (may be negative)."""
     return sum_er_noma(sys, strategy) - sum_er_oma(sys, strategy)
 
@@ -285,7 +283,7 @@ def power_search(
     sys: NomaSystem,
     grid,
     r_target: float = 2.0,
-    strategy: Strategy = "quadrature",
+    strategy: Route = "quadrature",
 ) -> tuple[float, float]:
     """Pick the strong-user power coefficient maximizing the sum rate.
 

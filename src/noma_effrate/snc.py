@@ -17,15 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from . import closedform
-from .effrate import NomaSystem, Strategy, User, _check_user
-from .specfun import DEFAULT_CONTOUR, ContourConfig, laguerre_log_expectation
-
-LN2 = math.log(2.0)
+from .effrate import LN2, NomaSystem, Route, User, _check_user, log1p_sinr, mellin_closed_form
+from .specfun import DEFAULT_CONTOUR, ContourConfig, golden_section, laguerre_log_expectation
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class MellinValue:
     log_value: float
     s: float
     varpi: float
-    strategy: Strategy
+    strategy: Route
     error_estimate: float = 0.0
 
     def __post_init__(self):
@@ -86,49 +82,39 @@ class DvpBound:
 def _log_mellin(cfg: SncConfig, user: User, s: float) -> tuple[float, float]:
     """log M(s) for one user via the gain-quadrature route."""
     w = cfg.varpi(s)
-    sysm = cfg.system
-    if user == "strong":
-        c = sysm.a_s * sysm.rho
-
-        def log_kernel(x):
-            return -w * np.log1p(c * x)
-
-        return laguerre_log_expectation(sysm.pair.strong, log_kernel)
-    rho, a_s = sysm.rho, sysm.a_s
-
-    def log_kernel(x):
-        return -w * (np.log1p(rho * x) - np.log1p(a_s * rho * x))
-
-    return laguerre_log_expectation(sysm.pair, log_kernel)
+    target, f = log1p_sinr(cfg.system, user)
+    return laguerre_log_expectation(target, lambda g: -w * f(g))
 
 
-def mellin_strong(
-    cfg: SncConfig,
-    s: float,
-    strategy: Strategy = "quadrature",
-    contour: ContourConfig = DEFAULT_CONTOUR,
+def _mellin(
+    cfg: SncConfig, user: User, s: float, strategy: Route, contour: ContourConfig
 ) -> MellinValue:
-    """E[(1 + a_s*rho*g_s)^-varpi] with varpi = N*s/ln 2."""
     if not s > 0:
         raise ValueError("s must be positive")
     w = cfg.varpi(s)
     if strategy == "quadrature":
-        log_m, err = _log_mellin(cfg, "strong", s)
+        log_m, err = _log_mellin(cfg, user, s)
     elif strategy == "closed-form":
-        sysm = cfg.system
-        val = closedform.power_mellin_analytic(
-            sysm.pair.strong, sysm.a_s * sysm.rho, w, contour
-        )
-        log_m, err = math.log(val), contour.rtol
+        log_m, err = math.log(mellin_closed_form(cfg.system, user, w, contour)), contour.rtol
     else:
         raise ValueError(f"unsupported strategy {strategy!r}")
     return MellinValue(math.exp(min(log_m, 0.0)), log_m, s, w, strategy, err)
 
 
+def mellin_strong(
+    cfg: SncConfig,
+    s: float,
+    strategy: Route = "quadrature",
+    contour: ContourConfig = DEFAULT_CONTOUR,
+) -> MellinValue:
+    """E[(1 + a_s*rho*g_s)^-varpi] with varpi = N*s/ln 2."""
+    return _mellin(cfg, "strong", s, strategy, contour)
+
+
 def mellin_weak(
     cfg: SncConfig,
     s: float,
-    strategy: Strategy = "quadrature",
+    strategy: Route = "quadrature",
     contour: ContourConfig = DEFAULT_CONTOUR,
 ) -> MellinValue:
     """E[(1 + a_w*rho*g_min/(a_s*rho*g_min + 1))^-varpi].
@@ -136,18 +122,7 @@ def mellin_weak(
     The quadrature strategy is authoritative; the Fox-H closed form is the
     cross-validation route (agreement to ~1e-4 relative in tests).
     """
-    if not s > 0:
-        raise ValueError("s must be positive")
-    w = cfg.varpi(s)
-    if strategy == "quadrature":
-        log_m, err = _log_mellin(cfg, "weak", s)
-    elif strategy == "closed-form":
-        sysm = cfg.system
-        val = closedform.ratio_mellin_analytic(sysm.pair, sysm.rho, sysm.a_s, w, contour)
-        log_m, err = math.log(val), contour.rtol
-    else:
-        raise ValueError(f"unsupported strategy {strategy!r}")
-    return MellinValue(math.exp(min(log_m, 0.0)), log_m, s, w, strategy, err)
+    return _mellin(cfg, "weak", s, strategy, contour)
 
 
 class MellinTable:
@@ -206,22 +181,13 @@ def dvp_bound(
     k = int(np.argmin(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    # golden section on log-s
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1 = _log_bracket(table, math.exp(x1), target_delay)
-    f2 = _log_bracket(table, math.exp(x2), target_delay)
-    while b - a > cfg.s_tol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = _log_bracket(table, math.exp(x1), target_delay)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = _log_bracket(table, math.exp(x2), target_delay)
-    s_star = math.exp(0.5 * (a + b))
+    log_s = golden_section(
+        lambda x: _log_bracket(table, math.exp(x), target_delay),
+        math.log(lo),
+        math.log(hi),
+        atol=cfg.s_tol,
+    )
+    s_star = math.exp(log_s)
     log_b = _log_bracket(table, s_star, target_delay)
     best = min(log_b, float(vals[k]))
     if not math.isfinite(best):

@@ -178,8 +178,60 @@ class FoxH2Spec:
             raise ValueError("binomial power must be positive")
         if abs(self.power - round(self.power)) < 1e-9:
             raise ContourError(
-                "integer binomial power collides with the residue lattice"
+                f"integer binomial power {self.power:g} collides with the residue lattice"
             )
+
+
+# ---------------------------------------------------------------------------
+# refinement and line-search drivers shared by every engine
+
+
+def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1):
+    """Refine a rule until two successive estimates agree to ``rtol`` relative.
+
+    ``estimate(n)`` evaluates the rule at size ``n``; the size starts at
+    ``n`` and grows by ``grow`` while it stays within ``limit``.  Returns
+    (last estimate, relative change of the last step); raises
+    ConvergenceError carrying the last two estimates when the budget runs
+    out first.
+    """
+    prev = None
+    while True:
+        last = estimate(n)
+        if prev is not None:
+            err = abs(last - prev) / max(abs(last), 1e-300)
+            if err <= rtol:
+                return last, err
+        if grow(n) > limit:
+            raise ConvergenceError(
+                f"{what} did not reach relative tolerance {rtol:g} by size {n}",
+                estimates=(prev, last),
+            )
+        prev, n = last, grow(n)
+
+
+def golden_section(f, a, b, atol, rtol=0.0):
+    """Minimize a unimodal f on [a, b] by golden section; returns the
+    midpoint of the final bracket.
+
+    The search stops once the bracket is no wider than max(atol, rtol*|a|),
+    or after 60 steps (a 1e-12 shrink).
+    """
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        if b - a <= max(atol, rtol * abs(a)):
+            break
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = f(x2)
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +301,7 @@ def _saddle_offset(terms, log_z, left, right):
         a = max(a, lo)
     if hi is not None:
         b = min(b, hi)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(60):
-        if b - a < 1e-10 * max(1.0, abs(a)):
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = g(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = g(x2)
-    return 0.5 * (a + b)
+    return golden_section(g, a, b, atol=1e-10, rtol=1e-10)
 
 
 def _trapezoid_line(terms, log_z, offset, cfg):
@@ -273,35 +311,25 @@ def _trapezoid_line(terms, log_z, offset, cfg):
     all gamma parameters and z real (z > 0).
     """
 
-    def logf(t):
-        return _log_integrand_1d(terms, log_z, offset + 1j * np.asarray(t)).real
+    def log_f(t):
+        return _log_integrand_1d(terms, log_z, offset + 1j * np.asarray(t))
 
-    height = _find_height(logf, cfg)
-    n = max(cfg.nodes, 64)
-    prev = None
+    height = _find_height(lambda t: log_f(t).real, cfg)
     scale = None
-    while True:
+
+    def estimate(n):
+        nonlocal scale
         t = np.linspace(0.0, height, n)
-        la = _log_integrand_1d(terms, log_z, offset + 1j * t)
+        la = log_f(t)
         if scale is None:
             scale = la.real.max()
-        vals = np.exp(la - scale).real
-        total = np.trapezoid(vals, t) / math.pi
-        if prev is not None:
-            denom = max(abs(total), 1e-300)
-            err = abs(total - prev) / denom
-            if err <= cfg.rtol:
-                sign = math.copysign(1.0, total) if total != 0 else 1.0
-                log_abs = scale + math.log(max(abs(total), 1e-300))
-                value = sign * math.exp(log_abs) if log_abs < 700 else math.inf * sign
-                return QuadValue(value, log_abs, sign, err)
-        if 2 * n - 1 > cfg.max_nodes:
-            raise ConvergenceError(
-                f"line quadrature stalled at {n} nodes",
-                estimates=(prev, total),
-            )
-        prev = total
-        n = 2 * n - 1
+        return np.trapezoid(np.exp(la - scale).real, t) / math.pi
+
+    total, err = refine(estimate, max(cfg.nodes, 64), cfg.max_nodes, cfg.rtol, "line quadrature")
+    sign = math.copysign(1.0, total) if total != 0 else 1.0
+    log_abs = scale + math.log(max(abs(total), 1e-300))
+    value = sign * math.exp(log_abs) if log_abs < 700 else math.inf * sign
+    return QuadValue(value, log_abs, sign, err)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +403,7 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
     """Straight-contour part of the double Mellin-Barnes integral."""
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
 
-    def log_fu(u, t):
-        s = sigma + 1j * np.asarray(u, dtype=float)
-        t = complex(t)
+    def log_f(s, t):
         return (
             loggamma(c0 + r * (s + t))
             + loggamma(x + s)
@@ -388,36 +414,21 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
             + t * log_z2
         )
 
-    def log_fv(v):
-        t = tau + 1j * np.asarray(v, dtype=float)
-        s = complex(sigma)
-        return (
-            loggamma(c0 + r * (s + t))
-            + loggamma(x + s)
-            + loggamma(-s)
-            + loggamma(t - x)
-            + loggamma(-t)
-            + s * log_z1
-            + t * log_z2
-        )
-
-    hu = _find_height(lambda u: log_fu(u, tau).real, cfg)
-    hv = _find_height(lambda v: log_fv(v).real, cfg)
-    hu *= 1.3
-    hv *= 1.3
-
-    n = max(cfg.nodes, 64)
-    prev = None
+    hu = 1.3 * _find_height(lambda u: log_f(sigma + 1j * u, complex(tau)).real, cfg)
+    hv = 1.3 * _find_height(lambda v: log_f(complex(sigma), tau + 1j * v).real, cfg)
     scale = None
-    while True:
+
+    def estimate(n):
+        nonlocal scale
         u = np.linspace(-hu, hu, 2 * n - 1)
         v = np.linspace(0.0, hv, n)
+        s = sigma + 1j * u
         wu = np.ones_like(u)
         wu[0] = wu[-1] = 0.5
         rows = np.empty(n, dtype=complex)
         row_scale = np.empty(n)
         for j, vj in enumerate(v):
-            la = log_fu(u, tau + 1j * vj)
+            la = log_f(s, complex(tau + 1j * vj))
             row_scale[j] = la.real.max()
             rows[j] = np.sum(wu * np.exp(la - row_scale[j]))
         if scale is None:
@@ -429,14 +440,12 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
         total = (contrib[0].real + 2.0 * np.sum(wv[1:] * contrib[1:].real)) * (
             u[1] - u[0]
         ) * (v[1] - v[0])
-        total /= 4.0 * math.pi**2
-        if prev is not None:
-            denom = max(abs(total), 1e-300)
-            err = abs(total - prev) / denom
-            if err <= cfg.rtol or 4 * n - 3 > cfg.max_nodes:
-                return total * math.exp(scale), err
-        prev = total
-        n = 2 * n - 1
+        return total / (4.0 * math.pi**2)
+
+    # the u-line carries 2n-1 nodes, which the node budget bounds
+    n0, budget = max(cfg.nodes, 64), (cfg.max_nodes + 1) // 2
+    total, err = refine(estimate, n0, budget, cfg.rtol, "double contour quadrature")
+    return total * math.exp(scale), err
 
 
 def fox_h2(
@@ -496,8 +505,7 @@ _GENLAG_MAX_ORDER = 256  # scipy float64 tables degrade to NaN beyond this
 
 @lru_cache(maxsize=None)
 def _laguerre_table(order: int, mu: int):
-    y, w = roots_genlaguerre(order, mu - 1)
-    return y, w
+    return roots_genlaguerre(order, mu - 1)
 
 
 @lru_cache(maxsize=None)
@@ -534,29 +542,26 @@ def laguerre_expectation(target, kernel, start_order: int = 32, rtol: float = 1e
 
     Adaptive Gauss quadrature after the exact Gamma-weight substitution;
     the order doubles until two successive estimates agree to ``rtol``
-    relative.  Minimum-gain pairs integrate as the finite alpha-mu
-    mixture of the two branch sums.
+    relative.  A minimum-gain pair is the weighted sum over its mixture
+    components.
     """
-    total = 0.0
-    for weight, comp in _mixture(target):
-        total += weight * _expectation_single(comp, kernel, start_order, rtol)
-    return total
+    return sum(w * _expectation_single(c, kernel, start_order, rtol) for w, c in _mixture(target))
 
 
 def _expectation_single(ch, kernel, start_order, rtol, max_order=8192):
-    prev = None
-    order = start_order
     norm = math.exp(gammaln(ch.mu))
     if ch.alpha <= 2:
-        while order <= _GENLAG_MAX_ORDER:
+
+        def laguerre(order):
             y, w = _laguerre_table(order, ch.mu)
-            est = float(np.sum(w * kernel(_gain_from_weight_var(ch, y)))) / norm
-            if prev is not None and abs(est - prev) <= rtol * max(abs(est), 1e-300):
-                return est
-            prev = est
-            order *= 2
-        prev = None
-        order = _GENLAG_MAX_ORDER
+            return float(np.sum(w * kernel(_gain_from_weight_var(ch, y)))) / norm
+
+        try:
+            return refine(
+                laguerre, start_order, _GENLAG_MAX_ORDER, rtol, "gain expectation", lambda n: 2 * n
+            )[0]
+        except ConvergenceError:
+            start_order = _GENLAG_MAX_ORDER
     al, mu = ch.alpha, ch.mu
     gscale = (ch.omega**al / mu) ** (2.0 / al)
 
@@ -565,22 +570,17 @@ def _expectation_single(ch, kernel, start_order, rtol, max_order=8192):
             return np.log(np.abs(kernel(gscale * r**2)) + 1e-300)
 
     rmax = _envelope_cutoff(ch, log_kernel_at_r)
-    while order <= max_order:
+
+    def legendre(order):
         x, w = _legendre_table(order)
         r = 0.5 * rmax * (x + 1.0)
         wr = 0.5 * rmax * w
         integrand = (
             al * r ** (al * mu - 1.0) * np.exp(-(r**al)) * kernel(gscale * r**2)
         )
-        est = float(np.sum(wr * integrand)) / norm
-        if prev is not None and abs(est - prev) <= rtol * max(abs(est), 1e-300):
-            return est
-        prev = est
-        order *= 2
-    raise ConvergenceError(
-        f"gain expectation did not stabilize by order {max_order}",
-        estimates=(prev, est),
-    )
+        return float(np.sum(wr * integrand)) / norm
+
+    return refine(legendre, start_order, max_order, rtol, "gain expectation", lambda n: 2 * n)[0]
 
 
 def laguerre_log_expectation(target, log_kernel, order: int = 512):
@@ -590,14 +590,13 @@ def laguerre_log_expectation(target, log_kernel, order: int = 512):
     (log_expectation, relative_error_estimate).  Used by the delay-bound
     search where the Mellin kernel exponent can reach the thousands.
     """
-    parts = []
-    check = []
-    for weight, comp in _mixture(target):
-        parts.append(math.log(weight) + _log_single(comp, log_kernel, order))
-        check.append(math.log(weight) + _log_single(comp, log_kernel, order // 2))
-    log_e = _logsumexp(parts)
-    log_e_half = _logsumexp(check)
-    return log_e, abs(log_e - log_e_half) + 1e-15
+    mixture = _mixture(target)
+
+    def log_e(n):
+        return _logsumexp([math.log(w) + _log_single(c, log_kernel, n) for w, c in mixture])
+
+    full = log_e(order)
+    return full, abs(full - log_e(order // 2)) + 1e-15
 
 
 def _log_single(ch, log_kernel, order):

@@ -302,3 +302,30 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "command er" in proc.stderr
+
+    def test_engine_error_is_one_line(self, tmp_path):
+        # theta*T*B = ln 2 makes nu = 1, an integer Fox-H binomial power
+        path = write_config(tmp_path, ER_CONFIG.replace(
+            "theta = 0.5, 1", "theta = 0.6931471805599453\nstrategy = closed-form"
+        ).replace("0:20:10", "10"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "noma_effrate.cli", "er", "--config", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.strip().count("\n") == 0
+
+    def test_lambda_scale_is_dvp_only(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["er", "--lambda-scale", "2"])
+        assert exc.value.code == 2
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[sim]\ndraws = 1000\n")
+        assert main(["er", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "draws" in err
+        assert err.strip().count("\n") == 0

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from helpers import relaxed_pair
 from noma_effrate.channel import AlphaMuChannel, ChannelPair
 from noma_effrate.effrate import (
     LN2,
@@ -114,7 +115,7 @@ class TestErOma:
             assert er_oma(sys, user).value == pytest.approx(want, rel=1e-9)
 
     def test_symmetric_pair_equal_rates(self):
-        pair = ChannelPair.relaxed(AlphaMuChannel(2, 1, 1.0), AlphaMuChannel(2, 1, 1.0))
+        pair = relaxed_pair(AlphaMuChannel(2, 1, 1.0), AlphaMuChannel(2, 1, 1.0))
         sys = NomaSystem(pair, 0.24, 10.0, DelayQos(0.7))
         assert er_oma(sys, "strong").value == pytest.approx(
             er_oma(sys, "weak").value, rel=1e-12

@@ -208,6 +208,17 @@ class TestFoxH2:
         assert exc.value.estimates is not None
         assert len(exc.value.estimates) == 2
 
+    def test_fox_non_convergence_reports_estimates(self):
+        # the residue lines converge within 257 nodes but the double contour
+        # does not: an exhausted budget raises instead of returning its value
+        from noma_effrate.specfun import ConvergenceError
+
+        spec = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
+        with pytest.raises(ConvergenceError) as exc:
+            fox_h2(spec, 0.8, 0.2, ContourConfig(nodes=65, max_nodes=257, rtol=1e-8))
+        assert len(exc.value.estimates) == 2
+        assert all(math.isfinite(e) for e in exc.value.estimates)
+
 
 class TestLaguerreExpectation:
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
