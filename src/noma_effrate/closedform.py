@@ -17,7 +17,8 @@ import math
 from scipy.special import gammaln
 from scipy.special import gamma as _gamma
 
-from .channel import AlphaMuChannel, ChannelPair, min_gain_mixture
+from . import channel
+from .channel import AlphaMuChannel, ChannelPair
 from .specfun import (
     DEFAULT_CONTOUR,
     ContourConfig,
@@ -84,7 +85,7 @@ def ratio_mellin_analytic(
         raise ValueError("need rho > 0 and a_s in (0, 1)")
     r = 2.0 / pair.alpha
     total = 0.0
-    for weight, c in min_gain_mixture(pair):
+    for weight, c in channel.min_gain_mixture(pair):
         z1 = rho * (c.omega**c.alpha / c.mu) ** r
         h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1, cfg)
         total += weight * h.value / _gamma(c.mu)
@@ -137,5 +138,5 @@ def min_log_mean_difference_analytic(
         raise ValueError("need rho > 0 and a_s in (0, 1)")
     return sum(
         weight * (log_mean_analytic(c, rho, cfg) - log_mean_analytic(c, a_s * rho, cfg))
-        for weight, c in min_gain_mixture(pair)
+        for weight, c in channel.min_gain_mixture(pair)
     )

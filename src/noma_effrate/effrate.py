@@ -23,7 +23,12 @@ import numpy as np
 
 from . import closedform
 from .channel import ChannelPair, gain_moment, min_gain_moment
-from .specfun import DEFAULT_CONTOUR, ContourConfig, laguerre_expectation
+from .specfun import (
+    DEFAULT_CONTOUR,
+    ContourConfig,
+    laguerre_expectation,
+    laguerre_log_expectation,
+)
 
 LN2 = math.log(2.0)
 LOG2_E = 1.0 / LN2
@@ -129,14 +134,14 @@ def er_noma(
         return ergodic_rate(sys, user, strategy, cfg)
     if strategy == "quadrature":
         target, f = log1p_sinr(sys, user)
-        mean = laguerre_expectation(target, lambda g: np.exp(-nu * f(g)))
+        log_mean = laguerre_log_expectation(target, lambda g: -nu * f(g))[0]
         err = 1e-9 / (nu * LN2)
     elif strategy == "closed-form":
-        mean = mellin_closed_form(sys, user, nu, cfg)
+        log_mean = math.log(mellin_closed_form(sys, user, nu, cfg))
         err = cfg.rtol / (nu * LN2)
     else:
         raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
-    return RateResult(-math.log2(mean) / nu, strategy, err)
+    return RateResult(-log_mean / (nu * LN2), strategy, err)
 
 
 def er_oma(
@@ -156,14 +161,14 @@ def er_oma(
             val = laguerre_expectation(ch, lambda x: np.log2(1.0 + sys.rho * x))
         return RateResult(0.5 * val, strategy)
     if strategy == "quadrature":
-        mean = laguerre_expectation(ch, lambda x: (1.0 + sys.rho * x) ** (-0.5 * nu))
+        log_mean = laguerre_log_expectation(ch, lambda x: -0.5 * nu * np.log1p(sys.rho * x))[0]
         err = 1e-9 / (nu * LN2)
     elif strategy == "closed-form":
-        mean = closedform.power_mellin_analytic(ch, sys.rho, 0.5 * nu, cfg)
+        log_mean = math.log(closedform.power_mellin_analytic(ch, sys.rho, 0.5 * nu, cfg))
         err = cfg.rtol / (nu * LN2)
     else:
         raise ValueError(f"unsupported strategy {strategy!r}")
-    return RateResult(-math.log2(mean) / nu, strategy, err)
+    return RateResult(-log_mean / (nu * LN2), strategy, err)
 
 
 def er_high_snr(sys: NomaSystem, user: User) -> RateResult:

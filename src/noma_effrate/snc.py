@@ -23,6 +23,9 @@ import numpy as np
 from .effrate import LN2, NomaSystem, Route, User, _check_user, log1p_sinr, mellin_closed_form
 from .specfun import DEFAULT_CONTOUR, ContourConfig, golden_section, laguerre_log_expectation
 
+_S_TOL = 1e-6  # golden-section width on log s at the minimizer
+_COARSE_POINTS = 200  # log-spaced scan of [s_min, s_max] before the golden section
+
 
 @dataclass(frozen=True)
 class SncConfig:
@@ -33,8 +36,6 @@ class SncConfig:
     arrival_rate: float  # bits per slot
     s_min: float = 1e-6
     s_max: float = 5.0
-    s_tol: float = 1e-6  # relative golden-section width on the minimizer
-    coarse_points: int = 200
 
     def __post_init__(self):
         if self.symbols_per_slot < 1:
@@ -174,7 +175,7 @@ def dvp_bound(
         raise ValueError("target delay must be nonnegative")
     if table is None:
         table = MellinTable(cfg, user)
-    grid = np.geomspace(cfg.s_min, cfg.s_max, cfg.coarse_points)
+    grid = np.geomspace(cfg.s_min, cfg.s_max, _COARSE_POINTS)
     vals = np.array([_log_bracket(table, s, target_delay) for s in grid])
     if not np.any(np.isfinite(vals)):
         return DvpBound(target_delay, 1.0, None, False, 0.0)
@@ -185,7 +186,7 @@ def dvp_bound(
         lambda x: _log_bracket(table, math.exp(x), target_delay),
         math.log(lo),
         math.log(hi),
-        atol=cfg.s_tol,
+        atol=_S_TOL,
     )
     s_star = math.exp(log_s)
     log_b = _log_bracket(table, s_star, target_delay)

@@ -1,20 +1,24 @@
 """Special-function kernels: Mellin-Barnes contour quadrature and
-Gauss-Laguerre expectation integrals.
+Gauss quadrature against the alpha-mu gain law.
 
 Two independent evaluation routes are provided for every expectation the
 library needs:
 
-* ``laguerre_expectation`` integrates directly against the alpha-mu gain
-  law (after the exact substitution that maps it to a unit Gamma weight);
+* ``laguerre_log_expectation`` integrates directly against the alpha-mu
+  gain law (after the exact substitution that maps it to a unit Gamma
+  weight) with one adaptive Gauss engine in log space;
+  ``laguerre_expectation`` is its linear view;
 * ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
   Mellin-Barnes contour integrals (single and double contour).
 
 Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
 
-All contour integrands are computed in log space and rescaled by the
-maximum exponent before summation, so Gamma factors with arguments into
-the hundreds do not overflow.
+Every engine refines through ``refine`` and raises ConvergenceError instead
+of returning an unconverged value.  All integrands are computed in log
+space and rescaled by the maximum exponent before summation, so Gamma
+factors with arguments into the hundreds and kernels such as
+(1 + SINR)^-w with w in the thousands neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, loggamma, roots_genlaguerre
+from scipy.special import loggamma, roots_genlaguerre
 from scipy.special import gamma as _gamma
+
+from . import channel
 
 __all__ = [
     "ContourConfig",
@@ -76,22 +82,18 @@ def ln_gamma(z: complex) -> complex:
 class ContourConfig:
     """Controls for the Mellin-Barnes quadrature.
 
-    ``nodes`` is the initial trapezoid node count per contour (doubled
-    until the result stabilizes); ``offsets``/``half_height`` override the
-    automatic contour placement and truncation when set.
+    ``nodes`` is the initial trapezoid node count per contour, doubled
+    until the result stabilizes to ``rtol`` relative or ``max_nodes`` is
+    exceeded.
     """
 
     nodes: int = 129
     max_nodes: int = 1 << 19
     rtol: float = 1e-8
-    offsets: tuple[float, ...] | None = None
-    half_height: float | None = None
 
     def __post_init__(self):
         if self.nodes < 64:
             raise ValueError("node count must be at least 64")
-        if self.half_height is not None and not self.half_height > 0:
-            raise ValueError("truncation half-height must be positive")
 
 
 DEFAULT_CONTOUR = ContourConfig()
@@ -246,10 +248,8 @@ def _log_integrand_1d(terms, log_z, s):
     return acc
 
 
-def _find_height(logf, cfg):
+def _find_height(logf):
     """Truncation height: where the log-integrand drops CUTOFF below its peak."""
-    if cfg.half_height is not None:
-        return cfg.half_height
     t = np.linspace(0.0, 64.0, 513)
     la = logf(t)
     peak = la.max()
@@ -314,7 +314,7 @@ def _trapezoid_line(terms, log_z, offset, cfg):
     def log_f(t):
         return _log_integrand_1d(terms, log_z, offset + 1j * np.asarray(t))
 
-    height = _find_height(lambda t: log_f(t).real, cfg)
+    height = _find_height(lambda t: log_f(t).real)
     scale = None
 
     def estimate(n):
@@ -364,11 +364,8 @@ def meijer_g(spec: MeijerGSpec, z: float, cfg: ContourConfig = DEFAULT_CONTOUR) 
         raise ContourError("vertical contour integral does not converge (m+n <= (p+q)/2)")
     terms = _meijer_terms(spec)
     log_z = math.log(z)
-    if cfg.offsets:
-        offset = cfg.offsets[0]
-    else:
-        left, right = _meijer_gap(spec)
-        offset = _saddle_offset(terms, log_z, left, right)
+    left, right = _meijer_gap(spec)
+    offset = _saddle_offset(terms, log_z, left, right)
     return _trapezoid_line(terms, log_z, offset, cfg)
 
 
@@ -414,8 +411,8 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
             + t * log_z2
         )
 
-    hu = 1.3 * _find_height(lambda u: log_f(sigma + 1j * u, complex(tau)).real, cfg)
-    hv = 1.3 * _find_height(lambda v: log_f(complex(sigma), tau + 1j * v).real, cfg)
+    hu = 1.3 * _find_height(lambda u: log_f(sigma + 1j * u, complex(tau)).real)
+    hv = 1.3 * _find_height(lambda v: log_f(complex(sigma), tau + 1j * v).real)
     scale = None
 
     def estimate(n):
@@ -464,11 +461,7 @@ def fox_h2(
     if not (z1 > 0 and z2 > 0):
         raise ValueError("arguments must be positive")
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
-    if cfg.offsets and len(cfg.offsets) == 2:
-        sigma, tau = cfg.offsets
-        n_res = max(0, math.ceil(x - tau))
-    else:
-        sigma, tau, n_res = _place_fox_contours(spec)
+    sigma, tau, n_res = _place_fox_contours(spec)
 
     log_z1 = math.log(z1)
     log_z2 = math.log(z2)
@@ -498,32 +491,29 @@ def fox_h2(
 # Gauss-Laguerre tables are unavailable above order ~256), so the engine
 # integrates in the envelope variable r = y^(1/alpha) instead, where the
 # integrand r^(alpha*mu-1) exp(-r^alpha) kernel(scale * r^2) is analytic,
-# using Gauss-Legendre on the truncated support.
+# using Gauss-Legendre on the truncated support.  The envelope rule also
+# takes over when Laguerre has not converged by its last table (kernels
+# peaked near g = 0, such as the delay bound's at large exponents).
 
+_START_ORDER = 32
 _GENLAG_MAX_ORDER = 256  # scipy float64 tables degrade to NaN beyond this
+_MAX_ORDER = 8192  # Gauss-Legendre order budget
+_RTOL = 1e-9  # relative agreement of two successive Gauss estimates
 
 
 @lru_cache(maxsize=None)
 def _laguerre_table(order: int, mu: int):
-    return roots_genlaguerre(order, mu - 1)
+    """Generalized Gauss-Laguerre nodes and log-weights, underflowed weights dropped."""
+    y, w = roots_genlaguerre(order, mu - 1)
+    pos = w > 0
+    return y[pos], np.log(w[pos])
 
 
 @lru_cache(maxsize=None)
 def _legendre_table(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _gain_from_weight_var(ch, y):
-    return (ch.omega**ch.alpha * y / ch.mu) ** (2.0 / ch.alpha)
-
-
-def _mixture(target):
-    # late import: channel depends only on scipy, no cycle at call time
-    from .channel import AlphaMuChannel, min_gain_mixture
-
-    if isinstance(target, AlphaMuChannel):
-        return [(1.0, target)]
-    return min_gain_mixture(target)
+    """Gauss-Legendre nodes and log-weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), np.log(0.5 * w)
 
 
 def _envelope_cutoff(ch, log_kernel_at_r):
@@ -537,93 +527,79 @@ def _envelope_cutoff(ch, log_kernel_at_r):
     return r[below[0]] if below.size else r[-1]
 
 
-def laguerre_expectation(target, kernel, start_order: int = 32, rtol: float = 1e-9):
-    """E[kernel(g)] for an alpha-mu gain or a minimum-gain pair.
+def _refine_log_sum(log_terms, order, limit):
+    """log sum(exp(log_terms(n))), doubling n from ``order`` up to ``limit``.
 
-    Adaptive Gauss quadrature after the exact Gamma-weight substitution;
-    the order doubles until two successive estimates agree to ``rtol``
-    relative.  A minimum-gain pair is the weighted sum over its mixture
-    components.
+    Every estimate is taken relative to the largest term of the first one,
+    so sums spanning thousands of decades neither overflow nor underflow.
+    Returns (log sum, relative change of the last doubling).
     """
-    return sum(w * _expectation_single(c, kernel, start_order, rtol) for w, c in _mixture(target))
+    scale = None
+
+    def estimate(n):
+        nonlocal scale
+        terms = log_terms(n)
+        if scale is None:
+            scale = terms.max()
+        return float(np.exp(terms - scale).sum())
+
+    total, err = refine(estimate, order, limit, _RTOL, "gain expectation", lambda n: 2 * n)
+    return float(scale) + math.log(total), err
 
 
-def _expectation_single(ch, kernel, start_order, rtol, max_order=8192):
-    norm = math.exp(gammaln(ch.mu))
-    if ch.alpha <= 2:
+def _log_component(ch, log_kernel):
+    """(log E[exp(log_kernel(g))], relative error) for one alpha-mu gain."""
+    al, mu = ch.alpha, ch.mu
+    gscale = (ch.omega**al / mu) ** (2.0 / al)
+    order = _START_ORDER
+    if al <= 2:
 
-        def laguerre(order):
-            y, w = _laguerre_table(order, ch.mu)
-            return float(np.sum(w * kernel(_gain_from_weight_var(ch, y)))) / norm
+        def laguerre(n):
+            y, log_w = _laguerre_table(n, mu)
+            return log_w + log_kernel(gscale * y ** (2.0 / al))
 
         try:
-            return refine(
-                laguerre, start_order, _GENLAG_MAX_ORDER, rtol, "gain expectation", lambda n: 2 * n
-            )[0]
+            log_sum, err = _refine_log_sum(laguerre, order, _GENLAG_MAX_ORDER)
+            return log_sum - math.lgamma(mu), err
         except ConvergenceError:
-            start_order = _GENLAG_MAX_ORDER
-    al, mu = ch.alpha, ch.mu
-    gscale = (ch.omega**al / mu) ** (2.0 / al)
-
-    def log_kernel_at_r(r):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(kernel(gscale * r**2)) + 1e-300)
-
-    rmax = _envelope_cutoff(ch, log_kernel_at_r)
-
-    def legendre(order):
-        x, w = _legendre_table(order)
-        r = 0.5 * rmax * (x + 1.0)
-        wr = 0.5 * rmax * w
-        integrand = (
-            al * r ** (al * mu - 1.0) * np.exp(-(r**al)) * kernel(gscale * r**2)
-        )
-        return float(np.sum(wr * integrand)) / norm
-
-    return refine(legendre, start_order, max_order, rtol, "gain expectation", lambda n: 2 * n)[0]
-
-
-def laguerre_log_expectation(target, log_kernel, order: int = 512):
-    """log E[exp(log_kernel(g))], stable for kernels spanning many decades.
-
-    Fixed-order rule with a half-order consistency estimate; returns
-    (log_expectation, relative_error_estimate).  Used by the delay-bound
-    search where the Mellin kernel exponent can reach the thousands.
-    """
-    mixture = _mixture(target)
-
-    def log_e(n):
-        return _logsumexp([math.log(w) + _log_single(c, log_kernel, n) for w, c in mixture])
-
-    full = log_e(order)
-    return full, abs(full - log_e(order // 2)) + 1e-15
-
-
-def _log_single(ch, log_kernel, order):
-    al, mu = ch.alpha, ch.mu
-    if al <= 2 and order <= _GENLAG_MAX_ORDER:
-        y, w = _laguerre_table(order, ch.mu)
-        pos = w > 0
-        lw = np.log(w[pos]) + log_kernel(_gain_from_weight_var(ch, y[pos]))
-        return float(_logsumexp(lw)) - gammaln(mu)
-    gscale = (ch.omega**al / mu) ** (2.0 / al)
+            order = _GENLAG_MAX_ORDER
     rmax = _envelope_cutoff(ch, lambda r: log_kernel(gscale * r**2))
-    x, w = _legendre_table(order)
-    r = 0.5 * rmax * (x + 1.0)
-    wr = 0.5 * rmax * w
-    lw = (
-        np.log(wr)
-        + math.log(al)
-        + (al * mu - 1.0) * np.log(r)
-        - r**al
-        + log_kernel(gscale * r**2)
-    )
-    return float(_logsumexp(lw)) - gammaln(mu)
+
+    def legendre(n):
+        u, log_w = _legendre_table(n)
+        r = rmax * u
+        return log_w + (al * mu - 1.0) * np.log(r) - r**al + log_kernel(gscale * r**2)
+
+    log_sum, err = _refine_log_sum(legendre, order, _MAX_ORDER)
+    return log_sum + math.log(al * rmax) - math.lgamma(mu), err
 
 
-def _logsumexp(values):
-    arr = np.asarray(values, dtype=float)
-    m = arr.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + math.log(np.sum(np.exp(arr - m))))
+def laguerre_log_expectation(target, log_kernel):
+    """log E[exp(log_kernel(g))] for an alpha-mu gain or a minimum-gain pair.
+
+    Adaptive Gauss quadrature in log space, stable for kernels spanning
+    many decades (the delay bound's Mellin exponent reaches the
+    thousands).  The order doubles until two successive estimates agree to
+    1e-9 relative; ConvergenceError when the order budget runs out first.
+    A minimum-gain pair is the weighted sum over its mixture components.
+    Returns (log expectation, relative error of the expectation).
+    """
+    if isinstance(target, channel.AlphaMuChannel):
+        mixture = [(1.0, target)]
+    else:
+        mixture = channel.min_gain_mixture(target)
+    parts = [(w, *_log_component(c, log_kernel)) for w, c in mixture]
+    top = max(log_e for _, log_e, _ in parts)
+    terms = [(w * math.exp(log_e - top), err) for w, log_e, err in parts]
+    total = sum(t for t, _ in terms)
+    return top + math.log(total), sum(t * err for t, err in terms) / total
+
+
+def laguerre_expectation(target, kernel):
+    """E[kernel(g)] for a nonnegative kernel: ``laguerre_log_expectation`` of its log."""
+
+    def log_kernel(g):
+        with np.errstate(divide="ignore"):
+            return np.log(kernel(g))
+
+    return math.exp(laguerre_log_expectation(target, log_kernel)[0])

@@ -196,8 +196,6 @@ class TestFoxH2:
     def test_contour_config_invariants(self):
         with pytest.raises(ValueError):
             ContourConfig(nodes=32)
-        with pytest.raises(ValueError):
-            ContourConfig(half_height=-1.0)
 
     def test_non_convergence_reports_estimates(self):
         from noma_effrate.specfun import ConvergenceError
@@ -275,3 +273,26 @@ class TestLaguerreExpectation:
             lambda x: np.exp(-w * np.log1p(2.4 * x)) * np.exp(-x), 0, np.inf, limit=300
         )
         assert got == pytest.approx(math.log(want), rel=1e-5)
+        # alpha = 4 takes the Gauss-Legendre envelope rule; the integrand
+        # peaks near g = 2e-3, so the reference splits its range there
+        pair = make_pair(4, 3, 1.0, 0.1)
+        got, err = laguerre_log_expectation(pair, log_kernel)
+        f = lambda x: math.exp(log_kernel(x)) * min_gain_pdf(pair, x)
+        want = sum(
+            quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+            for lo, hi in [(0.0, 0.02), (0.02, np.inf)]
+        )
+        assert got == pytest.approx(math.log(want), rel=1e-9)
+        assert err < 1e-9
+
+    def test_exhausted_order_budget_raises(self, monkeypatch):
+        # a step kernel defeats both rules; the budget runs out at 512
+        from noma_effrate import specfun
+        from noma_effrate.specfun import ConvergenceError
+
+        monkeypatch.setattr(specfun, "_MAX_ORDER", 512)
+        ch = AlphaMuChannel(2, 1, 1.0)
+        with pytest.raises(ConvergenceError) as exc:
+            laguerre_log_expectation(ch, lambda g: np.where(g < 0.3, 0.0, -5.0))
+        assert len(exc.value.estimates) == 2
+        assert all(math.isfinite(e) for e in exc.value.estimates)
