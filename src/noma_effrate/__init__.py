@@ -2,6 +2,16 @@
 over alpha-mu fading, with independently cross-validated evaluation routes
 (analytic closed forms, gain quadrature, Monte Carlo)."""
 
+import os
+
+# One BLAS thread per process.  The library's LAPACK work is small (the
+# eigen-solves behind its Gauss rules) and its parallelism is the process
+# pool of ``cli --jobs``; OpenBLAS threads on top of that pool oversubscribe
+# the CPUs: two workers each building an order-256 Gauss-Legendre table at
+# the same time took 0.5-0.8 s instead of 6 ms on 2 vCPUs.  Takes effect only
+# while numpy is not loaded yet; a value already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import (
     AlphaMuChannel,
     ChannelPair,

@@ -26,6 +26,7 @@ from .channel import ChannelPair, gain_moment, min_gain_moment
 from .specfun import (
     DEFAULT_CONTOUR,
     ContourConfig,
+    ContourError,
     laguerre_expectation,
     laguerre_log_expectation,
 )
@@ -137,7 +138,13 @@ def er_noma(
         log_mean = laguerre_log_expectation(target, lambda g: -nu * f(g))[0]
         err = 1e-9 / (nu * LN2)
     elif strategy == "closed-form":
-        log_mean = math.log(mellin_closed_form(sys, user, nu, cfg))
+        try:
+            log_mean = math.log(mellin_closed_form(sys, user, nu, cfg))
+        except ContourError as exc:
+            raise ContourError(
+                f"closed form cannot evaluate theta = {sys.qos.theta:.10g} (nu = {nu:.10g}): "
+                f"{exc}; use strategy = quadrature"
+            ) from exc
         err = cfg.rtol / (nu * LN2)
     else:
         raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")

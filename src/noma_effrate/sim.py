@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .channel import sample_gain
 from .effrate import LN2, NomaSystem, RateResult, User, _check_user
@@ -157,10 +157,9 @@ def _binomial_ci(successes, trials, level):
     """Exact (Clopper-Pearson) two-sided binomial interval."""
     tail = 0.5 * (1.0 - level)
     k = np.asarray(successes, dtype=float)
-    low = np.where(k > 0, _beta.ppf(tail, k, trials - k + 1.0), 0.0)
-    high = np.where(
-        k < trials, _beta.ppf(1.0 - tail, k + 1.0, trials - k), 1.0
-    )
+    # beta quantiles; the k = 0 and k = trials branches evaluate to nan and are discarded
+    low = np.where(k > 0, betaincinv(k, trials - k + 1.0, tail), 0.0)
+    high = np.where(k < trials, betaincinv(k + 1.0, trials - k, 1.0 - tail), 1.0)
     return low, high
 
 

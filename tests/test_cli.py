@@ -2,6 +2,7 @@
 counts, validity flags, and error reporting."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -317,6 +318,32 @@ class TestMainEntry:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
         assert proc.stderr.strip().count("\n") == 0
+
+    def test_integer_nu_error_names_theta(self, tmp_path, capsys):
+        path = write_config(tmp_path, ER_CONFIG.replace(
+            "theta = 0.5, 1", "theta = 0.6931471805599453\nstrategy = closed-form"
+        ).replace("0:20:10", "10"))
+        assert main(["er", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.strip().count("\n") == 0
+        assert "theta = 0.6931471806" in err and "nu = 1" in err
+        assert "strategy = quadrature" in err
+
+    def test_import_skips_scipy_stats(self):
+        code = "import sys, noma_effrate.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_import_sets_one_blas_thread(self):
+        code = "import os, noma_effrate; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        for preset, want in ((None, "1"), ("2", "2")):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0 and proc.stdout.strip() == want
 
     def test_lambda_scale_is_dvp_only(self):
         with pytest.raises(SystemExit) as exc:

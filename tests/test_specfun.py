@@ -6,12 +6,14 @@ implementation, and against direct quadrature of the expectations whose
 closed forms they evaluate.
 """
 
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import loggamma
 
 from noma_effrate.channel import AlphaMuChannel, ChannelPair, gain_moment, min_gain_pdf
 from noma_effrate.closedform import power_mellin_analytic, ratio_mellin_analytic
@@ -216,6 +218,78 @@ class TestFoxH2:
             fox_h2(spec, 0.8, 0.2, ContourConfig(nodes=65, max_nodes=257, rtol=1e-8))
         assert len(exc.value.estimates) == 2
         assert all(math.isfinite(e) for e in exc.value.estimates)
+
+    def test_double_integral_matches_row_loop(self):
+        # the separable lattice evaluation against a direct row-by-row
+        # trapezoid of the full five-Gamma integrand on its own grid
+        from noma_effrate.specfun import _find_height, _fox_double_integral, refine
+
+        c0, r, x = 2.0, 1.0, 0.7213
+        log_z1, log_z2 = math.log(0.8), math.log(0.2)
+        sigma, tau = -0.35, -0.4
+        cfg = ContourConfig(nodes=65, max_nodes=4097, rtol=1e-10)
+
+        def log_f(s, t):
+            return (
+                loggamma(c0 + r * (s + t)) + loggamma(x + s) + loggamma(-s)
+                + loggamma(t - x) + loggamma(-t) + s * log_z1 + t * log_z2
+            )
+
+        hu = 1.3 * _find_height(lambda u: log_f(sigma + 1j * u, complex(tau)).real)
+        hv = 1.3 * _find_height(lambda v: log_f(complex(sigma), tau + 1j * v).real)
+
+        def rows_estimate(n):
+            u, v = np.linspace(-hu, hu, 2 * n - 1), np.linspace(0.0, hv, n)
+            rows = [np.trapezoid(np.exp(log_f(sigma + 1j * u, tau + 1j * vj)), u) for vj in v]
+            # rows at -v are the conjugates of rows at v
+            return 2.0 * np.trapezoid(np.real(rows), v) / (4.0 * math.pi**2)
+
+        want, _ = refine(rows_estimate, cfg.nodes, cfg.max_nodes, cfg.rtol, "oracle")
+        spec = FoxH2Spec(outer_c=c0, outer_r=r, power=x)
+        got, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg)
+        assert err <= cfg.rtol
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_small_exponent_matches_quadrature(self):
+        pair = make_pair(2, 1, 1.0, 0.1)
+        rho, a_s, w = 10.0, 0.2, 0.05
+        want = laguerre_expectation(pair, lambda x: ((1 + rho * x) / (1 + a_s * rho * x)) ** -w)
+        assert ratio_mellin_analytic(pair, rho, a_s, w) == pytest.approx(want, rel=1e-8)
+
+    def test_contour_placement_matches_loop(self):
+        from noma_effrate.specfun import _place_fox_contours
+
+        def loop(c0, r, x):
+            # the scalar scan the grid evaluation replaced
+            best = None
+            sig_grid = np.linspace(-x, 0.0, 43)[1:-1] if x > 1e-3 else np.array([-x / 2])
+            for sigma in sig_grid:
+                m_s = min(sigma + x, -sigma)
+                for tau in np.linspace(-0.95, -0.05, 37):
+                    m_t = min(abs((x - tau) - round(x - tau)), -tau)
+                    n_res = math.ceil(x - tau)
+                    m_outer = (c0 + r * (sigma + tau)) / r
+                    m_shift = (c0 + r * (sigma + x - (n_res - 1))) / r if n_res else math.inf
+                    score = min(m_s, m_t, m_outer, m_shift)
+                    if best is None or score > best[0]:
+                        best = (score, sigma, tau, n_res)
+            if best is None or best[0] <= 0:
+                return None
+            return best[1], best[2], best[3]
+
+        rejected = 0
+        for c0, r, x in itertools.product(
+            [0.1, 0.5, 1.0, 3.0], [0.5, 1.0, 2.0], [5e-4, 0.05, 0.25, 0.5, 0.7213, 1.5, 2.9, 4.05]
+        ):
+            spec = FoxH2Spec(outer_c=c0, outer_r=r, power=x)
+            want = loop(c0, r, x)
+            if want is None:
+                rejected += 1
+                with pytest.raises(ContourError):
+                    _place_fox_contours(spec)
+            else:
+                assert _place_fox_contours(spec) == want, (c0, r, x)
+        assert 0 < rejected < 96
 
 
 class TestLaguerreExpectation:
