@@ -333,8 +333,10 @@ def _run_tasks(fn, tasks, jobs):
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # map preserves submission order, so parallelism cannot reorder rows
-        return list(pool.map(fn, tasks, chunksize=1))
+        # map preserves submission order, so parallelism cannot reorder rows;
+        # about four chunks per worker keeps the IPC round trips few
+        chunk = -(-len(tasks) // (4 * jobs))
+        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def write_csv(header: str, rows: list[tuple], stream) -> None:

@@ -135,7 +135,7 @@ def er_noma(
         return ergodic_rate(sys, user, strategy, cfg)
     if strategy == "quadrature":
         target, f = log1p_sinr(sys, user)
-        log_mean = laguerre_log_expectation(target, lambda g: -nu * f(g))[0]
+        log_mean = laguerre_log_expectation(target, f, -nu)[0]
         err = 1e-9 / (nu * LN2)
     elif strategy == "closed-form":
         try:
@@ -168,7 +168,7 @@ def er_oma(
             val = laguerre_expectation(ch, lambda x: np.log2(1.0 + sys.rho * x))
         return RateResult(0.5 * val, strategy)
     if strategy == "quadrature":
-        log_mean = laguerre_log_expectation(ch, lambda x: -0.5 * nu * np.log1p(sys.rho * x))[0]
+        log_mean = laguerre_log_expectation(ch, lambda x: np.log1p(sys.rho * x), -0.5 * nu)[0]
         err = 1e-9 / (nu * LN2)
     elif strategy == "closed-form":
         log_mean = math.log(closedform.power_mellin_analytic(ch, sys.rho, 0.5 * nu, cfg))

@@ -145,8 +145,8 @@ def queue_dvp(
     eps = 1e-9 * max(lam, 1.0)
     j = np.searchsorted(departures, arrivals[k] - eps, side="left")
     delays = np.minimum(j - k, max_delay + 1)
-    thresholds = np.arange(max_delay + 1)
-    exceed = (delays[:, None] > thresholds[None, :]).sum(axis=0)
+    # exceed[d] = #{delays > d}: the tail sums of the delay histogram
+    exceed = np.cumsum(np.bincount(delays, minlength=max_delay + 2)[::-1])[::-1][1:]
     n_obs = len(k)
     p = exceed / n_obs
     ci_low, ci_high = _binomial_ci(exceed, n_obs, 0.99)

@@ -80,11 +80,11 @@ class DvpBound:
             raise ValueError("bound must lie in [0, 1]")
 
 
-def _log_mellin(cfg: SncConfig, user: User, s: float) -> tuple[float, float]:
-    """log M(s) for one user via the gain-quadrature route."""
-    w = cfg.varpi(s)
+def _log_mellin(cfg: SncConfig, user: User, s):
+    """(log M(s), relative error) for one user via the gain-quadrature route;
+    an array of exponents s is one engine call."""
     target, f = log1p_sinr(cfg.system, user)
-    return laguerre_log_expectation(target, lambda g: -w * f(g))
+    return laguerre_log_expectation(target, f, -cfg.varpi(s))
 
 
 def _mellin(
@@ -129,78 +129,90 @@ def mellin_weak(
 class MellinTable:
     """Memoized log-Mellin evaluator for one (config, user) pair.
 
-    The infimum search re-evaluates the same coarse grid for every target
-    delay; caching makes a full delay sweep cost one grid pass.
+    Every call evaluates all the exponents it has not seen in one engine
+    call, so the coarse scan of a delay curve costs one call, and so does
+    each lockstep round of its golden sections.
     """
 
     def __init__(self, cfg: SncConfig, user: User):
         _check_user(user)
         self.cfg = cfg
         self.user = user
-        self._cache: dict[float, float] = {}
+        self._cache: dict[float, tuple[float, float]] = {}
 
-    def log_m(self, s: float) -> float:
-        got = self._cache.get(s)
-        if got is None:
-            got = _log_mellin(self.cfg, self.user, s)[0]
-            self._cache[s] = got
-        return got
+    def terms(self, s):
+        """(log M(s), log(1 - exp(lam*s)*M(s))) at every exponent of ``s``,
+        the second -inf where the stability kernel exp(lam*s)*M(s) >= 1."""
+        points = np.ravel(s).tolist()
+        missing = list(dict.fromkeys(x for x in points if x not in self._cache))
+        if missing:
+            log_ms = _log_mellin(self.cfg, self.user, np.array(missing))[0].tolist()
+            for x, log_m in zip(missing, log_ms):
+                log_k = self.cfg.arrival_rate * x + log_m
+                tail = -math.inf if log_k >= 0.0 else math.log1p(-math.exp(log_k))
+                self._cache[x] = (log_m, tail)
+        log_m, tail = np.array([self._cache[x] for x in points]).reshape(-1, 2).T
+        return log_m.reshape(np.shape(s)), tail.reshape(np.shape(s))
 
-    def log_stability(self, s: float) -> float:
-        """log of the kernel exp(lam*s)*M(s); negative means stable."""
-        return self.cfg.arrival_rate * s + self.log_m(s)
+    def log_m(self, s):
+        """log M at every exponent of ``s``."""
+        return self.terms(s)[0]
 
 
-def _log_bracket(table: MellinTable, s: float, target_delay: float) -> float:
-    log_k = table.log_stability(s)
-    if log_k >= 0.0:
-        return math.inf
-    return target_delay * table.log_m(s) - math.log1p(-math.exp(log_k))
+def _log_brackets(table: MellinTable, s, target_delays):
+    """log[M(s)^d / (1 - exp(lam*s)*M(s))], broadcast over s and d; inf where unstable."""
+    log_m, tail = table.terms(s)
+    return target_delays * log_m - tail
 
 
-def dvp_bound(
-    cfg: SncConfig,
-    user: User,
-    target_delay: float,
-    table: MellinTable | None = None,
-) -> DvpBound:
-    """Infimum of the delay-bound bracket over the exponent search range.
+def dvp_bound(cfg: SncConfig, user: User, target_delay: float) -> DvpBound:
+    """``dvp_curve`` at one target delay."""
+    return dvp_curve(cfg, user, [target_delay])[0]
+
+
+def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
+    """Infimum of the delay-bound bracket over the exponent search range, per delay.
 
     Coarse log-spaced scan followed by golden-section refinement; clamps
     the result to [0, 1] (a bound above one is vacuous but still valid).
     Integer target delays match the slotted queue; fractional values
-    interpolate the same expression.
+    interpolate the same expression.  The scan is one batch of Mellin
+    transforms, and the delays' golden sections run in lockstep, one batch
+    per round, with the same points and bits as one search at a time.
     """
-    if target_delay < 0:
+    delays = np.array([float(d) for d in target_delays])
+    if np.any(delays < 0):
         raise ValueError("target delay must be nonnegative")
-    if table is None:
-        table = MellinTable(cfg, user)
-    grid = np.geomspace(cfg.s_min, cfg.s_max, _COARSE_POINTS)
-    vals = np.array([_log_bracket(table, s, target_delay) for s in grid])
-    if not np.any(np.isfinite(vals)):
-        return DvpBound(target_delay, 1.0, None, False, 0.0)
-    k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    log_s = golden_section(
-        lambda x: _log_bracket(table, math.exp(x), target_delay),
-        math.log(lo),
-        math.log(hi),
-        atol=_S_TOL,
-    )
-    s_star = math.exp(log_s)
-    log_b = _log_bracket(table, s_star, target_delay)
-    best = min(log_b, float(vals[k]))
-    if not math.isfinite(best):
-        return DvpBound(target_delay, 1.0, None, False, 0.0)
-    log_bound = min(best, 0.0)
-    return DvpBound(target_delay, math.exp(log_bound), s_star, True, log_bound)
-
-
-def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
-    """Delay sweep sharing one Mellin cache across all target delays."""
     table = MellinTable(cfg, user)
-    return [dvp_bound(cfg, user, float(d), table) for d in target_delays]
+    grid = np.geomspace(cfg.s_min, cfg.s_max, _COARSE_POINTS)
+    vals = _log_brackets(table, grid, delays[:, None])
+    best_k = np.argmin(vals, axis=1)
+    searches = {}
+    for i, k in enumerate(best_k):
+        if np.any(np.isfinite(vals[i])):
+            lo = grid[max(k - 1, 0)]
+            hi = grid[min(k + 1, len(grid) - 1)]
+            searches[i] = golden_section(math.log(lo), math.log(hi), atol=_S_TOL)
+    points = {i: next(search) for i, search in searches.items()}
+    log_s = {}
+    while points:
+        live = list(points)
+        f = _log_brackets(table, [math.exp(points[i]) for i in live], delays[live])
+        points = {}
+        for i, fi in zip(live, f.tolist()):
+            try:
+                points[i] = searches[i].send(fi)
+            except StopIteration as done:
+                log_s[i] = done.value
+    s_star = {i: math.exp(x) for i, x in log_s.items()}
+    log_b = _log_brackets(table, list(s_star.values()), delays[list(s_star)])
+    out = [DvpBound(d, 1.0, None, False, 0.0) for d in delays.tolist()]
+    for (i, s), lb in zip(s_star.items(), log_b.tolist()):
+        best = min(lb, float(vals[i, best_k[i]]))
+        if math.isfinite(best):
+            log_bound = min(best, 0.0)
+            out[i] = DvpBound(out[i].target_delay, math.exp(log_bound), s, True, log_bound)
+    return out
 
 
 def bound_decay_slope(curve: list[DvpBound]) -> float:

@@ -64,9 +64,11 @@ class ContourError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, msg, estimates=None):
+    def __init__(self, msg, estimates=None, columns=None, result=None):
         super().__init__(msg)
         self.estimates = estimates
+        self.columns = columns  # the open columns of a column-wise rule
+        self.result = result  # its (estimate, change) lists over all columns
 
 
 class PoleError(ValueError):
@@ -194,7 +196,7 @@ class FoxH2Spec:
 # refinement and line-search drivers shared by every engine
 
 
-def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1):
+def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1, width=None):
     """Refine a rule until two successive estimates agree to ``rtol`` relative.
 
     ``estimate(n)`` evaluates the rule at size ``n``; the size starts at
@@ -202,44 +204,75 @@ def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1):
     (last estimate, relative change of the last step); raises
     ConvergenceError carrying the last two estimates when the budget runs
     out first.
+
+    A rule with ``width`` columns refines each column on its own:
+    ``estimate(n, cols)`` returns the estimates of the columns ``cols`` (an
+    index array, or a full slice while every column is open) that have not
+    agreed yet, every column stops at its first agreement, and the result
+    is a pair of lists.  When the budget runs out the error carries the
+    first open column's estimates, the open columns and the two lists.
     """
-    prev = None
+    if width is None:
+        last, err = refine(lambda n, cols: [estimate(n)], n, limit, rtol, what, grow, 1)
+        return last[0], err[0]
+    open_ = list(range(width))
+    prev, last, err = [None] * width, [None] * width, [math.inf] * width
     while True:
-        last = estimate(n)
-        if prev is not None:
-            err = abs(last - prev) / max(abs(last), 1e-300)
-            if err <= rtol:
-                return last, err
+        cols = slice(None) if len(open_) == width else np.array(open_)
+        for i, x in zip(open_, estimate(n, cols)):
+            if last[i] is not None:
+                # a non-finite estimate compares as nan: not converged
+                err[i] = abs(x - last[i]) / max(abs(x), 1e-300)
+            prev[i], last[i] = last[i], x
+        open_ = [i for i in open_ if not err[i] <= rtol]
+        if not open_:
+            return last, err
         if grow(n) > limit:
             raise ConvergenceError(
                 f"{what} did not reach relative tolerance {rtol:g} by size {n}",
-                estimates=(prev, last),
+                estimates=(prev[open_[0]], last[open_[0]]),
+                columns=np.array(open_),
+                result=(last, err),
             )
-        prev, n = last, grow(n)
+        n = grow(n)
 
 
-def golden_section(f, a, b, atol, rtol=0.0):
-    """Minimize a unimodal f on [a, b] by golden section; returns the
-    midpoint of the final bracket.
+def golden_section(a, b, atol, rtol=0.0):
+    """Golden-section search for the minimum of a unimodal f on [a, b].
 
-    The search stops once the bracket is no wider than max(atol, rtol*|a|),
-    or after 60 steps (a 1e-12 shrink).
+    A generator: it yields each point x, is sent f(x) back, and returns the
+    midpoint of the final bracket, so a caller can run many searches in
+    lockstep (``golden_minimize`` drives one).  The search stops once the
+    bracket is no wider than max(atol, rtol*|a|), or after 60 steps (a
+    1e-12 shrink).
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1 = yield x1
+    f2 = yield x2
     for _ in range(60):
         if b - a <= max(atol, rtol * abs(a)):
             break
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)
-            f1 = f(x1)
+            f1 = yield x1
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
-            f2 = f(x2)
+            f2 = yield x2
     return 0.5 * (a + b)
+
+
+def golden_minimize(f, a, b, atol, rtol=0.0):
+    """Minimize a unimodal f on [a, b]: ``golden_section`` driven by f."""
+    search = golden_section(a, b, atol, rtol)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +340,7 @@ def _saddle_offset(terms, log_z, left, right):
         a = max(a, lo)
     if hi is not None:
         b = min(b, hi)
-    return golden_section(g, a, b, atol=1e-10, rtol=1e-10)
+    return golden_minimize(g, a, b, atol=1e-10, rtol=1e-10)
 
 
 def _trapezoid_line(terms, log_z, offset, cfg):
@@ -526,6 +559,13 @@ def _laguerre_table(order: int, mu: int):
     return y[pos], np.log(w[pos])
 
 
+@lru_cache(maxsize=256)
+def _laguerre_gains(order: int, al: int, mu: int, gscale: float):
+    """The Laguerre nodes as gains, gscale * y^(2/alpha), and their log-weights."""
+    y, log_w = _laguerre_table(order, mu)
+    return gscale * y ** (2.0 / al), log_w
+
+
 @lru_cache(maxsize=None)
 def _legendre_table(order: int):
     """Gauss-Legendre nodes and log-weights on [0, 1]."""
@@ -533,83 +573,130 @@ def _legendre_table(order: int):
     return 0.5 * (x + 1.0), np.log(0.5 * w)
 
 
-def _envelope_cutoff(ch, log_kernel_at_r):
-    """Radius beyond which the envelope-space integrand is negligible."""
-    al, mu = ch.alpha, ch.mu
+@lru_cache(maxsize=64)
+def _envelope_grid(al: int, mu: int, gscale: float):
+    """The envelope scan's radii r, (alpha*mu-1) ln r - r^alpha, and gains gscale*r^2."""
     r = np.geomspace(1e-4, 80.0 ** (1.0 / al), 2048)
-    li = (al * mu - 1.0) * np.log(r) - r**al + log_kernel_at_r(r)
+    return r, (al * mu - 1.0) * np.log(r) - r**al, gscale * r**2
+
+
+def _envelope_cutoff(ch, gscale, k, c):
+    """Per exponent, the radius beyond which the envelope-space integrand is negligible."""
+    r, log_density, g = _envelope_grid(ch.alpha, ch.mu, gscale)
+    li = log_density + c[:, None] * k(g)
     li = np.where(np.isfinite(li), li, -np.inf)
-    peak = int(np.argmax(li))
-    below = np.nonzero((li < li[peak] - 55.0) & (np.arange(r.size) > peak))[0]
-    return r[below[0]] if below.size else r[-1]
+    peak = np.argmax(li, axis=1)
+    top = li[np.arange(c.size), peak]
+    below = (li < top[:, None] - 55.0) & (np.arange(r.size) > peak[:, None])
+    return np.where(below.any(axis=1), r[np.argmax(below, axis=1)], r[-1])
 
 
-def _refine_log_sum(log_terms, order, limit):
-    """log sum(exp(log_terms(n))), doubling n from ``order`` up to ``limit``.
+def _refine_log_sum(log_terms, order, limit, width, fallback=None):
+    """Per column, log sum(exp(log_terms(n, cols))), doubling n from ``order`` up to ``limit``.
 
-    Every estimate is taken relative to the largest term of the first one,
-    so sums spanning thousands of decades neither overflow nor underflow.
-    Returns (log sum, relative change of the last doubling).
+    Every column's estimates are taken relative to the largest term of its
+    first one, so sums spanning thousands of decades neither overflow nor
+    underflow; a finer estimate that overflows is inf, which does not
+    converge.  Columns still open when the budget runs out go to
+    ``fallback(cols)``, which returns their (log sums, errors); without one
+    the ConvergenceError propagates.  Returns (log sums, relative changes of
+    the last doubling).
     """
     scale = None
 
-    def estimate(n):
+    def estimate(n, cols):
         nonlocal scale
-        terms = log_terms(n)
+        terms = log_terms(n, cols)
         if scale is None:
-            scale = terms.max()
-        return float(np.exp(terms - scale).sum())
+            scale = terms.max(axis=1)
+        terms -= scale[cols, None]
+        # row sums along the contiguous axis: bit for bit the 1-D sums
+        return np.exp(terms, out=terms).sum(axis=1).tolist()
 
-    total, err = refine(estimate, order, limit, _RTOL, "gain expectation", lambda n: 2 * n)
-    return float(scale) + math.log(total), err
+    open_cols = []
+    with np.errstate(over="ignore"):
+        try:
+            total, err = refine(
+                estimate, order, limit, _RTOL, "gain expectation", lambda n: 2 * n, width
+            )
+        except ConvergenceError as exc:
+            if fallback is None:
+                raise
+            open_cols, (total, err) = exc.columns, exc.result
+    # the open columns' nan placeholders are replaced by the fallback
+    log_sum = [
+        a + math.log(t) if e <= _RTOL else math.nan for a, t, e in zip(scale.tolist(), total, err)
+    ]
+    if len(open_cols):
+        for i, ls, e in zip(open_cols.tolist(), *fallback(open_cols)):
+            log_sum[i], err[i] = ls, e
+    return log_sum, err
 
 
-def _log_component(ch, log_kernel):
-    """(log E[exp(log_kernel(g))], relative error) for one alpha-mu gain."""
+def _log_component(ch, k, c):
+    """(log E[exp(c_i k(g))], relative error) lists over the c_i, for one alpha-mu gain."""
     al, mu = ch.alpha, ch.mu
     gscale = (ch.omega**al / mu) ** (2.0 / al)
-    order = _START_ORDER
-    if al <= 2:
 
-        def laguerre(n):
-            y, log_w = _laguerre_table(n, mu)
-            return log_w + log_kernel(gscale * y ** (2.0 / al))
+    def envelope(c, order):
+        rmax = _envelope_cutoff(ch, gscale, k, c)
 
-        try:
-            log_sum, err = _refine_log_sum(laguerre, order, _GENLAG_MAX_ORDER)
-            return log_sum - math.lgamma(mu), err
-        except ConvergenceError:
-            order = _GENLAG_MAX_ORDER
-    rmax = _envelope_cutoff(ch, lambda r: log_kernel(gscale * r**2))
+        def legendre(n, cols):
+            u, log_w = _legendre_table(n)
+            r = rmax[cols, None] * u
+            return log_w + (al * mu - 1.0) * np.log(r) - r**al + c[cols, None] * k(gscale * r**2)
 
-    def legendre(n):
-        u, log_w = _legendre_table(n)
-        r = rmax * u
-        return log_w + (al * mu - 1.0) * np.log(r) - r**al + log_kernel(gscale * r**2)
+        log_sum, err = _refine_log_sum(legendre, order, _MAX_ORDER, c.size)
+        return [ls + math.log(al * x) for ls, x in zip(log_sum, rmax.tolist())], err
 
-    log_sum, err = _refine_log_sum(legendre, order, _MAX_ORDER)
-    return log_sum + math.log(al * rmax) - math.lgamma(mu), err
+    if al > 2:
+        log_sum, err = envelope(c, _START_ORDER)
+    else:
+
+        def laguerre(n, cols):
+            g, log_w = _laguerre_gains(n, al, mu, gscale)
+            return log_w + c[cols, None] * k(g)
+
+        log_sum, err = _refine_log_sum(
+            laguerre, _START_ORDER, _GENLAG_MAX_ORDER, c.size,
+            fallback=lambda cols: envelope(c[cols], _GENLAG_MAX_ORDER),
+        )
+    log_norm = math.lgamma(mu)
+    return [ls - log_norm for ls in log_sum], err
 
 
-def laguerre_log_expectation(target, log_kernel):
-    """log E[exp(log_kernel(g))] for an alpha-mu gain or a minimum-gain pair.
+def laguerre_log_expectation(target, k, c=1.0):
+    """log E[exp(c*k(g))] for an alpha-mu gain or a minimum-gain pair.
 
     Adaptive Gauss quadrature in log space, stable for kernels spanning
     many decades (the delay bound's Mellin exponent reaches the
     thousands).  The order doubles until two successive estimates agree to
     1e-9 relative; ConvergenceError when the order budget runs out first.
     A minimum-gain pair is the weighted sum over its mixture components.
-    Returns (log expectation, relative error of the expectation).
+
+    ``c`` may be a 1-D array of exponents, evaluated in one pass per rule
+    order: every exponent follows the orders and stopping rule it would
+    follow alone, to the same bits, and drops out once it has converged;
+    ConvergenceError if any exponent exhausts the budget.  Returns (log
+    expectation, relative error of the expectation), floats for a scalar
+    ``c`` and arrays of its length otherwise.
     """
+    cs = np.asarray(c, dtype=float)
+    scalar, cs = cs.ndim == 0, cs.reshape(-1)
     if isinstance(target, channel.AlphaMuChannel):
         mixture = [(1.0, target)]
     else:
         mixture = channel.min_gain_mixture(target)
-    parts = [(w, *_log_component(c, log_kernel)) for w, c in mixture]
-    top = max(log_e for _, log_e, _ in parts)
-    terms = [(w * math.exp(log_e - top), err) for w, log_e, err in parts]
-    total = sum(t for t, _ in terms)
-    return top + math.log(total), sum(t * err for t, err in terms) / total
+    parts = [(w, *_log_component(comp, k, cs)) for w, comp in mixture]
+    log_e, err = [], []
+    for i in range(cs.size):
+        # combined in math per exponent, as a scalar evaluation would
+        top = max(le[i] for _, le, _ in parts)
+        terms = [(w * math.exp(le[i] - top), e[i]) for w, le, e in parts]
+        total = sum(t for t, _ in terms)
+        log_e.append(top + math.log(total))
+        err.append(sum(t * e for t, e in terms) / total)
+    return (log_e[0], err[0]) if scalar else (np.array(log_e), np.array(err))
 
 
 def laguerre_expectation(target, kernel):

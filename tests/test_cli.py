@@ -152,6 +152,21 @@ slots = 100000
         # higher effective arrival rate cannot lower the bound
         assert scaled[5][2] >= base[5][2]
 
+    def test_quiet_when_laguerre_overflows(self, tmp_path):
+        # finer Laguerre orders find terms over 709 nats above the first
+        # estimate's scale here; those estimates fall through to Legendre
+        text = self.DVP.replace("mu = 1", "mu = 3").replace("a_s = 0.24", "a_s = 0.2")
+        text = text.replace("rho_db = 10", "rho_db = 20").replace("lambda = 120", "lambda = 300")
+        path = write_config(tmp_path, text.split("[sim]")[0])
+        proc = subprocess.run(
+            [sys.executable, "-m", "noma_effrate.cli", "dvp", "--config", path,
+             "--out", str(tmp_path / "dvp.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_requires_single_lambda(self, tmp_path):
         text = self.DVP.replace("lambda = 120", "lambda = 120, 160")
         cfg = load_config(write_config(tmp_path, text))

@@ -156,6 +156,55 @@ class TestDvpBound:
         with pytest.raises(ValueError):
             dvp_bound(make_cfg(), "strong", -1)
 
+    @pytest.mark.parametrize("alpha, mu, rho_db, lam", [(2, 1, 10.0, 170.0), (4, 3, 15.0, 185.0)])
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_curve_matches_sequential_search(self, alpha, mu, rho_db, lam, user):
+        # the batched scan and lockstep golden sections against one delay at
+        # a time on scalar Mellin transforms: every field equal, not close
+        cfg = SncConfig(make_system(alpha=alpha, mu=mu, rho_db=rho_db), 168, lam)
+        mellin = {"strong": mellin_strong, "weak": mellin_weak}[user]
+        cache = {}
+
+        def log_bracket(s, d):
+            if s not in cache:
+                cache[s] = mellin(cfg, s).log_value
+            log_k = cfg.arrival_rate * s + cache[s]
+            if log_k >= 0.0:
+                return math.inf
+            return d * cache[s] - math.log1p(-math.exp(log_k))
+
+        def sequential(d):
+            grid = np.geomspace(cfg.s_min, cfg.s_max, 200)
+            vals = np.array([log_bracket(s, d) for s in grid])
+            if not np.any(np.isfinite(vals)):
+                return DvpBound(d, 1.0, None, False, 0.0)
+            k = int(np.argmin(vals))
+            a, b = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, len(grid) - 1)])
+            f = lambda x: log_bracket(math.exp(x), d)
+            phi = (math.sqrt(5.0) - 1.0) / 2.0
+            x1, x2 = b - phi * (b - a), a + phi * (b - a)
+            f1, f2 = f(x1), f(x2)
+            for _ in range(60):
+                if b - a <= 1e-6:
+                    break
+                if f1 < f2:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - phi * (b - a)
+                    f1 = f(x1)
+                else:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + phi * (b - a)
+                    f2 = f(x2)
+            s_star = math.exp(0.5 * (a + b))
+            best = min(log_bracket(s_star, d), float(vals[k]))
+            if not math.isfinite(best):
+                return DvpBound(d, 1.0, None, False, 0.0)
+            log_bound = min(best, 0.0)
+            return DvpBound(d, math.exp(log_bound), s_star, True, log_bound)
+
+        got = dvp_curve(cfg, user, range(31))
+        assert got == [sequential(float(d)) for d in range(31)]
+
 
 class TestSncConfig:
     def test_rejects_bad_search_range(self):

@@ -370,3 +370,61 @@ class TestLaguerreExpectation:
             laguerre_log_expectation(ch, lambda g: np.where(g < 0.3, 0.0, -5.0))
         assert len(exc.value.estimates) == 2
         assert all(math.isfinite(e) for e in exc.value.estimates)
+
+    @pytest.mark.parametrize(
+        "target, k, s_max, route",
+        [
+            (AlphaMuChannel(2, 1, 1.0), lambda g: np.log1p(2.4 * g), 0.01, "laguerre"),
+            # a_s rho = 20: exponents beyond s ~ 3e-3 leave Laguerre unconverged
+            (AlphaMuChannel(2, 3, 1.0), lambda g: np.log1p(20.0 * g), 5.0, "fallback"),
+            (AlphaMuChannel(4, 3, 1.0), lambda g: np.log1p(7.6 * g), 5.0, "legendre"),
+            (make_pair(2, 2), lambda g: np.log1p(31.6 * g) - np.log1p(7.6 * g), 5.0, "fallback"),
+        ],
+    )
+    def test_batch_equals_one_at_a_time(self, target, k, s_max, route, monkeypatch):
+        # the delay bound's Mellin exponents -N s / ln 2 for s in [1e-6, s_max]
+        from noma_effrate import specfun
+
+        c = -168.0 * np.geomspace(1e-6, s_max, 40) / math.log(2.0)
+        widths, orders = [], []  # exponents per envelope scan, Legendre orders
+        cutoff, table = specfun._envelope_cutoff, specfun._legendre_table
+
+        def spy_cutoff(ch, gscale, k, c):
+            widths.append(c.size)
+            return cutoff(ch, gscale, k, c)
+
+        def spy_table(n):
+            orders.append(n)
+            return table(n)
+
+        monkeypatch.setattr(specfun, "_envelope_cutoff", spy_cutoff)
+        monkeypatch.setattr(specfun, "_legendre_table", spy_table)
+        got, err = laguerre_log_expectation(target, k, c)
+        monkeypatch.undo()
+        if route == "laguerre":
+            assert widths == orders == []
+        elif route == "fallback":
+            # Legendre picks up where Laguerre's last table left off
+            assert widths and all(0 < w < c.size for w in widths)
+            assert min(orders) == 256
+        else:
+            assert widths and all(w == c.size for w in widths)
+            assert min(orders) == 32
+        one = [laguerre_log_expectation(target, k, x) for x in c]
+        assert all(type(v) is float for pair in one for v in pair)
+        assert got.tolist() == [v for v, _ in one]
+        assert err.tolist() == [e for _, e in one]
+
+    def test_batch_with_one_unconverged_column_raises(self, monkeypatch):
+        # c = 0 converges at once; the step kernel defeats both rules at c = 1
+        from noma_effrate import specfun
+        from noma_effrate.specfun import ConvergenceError
+
+        monkeypatch.setattr(specfun, "_MAX_ORDER", 512)
+        ch = AlphaMuChannel(2, 1, 1.0)
+        step = lambda g: np.where(g < 0.3, 0.0, -5.0)
+        assert laguerre_log_expectation(ch, step, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ConvergenceError) as exc:
+            laguerre_log_expectation(ch, step, np.array([0.0, 1.0, 0.0]))
+        assert len(exc.value.estimates) == 2
+        assert all(math.isfinite(e) for e in exc.value.estimates)
