@@ -4,11 +4,12 @@ over alpha-mu fading, with independently cross-validated evaluation routes
 
 import os
 
-# One BLAS thread per process.  The library's LAPACK work is small (the
-# eigen-solves behind its Gauss rules) and its parallelism is the process
-# pool of ``cli --jobs``; OpenBLAS threads on top of that pool oversubscribe
-# the CPUs: two workers each building an order-256 Gauss-Legendre table at
-# the same time took 0.5-0.8 s instead of 6 ms on 2 vCPUs.  Takes effect only
+# One BLAS thread per process.  OpenBLAS starts its thread pool when numpy
+# and scipy load, which every CLI invocation pays: on a 2-vCPU Xeon,
+# `import noma_effrate.cli` took 0.48 s with one thread and 0.62 s with the
+# default two (medians of 15 runs), while the library's LAPACK work (the
+# eigen-solves behind its Gauss rules) gained nothing from the second thread
+# (`dvp` on the README config 0.875 s against 0.881 s).  Takes effect only
 # while numpy is not loaded yet; a value already in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -50,7 +51,6 @@ from .snc import (
     MellinValue,
     SncConfig,
     bound_decay_slope,
-    dvp_bound,
     dvp_curve,
     mellin_strong,
     mellin_weak,
@@ -71,59 +71,3 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaMuChannel",
-    "ChannelPair",
-    "ContourConfig",
-    "ContourError",
-    "ConvergenceError",
-    "DelayCcdf",
-    "DelayQos",
-    "DvpBound",
-    "FoxH2Spec",
-    "MeijerGSpec",
-    "MellinValue",
-    "NomaSystem",
-    "PoleError",
-    "QuadValue",
-    "RateResult",
-    "SimPlan",
-    "SncConfig",
-    "UnboundedDensityError",
-    "bound_decay_slope",
-    "dvp_bound",
-    "dvp_curve",
-    "empirical_decay_slope",
-    "er_derivatives",
-    "er_high_snr",
-    "er_low_snr",
-    "er_noma",
-    "er_oma",
-    "ergodic_rate",
-    "fox_h2",
-    "gain_cdf",
-    "gain_moment",
-    "gain_pdf",
-    "laguerre_expectation",
-    "laguerre_log_expectation",
-    "ln_gamma",
-    "mc_effective_rate",
-    "meijer_g",
-    "mellin_strong",
-    "mellin_weak",
-    "min_energy_per_bit",
-    "min_gain_cdf",
-    "min_gain_mixture",
-    "min_gain_moment",
-    "min_gain_pdf",
-    "noma_oma_gap",
-    "power_search",
-    "queue_dvp",
-    "rate_loss",
-    "sample_gain",
-    "sample_min_gain",
-    "sum_er_noma",
-    "sum_er_oma",
-    "wideband_slope",
-]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -189,8 +189,11 @@ def gain_moment(ch: AlphaMuChannel, k: int) -> float:
     return math.exp(2 * k * math.log(w) + gammaln(m + r) - r * math.log(m) - gammaln(m))
 
 
+@lru_cache(maxsize=256)
 def min_gain_moment(pair: ChannelPair, k: int) -> float:
-    """First or second moment of min(g_strong, g_weak), the mixture sum of gain moments."""
+    """First or second moment of min(g_strong, g_weak), the mixture sum of gain moments.
+
+    Cached per (frozen) pair: every row of a low-SNR sweep asks for the same two."""
     if k not in (1, 2):
         raise ValueError(f"unsupported order: min-gain moments exist for k in {{1, 2}}, got {k}")
     return sum(w * gain_moment(c, k) for w, c in min_gain_mixture(pair))

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import logging
 import math
 import os
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,10 +113,13 @@ class SweepConfig:
             AlphaMuChannel(self.alpha, self.mu, self.omega_w),
         )
 
-    def system(self, a_s: float, theta: float, rho_db: float) -> NomaSystem:
-        return NomaSystem(
-            self.pair(), a_s, 10.0 ** (rho_db / 10.0), DelayQos(theta, self.tb)
-        )
+    def grid(self, a_s_values: list[float]) -> list[NomaSystem]:
+        """The systems of the (a_s, theta, rho_db) grid in row order, sharing one channel pair."""
+        pair = self.pair()
+        return [
+            NomaSystem(pair, a_s, 10.0 ** (rho_db / 10.0), DelayQos(theta, self.tb))
+            for a_s, theta, rho_db in itertools.product(a_s_values, self.theta, self.rho_db)
+        ]
 
 
 # [section] key -> parser; no other key is accepted.  A key sets the
@@ -186,41 +190,20 @@ ER_HEADER = (
 )
 
 
-def _er_point(args):
-    cfg, a_s, theta, rho_db = args
-    sysm = cfg.system(a_s, theta, rho_db)
-    rs = er_noma(sysm, "strong", cfg.strategy)
-    rw = er_noma(sysm, "weak", cfg.strategy)
-    os_ = er_oma(sysm, "strong", cfg.strategy)
-    ow = er_oma(sysm, "weak", cfg.strategy)
-    r_sum = rs.value + rw.value
-    oma_sum = os_.value + ow.value
-    err = max(rs.error_estimate, rw.error_estimate, os_.error_estimate, ow.error_estimate)
-    return (
-        cfg.alpha,
-        cfg.mu,
-        cfg.omega_w,
-        a_s,
-        theta,
-        rho_db,
-        rs.value,
-        rw.value,
-        r_sum,
-        oma_sum,
-        r_sum - oma_sum,
-        cfg.strategy,
-        err,
-    )
-
-
-def cmd_er(cfg: SweepConfig, jobs: int) -> tuple[str, list[tuple]]:
-    tasks = [
-        (cfg, a_s, theta, rho)
-        for a_s in cfg.a_s_values
-        for theta in cfg.theta
-        for rho in cfg.rho_db
-    ]
-    return ER_HEADER, _run_tasks(_er_point, tasks, jobs)
+def cmd_er(cfg: SweepConfig) -> tuple[str, list[tuple]]:
+    systems = cfg.grid(cfg.a_s_values)
+    rates = [rate(systems, user, cfg.strategy) for rate in (er_noma, er_oma)
+             for user in ("strong", "weak")]
+    rows = []
+    for point, (rs, rw, os_, ow) in zip(
+        itertools.product(cfg.a_s_values, cfg.theta, cfg.rho_db), zip(*rates)
+    ):
+        r_sum = rs.value + rw.value
+        oma_sum = os_.value + ow.value
+        err = max(rs.error_estimate, rw.error_estimate, os_.error_estimate, ow.error_estimate)
+        rows.append((cfg.alpha, cfg.mu, cfg.omega_w, *point, rs.value, rw.value, r_sum,
+                     oma_sum, r_sum - oma_sum, cfg.strategy, err))
+    return ER_HEADER, rows
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +213,13 @@ def cmd_er(cfg: SweepConfig, jobs: int) -> tuple[str, list[tuple]]:
 DVP_HEADER = "user,vartheta,bound,minimizer_s,feasible,empirical_p,ci_low,ci_high"
 
 
-def cmd_dvp(cfg: SweepConfig, jobs: int, lambda_scale: float) -> tuple[str, list[tuple]]:
+def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
     if len(cfg.a_s_values) != 1 or len(cfg.theta) != 1 or len(cfg.rho_db) != 1:
         raise ConfigError("dvp needs single a_s, theta and rho_db values")
     if len(cfg.lambdas) != 1:
         raise ConfigError("[snc] lambda: dvp needs exactly one arrival rate per run")
     lam = cfg.lambdas[0] * lambda_scale
-    sysm = cfg.system(cfg.a_s_values[0], cfg.theta[0], cfg.rho_db[0])
+    sysm = cfg.grid(cfg.a_s_values)[0]
     snc_cfg = SncConfig(
         sysm, cfg.symbols_per_slot, lam, s_min=cfg.s_min, s_max=cfg.s_max
     )
@@ -269,39 +252,33 @@ APPROX_HEADER = (
 )
 
 
-def _approx_point(args):
-    cfg, a_s, theta, rho_db = args
-    sysm = cfg.system(a_s, theta, rho_db)
-    exact = sum_er_noma(sysm, cfg.strategy)
-    ergodic = (
-        ergodic_rate(sysm, "strong", cfg.strategy).value
-        + ergodic_rate(sysm, "weak", cfg.strategy).value
-    )
-    nu = sysm.nu
-    if sysm.pair.alpha * sysm.pair.mu > 2.0 * nu:
-        high = er_high_snr(sysm, "strong").value + er_high_snr(sysm, "weak").value
-    else:
-        high = None
-    low = er_low_snr(sysm, "strong").value + er_low_snr(sysm, "weak").value
-    return (
-        rho_db,
-        exact,
-        high,
-        low,
-        ergodic,
-        ergodic - exact,
-        min_energy_per_bit(sysm, "strong"),
-        min_energy_per_bit(sysm, "weak"),
-        wideband_slope(sysm, "strong"),
-        wideband_slope(sysm, "weak"),
-    )
-
-
-def cmd_approx(cfg: SweepConfig, jobs: int) -> tuple[str, list[tuple]]:
+def cmd_approx(cfg: SweepConfig) -> tuple[str, list[tuple]]:
     if len(cfg.a_s_values) != 1 or len(cfg.theta) != 1:
         raise ConfigError("approx needs single a_s and theta values")
-    tasks = [(cfg, cfg.a_s_values[0], cfg.theta[0], rho) for rho in cfg.rho_db]
-    return APPROX_HEADER, _run_tasks(_approx_point, tasks, jobs)
+    systems = cfg.grid(cfg.a_s_values)
+    exact = sum_er_noma(systems, cfg.strategy)
+    erg_s, erg_w = (ergodic_rate(systems, user, cfg.strategy) for user in ("strong", "weak"))
+    rows = []
+    for sysm, rho_db, total, es, ew in zip(systems, cfg.rho_db, exact, erg_s, erg_w):
+        ergodic = es.value + ew.value
+        if sysm.pair.alpha * sysm.pair.mu > 2.0 * sysm.nu:
+            high = er_high_snr(sysm, "strong").value + er_high_snr(sysm, "weak").value
+        else:
+            high = None
+        low = er_low_snr(sysm, "strong").value + er_low_snr(sysm, "weak").value
+        rows.append((
+            rho_db,
+            total,
+            high,
+            low,
+            ergodic,
+            ergodic - total,
+            min_energy_per_bit(sysm, "strong"),
+            min_energy_per_bit(sysm, "weak"),
+            wideband_slope(sysm, "strong"),
+            wideband_slope(sysm, "weak"),
+        ))
+    return APPROX_HEADER, rows
 
 
 # ---------------------------------------------------------------------------
@@ -311,32 +288,15 @@ def cmd_approx(cfg: SweepConfig, jobs: int) -> tuple[str, list[tuple]]:
 POWER_HEADER = "rho_db,best_a_s,best_sum_er"
 
 
-def _power_point(args):
-    cfg, theta, rho_db = args
-    sysm = cfg.system(cfg.a_s_values[0], theta, rho_db)
-    best_a, best_sum = power_search(sysm, cfg.a_s_values, strategy=cfg.strategy)
-    return (rho_db, best_a, best_sum)
-
-
-def cmd_power(cfg: SweepConfig, jobs: int) -> tuple[str, list[tuple]]:
+def cmd_power(cfg: SweepConfig) -> tuple[str, list[tuple]]:
     if len(cfg.theta) != 1:
         raise ConfigError("power needs a single theta value")
-    tasks = [(cfg, cfg.theta[0], rho) for rho in cfg.rho_db]
-    return POWER_HEADER, _run_tasks(_power_point, tasks, jobs)
+    best = power_search(cfg.grid(cfg.a_s_values[:1]), cfg.a_s_values, strategy=cfg.strategy)
+    return POWER_HEADER, [(rho_db, a, total) for rho_db, (a, total) in zip(cfg.rho_db, best)]
 
 
 # ---------------------------------------------------------------------------
-# dispatch plumbing
-
-
-def _run_tasks(fn, tasks, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # map preserves submission order, so parallelism cannot reorder rows;
-        # about four chunks per worker keeps the IPC round trips few
-        chunk = -(-len(tasks) // (4 * jobs))
-        return list(pool.map(fn, tasks, chunksize=chunk))
+# output
 
 
 def write_csv(header: str, rows: list[tuple], stream) -> None:
@@ -414,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI sweep configuration file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "svg"), help="output format")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: every subcommand runs serially")
         p.add_argument("--seed", type=int, help="simulation seed override")
         if name == "dvp":
             p.add_argument(
@@ -437,15 +398,17 @@ def main(argv=None) -> int:
         for name, value in flags.items():
             if value is not None:
                 setattr(cfg, name, value)
-        log.info("command %s with %d jobs", args.command, args.jobs)
-        if args.command == "er":
-            header, rows = cmd_er(cfg, args.jobs)
-        elif args.command == "dvp":
-            header, rows = cmd_dvp(cfg, args.jobs, args.lambda_scale)
-        elif args.command == "approx":
-            header, rows = cmd_approx(cfg, args.jobs)
-        else:
-            header, rows = cmd_power(cfg, args.jobs)
+        log.info("command %s", args.command)
+        with warnings.catch_warnings():
+            # a warning (such as an unstable queue) is one line, like an error
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=_sys.stderr
+            )
+            if args.command == "dvp":
+                header, rows = cmd_dvp(cfg, args.lambda_scale)
+            else:
+                command = {"er": cmd_er, "approx": cmd_approx, "power": cmd_power}[args.command]
+                header, rows = command(cfg)
         writer = write_csv if cfg.out_format == "csv" else write_svg
         if cfg.out_path:
             with open(cfg.out_path, "w") as fh:

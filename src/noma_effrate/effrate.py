@@ -10,11 +10,14 @@ the resource (exponent nu/2).
 
 Every rate is available through two independent strategies: direct gain
 quadrature and the analytic closed forms; theta = 0 delegates to the
-ergodic rate (their common limit).
+ergodic rate (their common limit).  The rate functions take one
+NomaSystem, or a grid of systems sharing one channel pair, which the
+quadrature route evaluates in one engine pass per user.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -102,17 +105,65 @@ def _check_user(user: str):
         raise ValueError(f"user must be 'strong' or 'weak', got {user!r}")
 
 
+def _log1p_gain(g, c):
+    return np.log1p(c * g)
+
+
+def _log1p_ratio(g, rho, c):
+    return np.log1p(rho * g) - np.log1p(c * g)
+
+
 def log1p_sinr(sys: NomaSystem, user: User):
-    """The user's gain law and the map g -> ln(1 + SINR(g)) over it.
+    """The user's gain law, the map (g, *p) -> ln(1 + SINR(g)) over it, and the system's p.
 
     The strong user's law is its own gain with SINR a_s*rho*g; the weak
     user's is the minimum gain, with 1 + SINR = (1 + rho*g) / (1 + a_s*rho*g).
     """
     c = sys.a_s * sys.rho
     if user == "strong":
-        return sys.pair.strong, lambda g: np.log1p(c * g)
-    rho = sys.rho
-    return sys.pair, lambda g: np.log1p(rho * g) - np.log1p(c * g)
+        return sys.pair.strong, _log1p_gain, (c,)
+    return sys.pair, _log1p_ratio, (sys.rho, c)
+
+
+def _kernel_columns(systems, user: User):
+    """``log1p_sinr`` of a grid: the common law and map, and every system's p as columns."""
+    target, k, _ = log1p_sinr(systems[0], user)
+    return target, k, np.array([log1p_sinr(s, user)[2] for s in systems]).T
+
+
+def _gridwise(fn):
+    """Let ``fn(systems, ...) -> list`` take one NomaSystem, for one result, or a
+    grid: a sequence of systems sharing one channel pair, for a list in its order."""
+
+    @functools.wraps(fn)
+    def wrapper(sys, *args, **kwargs):
+        if isinstance(sys, NomaSystem):
+            return fn([sys], *args, **kwargs)[0]
+        systems = list(sys)
+        if any(s.pair != systems[0].pair for s in systems):
+            raise ValueError("the systems of a grid must share one channel pair")
+        return fn(systems, *args, **kwargs) if systems else []
+
+    return wrapper
+
+
+def _by_nu(systems, rated, ergodic):
+    """``rated`` over the systems with nu > 0 and ``ergodic`` over those with
+    nu = 0 (no delay constraint), merged back in grid order."""
+    zero = [s.nu == 0.0 for s in systems]
+    runs = {
+        flag: iter(fn([s for s, z in zip(systems, zero) if z is flag]) if flag in zero else [])
+        for flag, fn in ((False, rated), (True, ergodic))
+    }
+    return [next(runs[z]) for z in zero]
+
+
+def _rates(systems, log_means, strategy: Route, rtol: float) -> list[RateResult]:
+    """Effective rates -log E[(1+SINR)^-nu] / (nu ln 2) from the log expectations."""
+    return [
+        RateResult(-lm / (s.nu * LN2), strategy, rtol / (s.nu * LN2))
+        for s, lm in zip(systems, log_means)
+    ]
 
 
 def mellin_closed_form(sys: NomaSystem, user: User, w: float, cfg: ContourConfig) -> float:
@@ -122,60 +173,70 @@ def mellin_closed_form(sys: NomaSystem, user: User, w: float, cfg: ContourConfig
     return closedform.ratio_mellin_analytic(sys.pair, sys.rho, sys.a_s, w, cfg)
 
 
+@_gridwise
 def er_noma(
-    sys: NomaSystem,
+    systems: list[NomaSystem],
     user: User,
     strategy: Route = "quadrature",
     cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> RateResult:
+) -> list[RateResult]:
     """Effective rate of one user under superposition transmission."""
     _check_user(user)
-    nu = sys.nu
-    if nu == 0.0:
-        return ergodic_rate(sys, user, strategy, cfg)
-    if strategy == "quadrature":
-        target, f = log1p_sinr(sys, user)
-        log_mean = laguerre_log_expectation(target, f, -nu)[0]
-        err = 1e-9 / (nu * LN2)
-    elif strategy == "closed-form":
-        try:
-            log_mean = math.log(mellin_closed_form(sys, user, nu, cfg))
-        except ContourError as exc:
-            raise ContourError(
-                f"closed form cannot evaluate theta = {sys.qos.theta:.10g} (nu = {nu:.10g}): "
-                f"{exc}; use strategy = quadrature"
-            ) from exc
-        err = cfg.rtol / (nu * LN2)
-    else:
+
+    def rated(systems):
+        if strategy == "quadrature":
+            target, f, params = _kernel_columns(systems, user)
+            log_means = laguerre_log_expectation(target, f, [-s.nu for s in systems], params)[0]
+            return _rates(systems, log_means.tolist(), strategy, 1e-9)
+        if strategy == "closed-form":
+            log_means = []
+            for s in systems:
+                try:
+                    log_means.append(math.log(mellin_closed_form(s, user, s.nu, cfg)))
+                except ContourError as exc:
+                    raise ContourError(
+                        f"closed form cannot evaluate theta = {s.qos.theta:.10g} "
+                        f"(nu = {s.nu:.10g}): {exc}; use strategy = quadrature"
+                    ) from exc
+            return _rates(systems, log_means, strategy, cfg.rtol)
         raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
-    return RateResult(-log_mean / (nu * LN2), strategy, err)
+
+    return _by_nu(systems, rated, lambda zero: ergodic_rate(zero, user, strategy, cfg))
 
 
+@_gridwise
 def er_oma(
-    sys: NomaSystem,
+    systems: list[NomaSystem],
     user: User,
     strategy: Route = "quadrature",
     cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> RateResult:
+) -> list[RateResult]:
     """Effective rate under time-shared orthogonal access (half exponent, full power)."""
     _check_user(user)
-    nu = sys.nu
-    ch = sys.pair.strong if user == "strong" else sys.pair.weak
-    if nu == 0.0:
+    ch = systems[0].pair.strong if user == "strong" else systems[0].pair.weak
+
+    def ergodic(systems):
         if strategy == "closed-form":
-            val = closedform.log_mean_analytic(ch, sys.rho, cfg)
+            vals = [closedform.log_mean_analytic(ch, s.rho, cfg) for s in systems]
         else:
-            val = laguerre_expectation(ch, lambda x: np.log2(1.0 + sys.rho * x))
-        return RateResult(0.5 * val, strategy)
-    if strategy == "quadrature":
-        log_mean = laguerre_log_expectation(ch, lambda x: np.log1p(sys.rho * x), -0.5 * nu)[0]
-        err = 1e-9 / (nu * LN2)
-    elif strategy == "closed-form":
-        log_mean = math.log(closedform.power_mellin_analytic(ch, sys.rho, 0.5 * nu, cfg))
-        err = cfg.rtol / (nu * LN2)
-    else:
+            rhos = [s.rho for s in systems]
+            vals = laguerre_expectation(ch, lambda x, rho: np.log2(1.0 + rho * x), (rhos,)).tolist()
+        return [RateResult(0.5 * v, strategy) for v in vals]
+
+    def rated(systems):
+        if strategy == "quadrature":
+            half_nus, rhos = [-0.5 * s.nu for s in systems], [s.rho for s in systems]
+            log_means = laguerre_log_expectation(ch, _log1p_gain, half_nus, (rhos,))[0].tolist()
+            return _rates(systems, log_means, strategy, 1e-9)
+        if strategy == "closed-form":
+            log_means = [
+                math.log(closedform.power_mellin_analytic(ch, s.rho, 0.5 * s.nu, cfg))
+                for s in systems
+            ]
+            return _rates(systems, log_means, strategy, cfg.rtol)
         raise ValueError(f"unsupported strategy {strategy!r}")
-    return RateResult(-log_mean / (nu * LN2), strategy, err)
+
+    return _by_nu(systems, rated, ergodic)
 
 
 def er_high_snr(sys: NomaSystem, user: User) -> RateResult:
@@ -246,31 +307,34 @@ def wideband_slope(sys: NomaSystem, user: User) -> float:
     return -2.0 * first**2 / second * LN2
 
 
+@_gridwise
 def ergodic_rate(
-    sys: NomaSystem,
+    systems: list[NomaSystem],
     user: User,
     strategy: Route = "quadrature",
     cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> RateResult:
+) -> list[RateResult]:
     """Mean log-rate E[log2(1+gamma)]; the theta->0 upper bound on the ER."""
     _check_user(user)
     if strategy == "closed-form":
-        if user == "strong":
-            val = closedform.log_mean_analytic(sys.pair.strong, sys.a_s * sys.rho, cfg)
-        else:
-            val = closedform.min_log_mean_difference_analytic(
-                sys.pair, sys.rho, sys.a_s, cfg
-            )
-        return RateResult(val, strategy, cfg.rtol * abs(val))
+        vals = [
+            closedform.log_mean_analytic(s.pair.strong, s.a_s * s.rho, cfg)
+            if user == "strong"
+            else closedform.min_log_mean_difference_analytic(s.pair, s.rho, s.a_s, cfg)
+            for s in systems
+        ]
+        return [RateResult(v, strategy, cfg.rtol * abs(v)) for v in vals]
     if strategy != "quadrature":
         raise ValueError(f"unsupported strategy {strategy!r}")
-    target, f = log1p_sinr(sys, user)
-    val = laguerre_expectation(target, lambda g: f(g) / LN2)
-    return RateResult(val, strategy, 1e-9 * abs(val))
+    target, f, params = _kernel_columns(systems, user)
+    vals = laguerre_expectation(target, lambda g, *p: f(g, *p) / LN2, params).tolist()
+    return [RateResult(v, strategy, 1e-9 * abs(v)) for v in vals]
 
 
-def sum_er_noma(sys: NomaSystem, strategy: Route = "quadrature") -> float:
-    return er_noma(sys, "strong", strategy).value + er_noma(sys, "weak", strategy).value
+@_gridwise
+def sum_er_noma(systems: list[NomaSystem], strategy: Route = "quadrature") -> list[float]:
+    strong = er_noma(systems, "strong", strategy)
+    return [s.value + w.value for s, w in zip(strong, er_noma(systems, "weak", strategy))]
 
 
 def sum_er_oma(sys: NomaSystem, strategy: Route = "quadrature") -> float:
@@ -291,17 +355,18 @@ def noma_oma_gap(sys: NomaSystem, strategy: Route = "quadrature") -> float:
     return sum_er_noma(sys, strategy) - sum_er_oma(sys, strategy)
 
 
+@_gridwise
 def power_search(
-    sys: NomaSystem,
+    systems: list[NomaSystem],
     grid,
     r_target: float = 2.0,
     strategy: Route = "quadrature",
-) -> tuple[float, float]:
+) -> list[tuple[float, float]]:
     """Pick the strong-user power coefficient maximizing the sum rate.
 
     ``grid`` is a discrete set of candidate a_s values; all must lie in
     the feasible range (0, 2^-r_target).  Ties break toward the smaller
-    coefficient.
+    coefficient.  A grid of systems is searched in one sum-rate evaluation.
     """
     grid = [float(a) for a in grid]
     if not grid:
@@ -313,10 +378,13 @@ def power_search(
                 f"a_s={a} outside the feasible range (0, {limit}) for "
                 f"target rate {r_target}"
             )
-    best_a, best_sum = None, -math.inf
-    for a in sorted(grid):
-        cand = replace(sys, a_s=a)
-        total = sum_er_noma(cand, strategy)
-        if total > best_sum:
-            best_a, best_sum = a, total
-    return best_a, best_sum
+    grid.sort()
+    sums = iter(sum_er_noma([replace(s, a_s=a) for s in systems for a in grid], strategy))
+    out = []
+    for _ in systems:
+        best_a, best_sum = None, -math.inf
+        for a, total in zip(grid, sums):  # the next len(grid) sums: grid is zipped first
+            if total > best_sum:
+                best_a, best_sum = a, total
+        out.append((best_a, best_sum))
+    return out

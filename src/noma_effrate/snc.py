@@ -82,9 +82,9 @@ class DvpBound:
 
 def _log_mellin(cfg: SncConfig, user: User, s):
     """(log M(s), relative error) for one user via the gain-quadrature route;
-    an array of exponents s is one engine call."""
-    target, f = log1p_sinr(cfg.system, user)
-    return laguerre_log_expectation(target, f, -cfg.varpi(s))
+    an array of exponents s is one engine call, sharing one kernel row."""
+    target, f, params = log1p_sinr(cfg.system, user)
+    return laguerre_log_expectation(target, lambda g: f(g, *params), -cfg.varpi(s))
 
 
 def _mellin(
@@ -163,11 +163,6 @@ def _log_brackets(table: MellinTable, s, target_delays):
     """log[M(s)^d / (1 - exp(lam*s)*M(s))], broadcast over s and d; inf where unstable."""
     log_m, tail = table.terms(s)
     return target_delays * log_m - tail
-
-
-def dvp_bound(cfg: SncConfig, user: User, target_delay: float) -> DvpBound:
-    """``dvp_curve`` at one target delay."""
-    return dvp_curve(cfg, user, [target_delay])[0]
 
 
 def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:

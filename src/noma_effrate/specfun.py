@@ -549,6 +549,7 @@ _START_ORDER = 32
 _GENLAG_MAX_ORDER = 256  # scipy float64 tables degrade to NaN beyond this
 _MAX_ORDER = 8192  # Gauss-Legendre order budget
 _RTOL = 1e-9  # relative agreement of two successive Gauss estimates
+_COLUMNS = 64  # columns per engine pass; bounds the columns x order arrays of a rule
 
 
 @lru_cache(maxsize=None)
@@ -581,14 +582,23 @@ def _envelope_grid(al: int, mu: int, gscale: float):
 
 
 def _envelope_cutoff(ch, gscale, k, c):
-    """Per exponent, the radius beyond which the envelope-space integrand is negligible."""
+    """Per column, the radius beyond which the envelope-space integrand is negligible.
+
+    ``k(g, rows)`` is the kernel over the scan's gains: one row, or one per
+    column of ``rows``.  The scan takes 8 columns at a time, which bounds
+    its columns x 2048 arrays.
+    """
     r, log_density, g = _envelope_grid(ch.alpha, ch.mu, gscale)
-    li = log_density + c[:, None] * k(g)
-    li = np.where(np.isfinite(li), li, -np.inf)
-    peak = np.argmax(li, axis=1)
-    top = li[np.arange(c.size), peak]
-    below = (li < top[:, None] - 55.0) & (np.arange(r.size) > peak[:, None])
-    return np.where(below.any(axis=1), r[np.argmax(below, axis=1)], r[-1])
+    rmax = np.empty(c.size)
+    for i in range(0, c.size, 8):
+        rows = slice(i, i + 8)
+        li = log_density + c[rows, None] * k(g, rows)
+        li = np.where(np.isfinite(li), li, -np.inf)
+        peak = np.argmax(li, axis=1)
+        top = li[np.arange(li.shape[0]), peak]
+        below = (li < top[:, None] - 55.0) & (np.arange(r.size) > peak[:, None])
+        rmax[rows] = np.where(below.any(axis=1), r[np.argmax(below, axis=1)], r[-1])
+    return rmax
 
 
 def _refine_log_sum(log_terms, order, limit, width, fallback=None):
@@ -633,40 +643,48 @@ def _refine_log_sum(log_terms, order, limit, width, fallback=None):
     return log_sum, err
 
 
-def _log_component(ch, k, c):
-    """(log E[exp(c_i k(g))], relative error) lists over the c_i, for one alpha-mu gain."""
+def _log_component(ch, k, c, params):
+    """Lists over the columns i of (log E[exp(c_i k(g, *p_i))], relative error), for one gain.
+
+    ``params`` holds one array per kernel parameter, indexed by column like
+    ``c``; with none, every column's kernel is ``k(g)``.
+    """
     al, mu = ch.alpha, ch.mu
     gscale = (ch.omega**al / mu) ** (2.0 / al)
 
-    def envelope(c, order):
-        rmax = _envelope_cutoff(ch, gscale, k, c)
+    def kernel(params, cols, g):
+        return k(g, *(p[cols, None] for p in params))
+
+    def envelope(c, params, order):
+        rmax = _envelope_cutoff(ch, gscale, lambda g, rows: kernel(params, rows, g), c)
 
         def legendre(n, cols):
             u, log_w = _legendre_table(n)
             r = rmax[cols, None] * u
-            return log_w + (al * mu - 1.0) * np.log(r) - r**al + c[cols, None] * k(gscale * r**2)
+            return (log_w + (al * mu - 1.0) * np.log(r) - r**al
+                    + c[cols, None] * kernel(params, cols, gscale * r**2))
 
         log_sum, err = _refine_log_sum(legendre, order, _MAX_ORDER, c.size)
         return [ls + math.log(al * x) for ls, x in zip(log_sum, rmax.tolist())], err
 
     if al > 2:
-        log_sum, err = envelope(c, _START_ORDER)
+        log_sum, err = envelope(c, params, _START_ORDER)
     else:
 
         def laguerre(n, cols):
             g, log_w = _laguerre_gains(n, al, mu, gscale)
-            return log_w + c[cols, None] * k(g)
+            return log_w + c[cols, None] * kernel(params, cols, g)
 
         log_sum, err = _refine_log_sum(
             laguerre, _START_ORDER, _GENLAG_MAX_ORDER, c.size,
-            fallback=lambda cols: envelope(c[cols], _GENLAG_MAX_ORDER),
+            fallback=lambda cols: envelope(c[cols], [p[cols] for p in params], _GENLAG_MAX_ORDER),
         )
     log_norm = math.lgamma(mu)
     return [ls - log_norm for ls in log_sum], err
 
 
-def laguerre_log_expectation(target, k, c=1.0):
-    """log E[exp(c*k(g))] for an alpha-mu gain or a minimum-gain pair.
+def laguerre_log_expectation(target, k, c=1.0, params=()):
+    """log E[exp(c*k(g, *params))] for an alpha-mu gain or a minimum-gain pair.
 
     Adaptive Gauss quadrature in log space, stable for kernels spanning
     many decades (the delay bound's Mellin exponent reaches the
@@ -674,36 +692,42 @@ def laguerre_log_expectation(target, k, c=1.0):
     1e-9 relative; ConvergenceError when the order budget runs out first.
     A minimum-gain pair is the weighted sum over its mixture components.
 
-    ``c`` may be a 1-D array of exponents, evaluated in one pass per rule
-    order: every exponent follows the orders and stopping rule it would
-    follow alone, to the same bits, and drops out once it has converged;
-    ConvergenceError if any exponent exhausts the budget.  Returns (log
-    expectation, relative error of the expectation), floats for a scalar
-    ``c`` and arrays of its length otherwise.
+    ``c`` and the kernel parameters ``params`` broadcast to a grid of
+    columns, evaluated in one pass per rule order and block of _COLUMNS:
+    every column follows the orders and stopping rule it would follow
+    alone, to the same bits, and drops out once it has converged;
+    ConvergenceError if any column exhausts the budget.  Returns (log
+    expectation, relative error of the expectation), floats when ``c`` and
+    every parameter are scalars and arrays over the columns otherwise.
     """
-    cs = np.asarray(c, dtype=float)
-    scalar, cs = cs.ndim == 0, cs.reshape(-1)
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c, *params)))
+    scalar = arrays[0].ndim == 0
+    cs, *ps = (a.reshape(-1) for a in arrays)
     if isinstance(target, channel.AlphaMuChannel):
         mixture = [(1.0, target)]
     else:
         mixture = channel.min_gain_mixture(target)
-    parts = [(w, *_log_component(comp, k, cs)) for w, comp in mixture]
     log_e, err = [], []
-    for i in range(cs.size):
-        # combined in math per exponent, as a scalar evaluation would
-        top = max(le[i] for _, le, _ in parts)
-        terms = [(w * math.exp(le[i] - top), e[i]) for w, le, e in parts]
-        total = sum(t for t, _ in terms)
-        log_e.append(top + math.log(total))
-        err.append(sum(t * e for t, e in terms) / total)
+    for block in range(0, cs.size, _COLUMNS):
+        cols = slice(block, block + _COLUMNS)
+        block_ps = [p[cols] for p in ps]
+        parts = [(w, *_log_component(comp, k, cs[cols], block_ps)) for w, comp in mixture]
+        for i in range(len(parts[0][1])):
+            # combined in math per column, as a scalar evaluation would
+            top = max(le[i] for _, le, _ in parts)
+            terms = [(w * math.exp(le[i] - top), e[i]) for w, le, e in parts]
+            total = sum(t for t, _ in terms)
+            log_e.append(top + math.log(total))
+            err.append(sum(t * e for t, e in terms) / total)
     return (log_e[0], err[0]) if scalar else (np.array(log_e), np.array(err))
 
 
-def laguerre_expectation(target, kernel):
-    """E[kernel(g)] for a nonnegative kernel: ``laguerre_log_expectation`` of its log."""
+def laguerre_expectation(target, kernel, params=()):
+    """E[kernel(g, *params)] for a nonnegative kernel: ``laguerre_log_expectation`` of its log."""
 
-    def log_kernel(g):
+    def log_kernel(g, *p):
         with np.errstate(divide="ignore"):
-            return np.log(kernel(g))
+            return np.log(kernel(g, *p))
 
-    return math.exp(laguerre_log_expectation(target, log_kernel)[0])
+    log_e = laguerre_log_expectation(target, log_kernel, 1.0, params)[0]
+    return math.exp(log_e) if np.ndim(log_e) == 0 else np.array([math.exp(x) for x in log_e])

@@ -334,3 +334,75 @@ class TestPowerSearch:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="feasible range"):
             power_search(make_system(), [0.3])
+
+
+class TestGrids:
+    """A grid of systems sharing one channel pair is one engine pass per
+    user and route, with the bits of one system at a time."""
+
+    @staticmethod
+    def grid(alpha, mu, thetas=(0.5, 2.0), a_s=(0.05, 0.25, 0.45), rho_db=(0, 10, 20, 30)):
+        pair = make_pair(alpha, mu)
+        return [
+            NomaSystem(pair, a, 10.0 ** (r / 10.0), DelayQos(t))
+            for a in a_s for t in thetas for r in rho_db
+        ]
+
+    @staticmethod
+    def assert_bitwise(rate, systems, *args):
+        got = rate(systems, *args)
+        assert isinstance(got, list) and len(got) == len(systems)
+        assert got == [rate(s, *args) for s in systems]
+
+    @pytest.mark.parametrize(
+        "alpha, mu, thetas",
+        [
+            (2, 1, (0.5, 2.0)),  # Laguerre only
+            (2, 3, (0.5, 2.0)),  # the weak user's high-SNR columns fall back to Legendre
+            (4, 3, (0.5, 2.0)),  # envelope rule
+            (2, 3, (0.5, 0.0, 2.0)),  # theta = 0 columns amid theta > 0 ones
+        ],
+    )
+    @pytest.mark.parametrize("rate", [er_noma, er_oma, ergodic_rate])
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_grid_equals_one_at_a_time(self, alpha, mu, thetas, rate, user, monkeypatch):
+        from noma_effrate import specfun
+
+        widths, cutoff = [], specfun._envelope_cutoff
+
+        def spy_cutoff(ch, gscale, k, c):
+            widths.append(c.size)
+            return cutoff(ch, gscale, k, c)
+
+        monkeypatch.setattr(specfun, "_envelope_cutoff", spy_cutoff)
+        systems = self.grid(alpha, mu, thetas)
+        self.assert_bitwise(rate, systems, user)
+        if (alpha, mu, rate, user) == (2, 3, er_noma, "weak"):
+            assert widths  # the fallback ran
+
+    def test_grid_wider_than_a_column_block(self):
+        from noma_effrate.specfun import _COLUMNS
+
+        systems = self.grid(2, 2, thetas=(0.5, 1.0), rho_db=np.linspace(0, 30, _COLUMNS // 3))
+        assert len(systems) > _COLUMNS
+        for rate in (er_noma, er_oma, ergodic_rate):
+            self.assert_bitwise(rate, systems, "weak")
+
+    def test_closed_form_grid(self):
+        systems = self.grid(2, 1, thetas=(0.5, 0.0), a_s=(0.2,), rho_db=(10,))
+        for rate in (er_noma, er_oma, ergodic_rate):
+            self.assert_bitwise(rate, systems, "strong", "closed-form")
+
+    def test_sum_and_power_search(self):
+        systems = self.grid(2, 2, thetas=(0.5,), a_s=(0.1,))
+        assert sum_er_noma(systems) == [sum_er_noma(s) for s in systems]
+        grid = [0.2, 0.05, 0.1]
+        assert power_search(systems, grid) == [power_search(s, grid) for s in systems]
+
+    def test_empty_grid(self):
+        assert er_noma([], "strong") == []
+
+    def test_grid_must_share_one_pair(self):
+        a, b = make_system(mu=1), make_system(mu=2)
+        with pytest.raises(ValueError, match="one channel pair"):
+            er_noma([a, b], "strong")

@@ -15,7 +15,6 @@ from noma_effrate.snc import (
     MellinValue,
     SncConfig,
     bound_decay_slope,
-    dvp_bound,
     dvp_curve,
     mellin_strong,
     mellin_weak,
@@ -115,7 +114,7 @@ class TestDvpBound:
         # same arrival rate for both users, sized for weak-user stability
         cfg = make_cfg(load=0.6, user_for_load="weak")
         for d in (2, 5, 10):
-            assert dvp_bound(cfg, "strong", d).bound <= dvp_bound(cfg, "weak", d).bound
+            assert dvp_curve(cfg, "strong", [d])[0].bound <= dvp_curve(cfg, "weak", [d])[0].bound
 
     def test_increasing_arrival_rate_increases_bound(self):
         sys = make_system()
@@ -123,19 +122,19 @@ class TestDvpBound:
         lo = SncConfig(sys, 168, 0.5 * service)
         hi = SncConfig(sys, 168, 0.8 * service)
         for d in (1, 5, 10):
-            assert dvp_bound(hi, "strong", d).bound >= dvp_bound(lo, "strong", d).bound
+            assert dvp_curve(hi, "strong", [d])[0].bound >= dvp_curve(lo, "strong", [d])[0].bound
 
     def test_infeasible_when_overloaded(self):
         sys = make_system()
         service = 168 * ergodic_rate(sys, "strong").value
         cfg = SncConfig(sys, 168, 1.5 * service)
-        got = dvp_bound(cfg, "strong", 5)
+        got = dvp_curve(cfg, "strong", [5])[0]
         assert not got.feasible
         assert got.bound == 1.0
         assert got.minimizer_s is None
 
     def test_zero_delay_row(self):
-        got = dvp_bound(make_cfg(), "strong", 0)
+        got = dvp_curve(make_cfg(), "strong", [0])[0]
         assert got.bound <= 1.0
         assert got.feasible
 
@@ -154,7 +153,7 @@ class TestDvpBound:
 
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
-            dvp_bound(make_cfg(), "strong", -1)
+            dvp_curve(make_cfg(), "strong", [-1])[0]
 
     @pytest.mark.parametrize("alpha, mu, rho_db, lam", [(2, 1, 10.0, 170.0), (4, 3, 15.0, 185.0)])
     @pytest.mark.parametrize("user", ["strong", "weak"])
