@@ -20,7 +20,6 @@ from .channel import (
     gain_cdf,
     gain_moment,
     gain_pdf,
-    min_gain_cdf,
     min_gain_mixture,
     min_gain_moment,
     min_gain_pdf,
@@ -42,7 +41,6 @@ from .effrate import (
     power_search,
     rate_loss,
     sum_er_noma,
-    sum_er_oma,
     wideband_slope,
 )
 from .sim import DelayCcdf, SimPlan, empirical_decay_slope, mc_effective_rate, queue_dvp
@@ -61,12 +59,10 @@ from .specfun import (
     ConvergenceError,
     FoxH2Spec,
     MeijerGSpec,
-    PoleError,
     QuadValue,
     fox_h2,
     laguerre_expectation,
     laguerre_log_expectation,
-    ln_gamma,
     meijer_g,
 )
 

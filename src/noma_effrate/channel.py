@@ -39,7 +39,7 @@ class AlphaMuChannel:
     """One alpha-mu fading link.
 
     alpha and mu must be positive integers; omega is the alpha-root-mean
-    of the gain and must be positive.
+    of the gain and must be finite and positive.
     """
 
     alpha: int
@@ -51,8 +51,8 @@ class AlphaMuChannel:
             raise ValueError(f"alpha must be a positive integer, got {self.alpha}")
         if int(self.mu) != self.mu or self.mu < 1:
             raise ValueError(f"mu must be a positive integer, got {self.mu}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         object.__setattr__(self, "alpha", int(self.alpha))
         object.__setattr__(self, "mu", int(self.mu))
         object.__setattr__(self, "omega", float(self.omega))
@@ -170,14 +170,6 @@ def min_gain_mixture(pair: ChannelPair) -> list[tuple[float, AlphaMuChannel]]:
 def min_gain_pdf(pair: ChannelPair, x) -> np.ndarray | float:
     """Density of min(g_strong, g_weak), the mixture sum of gain densities."""
     return sum(w * gain_pdf(c, x) for w, c in min_gain_mixture(pair))
-
-
-def min_gain_cdf(pair: ChannelPair, x) -> np.ndarray | float:
-    """Distribution of the minimum gain: 1 - (1-F_s)(1-F_w)."""
-    fs = np.asarray(gain_cdf(pair.strong, x))
-    fw = np.asarray(gain_cdf(pair.weak, x))
-    out = 1.0 - (1.0 - fs) * (1.0 - fw)
-    return out if out.ndim else float(out)
 
 
 def gain_moment(ch: AlphaMuChannel, k: int) -> float:

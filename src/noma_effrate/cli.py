@@ -171,6 +171,15 @@ def _validate(cfg: SweepConfig):
     ):
         if not vals:
             raise ConfigError(f"[system] {name}: empty grid")
+    for rho_db in cfg.rho_db:
+        try:
+            rho = 10.0 ** (rho_db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not 0 < rho < math.inf:
+            raise ConfigError(f"[system] rho_db: {rho_db:g} dB is not a finite positive linear SNR")
+    if cfg.vartheta_max < 0:
+        raise ConfigError(f"[snc] vartheta_max: must be nonnegative, got {cfg.vartheta_max}")
     if cfg.strategy not in ("quadrature", "closed-form"):
         raise ConfigError(f"[system] strategy: {cfg.strategy!r} not supported")
     if cfg.out_format not in ("csv", "svg"):

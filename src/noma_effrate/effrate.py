@@ -1,18 +1,19 @@
 """Effective rates for the two-user downlink system.
 
-The effective rate of a user with instantaneous SINR gamma under a delay
-exponent theta is -(1/nu) log2 E[(1+gamma)^-nu] with nu = theta*T*B/ln 2.
-The strong user decodes after interference cancellation (gamma = a_s rho
-g_s); the weak user treats the strong signal as noise, so its SINR is
-a_w rho g_min / (a_s rho g_min + 1) with g_min the smaller of the two
-gains.  The orthogonal baseline gives each user the full power in half
-the resource (exponent nu/2).
+A user with instantaneous SINR gamma and a share tau of the resource has,
+under a delay exponent theta, the effective rate -(1/nu) log2
+E[(1+gamma)^-(tau*nu)] with nu = theta*T*B/ln 2; its theta -> 0 limit is
+the ergodic rate tau*E[log2(1+gamma)].  Under superposition (tau = 1) the
+strong user decodes after interference cancellation (gamma = a_s rho g_s);
+the weak user treats the strong signal as noise (gamma = a_w rho g_min /
+(a_s rho g_min + 1), g_min the smaller gain).  The orthogonal baseline
+gives each user the full power in half the resource (tau = 1/2).
 
-Every rate is available through two independent strategies: direct gain
-quadrature and the analytic closed forms; theta = 0 delegates to the
-ergodic rate (their common limit).  The rate functions take one
-NomaSystem, or a grid of systems sharing one channel pair, which the
-quadrature route evaluates in one engine pass per user.
+Each user's service is written once, in ``log1p_sinr``, and ``er_noma``,
+``er_oma`` and ``ergodic_rate`` run one path over it: direct gain
+quadrature, or the independent closed form that ``closed_form`` picks by
+the law's type.  They take one NomaSystem, or a grid of systems sharing
+one channel pair, which the quadrature route evaluates in one engine pass.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Literal
 import numpy as np
 
 from . import closedform
-from .channel import ChannelPair, gain_moment, min_gain_moment
+from .channel import AlphaMuChannel, ChannelPair, gain_moment, min_gain_moment
 from .specfun import (
     DEFAULT_CONTOUR,
     ContourConfig,
@@ -38,6 +39,7 @@ LN2 = math.log(2.0)
 LOG2_E = 1.0 / LN2
 
 User = Literal["strong", "weak"]
+Access = Literal["noma", "oma"]
 Route = Literal["closed-form", "quadrature"]  # the routes a rate can be asked for
 Strategy = Literal[Route, "monte-carlo"]  # the routes a result can come from
 
@@ -50,10 +52,12 @@ class DelayQos:
     block_time_bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
-        if not self.block_time_bandwidth > 0:
-            raise ValueError("block time-bandwidth product must be positive")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
+        if not 0 < self.block_time_bandwidth < math.inf:
+            raise ValueError(
+                f"block_time_bandwidth must be finite and positive, got {self.block_time_bandwidth}"
+            )
 
     @property
     def nu(self) -> float:
@@ -109,26 +113,40 @@ def _log1p_gain(g, c):
     return np.log1p(c * g)
 
 
-def _log1p_ratio(g, rho, c):
-    return np.log1p(rho * g) - np.log1p(c * g)
+def _log1p_ratio(g, rho, a_s):
+    return np.log1p(rho * g) - np.log1p(a_s * rho * g)
 
 
-def log1p_sinr(sys: NomaSystem, user: User):
-    """The user's gain law, the map (g, *p) -> ln(1 + SINR(g)) over it, and the system's p.
+def log1p_sinr(sys: NomaSystem, user: User, access: Access = "noma"):
+    """The user's service: its gain law, the map (g, *p) -> ln(1 + SINR(g)) over
+    it, the system's p, and the user's share tau of the resource.
 
-    The strong user's law is its own gain with SINR a_s*rho*g; the weak
-    user's is the minimum gain, with 1 + SINR = (1 + rho*g) / (1 + a_s*rho*g).
+    Under superposition ("noma") the strong user's law is its own gain with
+    SINR a_s*rho*g; the weak user's is the minimum gain, with 1 + SINR =
+    (1 + rho*g) / (1 + a_s*rho*g); each has the whole resource.  Under time
+    sharing ("oma") each user has its own gain at full power, SINR rho*g, in
+    half the resource.
     """
-    c = sys.a_s * sys.rho
+    if access == "oma":
+        return getattr(sys.pair, user), _log1p_gain, (sys.rho,), 0.5
+    if access != "noma":
+        raise ValueError(f"access must be 'noma' or 'oma', got {access!r}")
     if user == "strong":
-        return sys.pair.strong, _log1p_gain, (c,)
-    return sys.pair, _log1p_ratio, (sys.rho, c)
+        return sys.pair.strong, _log1p_gain, (sys.a_s * sys.rho,), 1.0
+    return sys.pair, _log1p_ratio, (sys.rho, sys.a_s), 1.0
 
 
-def _kernel_columns(systems, user: User):
-    """``log1p_sinr`` of a grid: the common law and map, and every system's p as columns."""
-    target, k, _ = log1p_sinr(systems[0], user)
-    return target, k, np.array([log1p_sinr(s, user)[2] for s in systems]).T
+def closed_form(law, p, w: float, cfg: ContourConfig) -> float:
+    """E[(1 + SINR)^-w] for w > 0, or E[log2(1 + SINR)] for w = 0, over a
+    ``log1p_sinr`` law and p: Meijer-G forms for one alpha-mu gain, the
+    bivariate Fox-H and min-gain log-mean difference forms for a pair."""
+    if isinstance(law, AlphaMuChannel):
+        if w:
+            return closedform.power_mellin_analytic(law, *p, w, cfg)
+        return closedform.log_mean_analytic(law, *p, cfg)
+    if w:
+        return closedform.ratio_mellin_analytic(law, *p, w, cfg)
+    return closedform.min_log_mean_difference_analytic(law, *p, cfg)
 
 
 def _gridwise(fn):
@@ -147,30 +165,46 @@ def _gridwise(fn):
     return wrapper
 
 
-def _by_nu(systems, rated, ergodic):
-    """``rated`` over the systems with nu > 0 and ``ergodic`` over those with
-    nu = 0 (no delay constraint), merged back in grid order."""
-    zero = [s.nu == 0.0 for s in systems]
-    runs = {
-        flag: iter(fn([s for s, z in zip(systems, zero) if z is flag]) if flag in zero else [])
-        for flag, fn in ((False, rated), (True, ergodic))
-    }
-    return [next(runs[z]) for z in zero]
-
-
-def _rates(systems, log_means, strategy: Route, rtol: float) -> list[RateResult]:
-    """Effective rates -log E[(1+SINR)^-nu] / (nu ln 2) from the log expectations."""
-    return [
-        RateResult(-lm / (s.nu * LN2), strategy, rtol / (s.nu * LN2))
-        for s, lm in zip(systems, log_means)
-    ]
-
-
-def mellin_closed_form(sys: NomaSystem, user: User, w: float, cfg: ContourConfig) -> float:
-    """E[(1 + SINR)^-w] through the user's Meijer-G or bivariate Fox-H closed form."""
-    if user == "strong":
-        return closedform.power_mellin_analytic(sys.pair.strong, sys.a_s * sys.rho, w, cfg)
-    return closedform.ratio_mellin_analytic(sys.pair, sys.rho, sys.a_s, w, cfg)
+def _rate(systems, user, access, strategy, cfg, ergodic=False) -> list[RateResult]:
+    """The one rate path: -log E[(1+SINR)^-(tau*nu)] / (nu ln 2) for the systems
+    with nu > 0, and tau*E[log2(1+SINR)] (the common nu -> 0 limit) for those
+    with nu = 0, or for all of them when ``ergodic``.  On the quadrature route
+    each group is one engine pass; on the closed-form route, one form per system."""
+    _check_user(user)
+    if strategy not in ("quadrature", "closed-form"):
+        raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
+    law, k, _, tau = log1p_sinr(systems[0], user, access)
+    nus = [0.0 if ergodic else s.nu for s in systems]
+    out = [None] * len(systems)
+    for rated in (True, False):
+        rows = [i for i, nu in enumerate(nus) if (nu > 0) is rated]
+        if not rows:
+            continue
+        ps = [log1p_sinr(systems[i], user, access)[2] for i in rows]
+        if strategy == "quadrature":
+            rtol, params = 1e-9, np.array(ps).T
+            if rated:
+                means = laguerre_log_expectation(law, k, [-tau * nus[i] for i in rows], params)[0]
+            else:
+                means = laguerre_expectation(law, lambda g, *p: k(g, *p) / LN2, params)
+            means = means.tolist()
+        else:
+            rtol, means = cfg.rtol, []
+            for i, p in zip(rows, ps):
+                try:
+                    mean = closed_form(law, p, tau * nus[i], cfg)
+                except ContourError as exc:
+                    raise ContourError(
+                        f"closed form cannot evaluate theta = {systems[i].qos.theta:.10g} "
+                        f"(nu = {systems[i].nu:.10g}): {exc}; use strategy = quadrature"
+                    ) from exc
+                means.append(math.log(mean) if rated else mean)
+        for i, m in zip(rows, means):
+            if rated:
+                out[i] = RateResult(-m / (nus[i] * LN2), strategy, rtol / (nus[i] * LN2))
+            else:
+                out[i] = RateResult(tau * m, strategy, rtol * abs(tau * m))
+    return out
 
 
 @_gridwise
@@ -181,27 +215,7 @@ def er_noma(
     cfg: ContourConfig = DEFAULT_CONTOUR,
 ) -> list[RateResult]:
     """Effective rate of one user under superposition transmission."""
-    _check_user(user)
-
-    def rated(systems):
-        if strategy == "quadrature":
-            target, f, params = _kernel_columns(systems, user)
-            log_means = laguerre_log_expectation(target, f, [-s.nu for s in systems], params)[0]
-            return _rates(systems, log_means.tolist(), strategy, 1e-9)
-        if strategy == "closed-form":
-            log_means = []
-            for s in systems:
-                try:
-                    log_means.append(math.log(mellin_closed_form(s, user, s.nu, cfg)))
-                except ContourError as exc:
-                    raise ContourError(
-                        f"closed form cannot evaluate theta = {s.qos.theta:.10g} "
-                        f"(nu = {s.nu:.10g}): {exc}; use strategy = quadrature"
-                    ) from exc
-            return _rates(systems, log_means, strategy, cfg.rtol)
-        raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
-
-    return _by_nu(systems, rated, lambda zero: ergodic_rate(zero, user, strategy, cfg))
+    return _rate(systems, user, "noma", strategy, cfg)
 
 
 @_gridwise
@@ -212,31 +226,7 @@ def er_oma(
     cfg: ContourConfig = DEFAULT_CONTOUR,
 ) -> list[RateResult]:
     """Effective rate under time-shared orthogonal access (half exponent, full power)."""
-    _check_user(user)
-    ch = systems[0].pair.strong if user == "strong" else systems[0].pair.weak
-
-    def ergodic(systems):
-        if strategy == "closed-form":
-            vals = [closedform.log_mean_analytic(ch, s.rho, cfg) for s in systems]
-        else:
-            rhos = [s.rho for s in systems]
-            vals = laguerre_expectation(ch, lambda x, rho: np.log2(1.0 + rho * x), (rhos,)).tolist()
-        return [RateResult(0.5 * v, strategy) for v in vals]
-
-    def rated(systems):
-        if strategy == "quadrature":
-            half_nus, rhos = [-0.5 * s.nu for s in systems], [s.rho for s in systems]
-            log_means = laguerre_log_expectation(ch, _log1p_gain, half_nus, (rhos,))[0].tolist()
-            return _rates(systems, log_means, strategy, 1e-9)
-        if strategy == "closed-form":
-            log_means = [
-                math.log(closedform.power_mellin_analytic(ch, s.rho, 0.5 * s.nu, cfg))
-                for s in systems
-            ]
-            return _rates(systems, log_means, strategy, cfg.rtol)
-        raise ValueError(f"unsupported strategy {strategy!r}")
-
-    return _by_nu(systems, rated, ergodic)
+    return _rate(systems, user, "oma", strategy, cfg)
 
 
 def er_high_snr(sys: NomaSystem, user: User) -> RateResult:
@@ -244,7 +234,7 @@ def er_high_snr(sys: NomaSystem, user: User) -> RateResult:
 
     The weak-user limit log2(1 + a_w/a_s) carries no dependence on the
     delay exponent or the fading parameters.  The strong-user form only
-    holds for alpha*mu > 2*nu.
+    holds for alpha*mu > 2*nu; at nu = 0 it is the limit E[log2(a_s rho g_s)].
     """
     _check_user(user)
     if user == "weak":
@@ -255,6 +245,10 @@ def er_high_snr(sys: NomaSystem, user: User) -> RateResult:
         raise ValueError(
             f"high-SNR form invalid: alpha*mu = {al * mu} must exceed 2*nu = {2 * nu}"
         )
+    if nu == 0.0:  # E[ln g] = 2 ln omega + (2/alpha)(psi(mu) - ln mu), psi at an integer mu
+        psi = -np.euler_gamma + sum(1.0 / k for k in range(1, mu))
+        log_mean = 2.0 * math.log(om) + 2.0 / al * (psi - math.log(mu))
+        return RateResult(math.log2(sys.a_s * sys.rho) + log_mean / LN2, "closed-form")
     corr = (2.0 * nu) * math.log2(mu ** (1.0 / al) / om) + math.log2(
         math.gamma(mu - 2.0 * nu / al) / math.gamma(mu)
     )
@@ -315,30 +309,13 @@ def ergodic_rate(
     cfg: ContourConfig = DEFAULT_CONTOUR,
 ) -> list[RateResult]:
     """Mean log-rate E[log2(1+gamma)]; the theta->0 upper bound on the ER."""
-    _check_user(user)
-    if strategy == "closed-form":
-        vals = [
-            closedform.log_mean_analytic(s.pair.strong, s.a_s * s.rho, cfg)
-            if user == "strong"
-            else closedform.min_log_mean_difference_analytic(s.pair, s.rho, s.a_s, cfg)
-            for s in systems
-        ]
-        return [RateResult(v, strategy, cfg.rtol * abs(v)) for v in vals]
-    if strategy != "quadrature":
-        raise ValueError(f"unsupported strategy {strategy!r}")
-    target, f, params = _kernel_columns(systems, user)
-    vals = laguerre_expectation(target, lambda g, *p: f(g, *p) / LN2, params).tolist()
-    return [RateResult(v, strategy, 1e-9 * abs(v)) for v in vals]
+    return _rate(systems, user, "noma", strategy, cfg, ergodic=True)
 
 
 @_gridwise
 def sum_er_noma(systems: list[NomaSystem], strategy: Route = "quadrature") -> list[float]:
     strong = er_noma(systems, "strong", strategy)
     return [s.value + w.value for s, w in zip(strong, er_noma(systems, "weak", strategy))]
-
-
-def sum_er_oma(sys: NomaSystem, strategy: Route = "quadrature") -> float:
-    return er_oma(sys, "strong", strategy).value + er_oma(sys, "weak", strategy).value
 
 
 def rate_loss(sys: NomaSystem, strategy: Route = "quadrature") -> float:
@@ -352,7 +329,8 @@ def rate_loss(sys: NomaSystem, strategy: Route = "quadrature") -> float:
 
 def noma_oma_gap(sys: NomaSystem, strategy: Route = "quadrature") -> float:
     """Sum-rate advantage of superposition over time sharing (may be negative)."""
-    return sum_er_noma(sys, strategy) - sum_er_oma(sys, strategy)
+    oma = er_oma(sys, "strong", strategy).value + er_oma(sys, "weak", strategy).value
+    return sum_er_noma(sys, strategy) - oma
 
 
 @_gridwise

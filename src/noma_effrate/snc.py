@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effrate import LN2, NomaSystem, Route, User, _check_user, log1p_sinr, mellin_closed_form
+from .effrate import LN2, NomaSystem, Route, User, _check_user, closed_form, log1p_sinr
 from .specfun import DEFAULT_CONTOUR, ContourConfig, golden_section, laguerre_log_expectation
 
 _S_TOL = 1e-6  # golden-section width on log s at the minimizer
@@ -83,7 +83,7 @@ class DvpBound:
 def _log_mellin(cfg: SncConfig, user: User, s):
     """(log M(s), relative error) for one user via the gain-quadrature route;
     an array of exponents s is one engine call, sharing one kernel row."""
-    target, f, params = log1p_sinr(cfg.system, user)
+    target, f, params, _ = log1p_sinr(cfg.system, user)
     return laguerre_log_expectation(target, lambda g: f(g, *params), -cfg.varpi(s))
 
 
@@ -96,7 +96,8 @@ def _mellin(
     if strategy == "quadrature":
         log_m, err = _log_mellin(cfg, user, s)
     elif strategy == "closed-form":
-        log_m, err = math.log(mellin_closed_form(cfg.system, user, w, contour)), contour.rtol
+        law, _, params, _ = log1p_sinr(cfg.system, user)
+        log_m, err = math.log(closed_form(law, params, w, contour)), contour.rtol
     else:
         raise ValueError(f"unsupported strategy {strategy!r}")
     return MellinValue(math.exp(min(log_m, 0.0)), log_m, s, w, strategy, err)
@@ -153,10 +154,6 @@ class MellinTable:
                 self._cache[x] = (log_m, tail)
         log_m, tail = np.array([self._cache[x] for x in points]).reshape(-1, 2).T
         return log_m.reshape(np.shape(s)), tail.reshape(np.shape(s))
-
-    def log_m(self, s):
-        """log M at every exponent of ``s``."""
-        return self.terms(s)[0]
 
 
 def _log_brackets(table: MellinTable, s, target_delays):

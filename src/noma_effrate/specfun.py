@@ -38,21 +38,6 @@ from scipy.special import gamma as _gamma
 
 from . import channel
 
-__all__ = [
-    "ContourConfig",
-    "ContourError",
-    "ConvergenceError",
-    "PoleError",
-    "MeijerGSpec",
-    "FoxH2Spec",
-    "QuadValue",
-    "ln_gamma",
-    "meijer_g",
-    "fox_h2",
-    "laguerre_expectation",
-    "laguerre_log_expectation",
-]
-
 _LOG_CUTOFF = 46.0  # integrand tail threshold, exp(-46) ~ 1e-20 of the peak
 _BLOCK = 1 << 16  # entries per block of the Fox-H Hankel row sums
 
@@ -69,21 +54,6 @@ class ConvergenceError(RuntimeError):
         self.estimates = estimates
         self.columns = columns  # the open columns of a column-wise rule
         self.result = result  # its (estimate, change) lists over all columns
-
-
-class PoleError(ValueError):
-    """Function evaluated at a pole."""
-
-
-def ln_gamma(z: complex) -> complex:
-    """Principal-branch complex log-gamma.
-
-    Backed by scipy's loggamma; rejects the poles at nonpositive integers.
-    """
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real <= 0.0 and zc.real == int(zc.real):
-        raise PoleError(f"log-gamma pole at z={z}")
-    return complex(loggamma(zc))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AlphaMuChannel(2, 1, 0.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_rejects_nonfinite_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            AlphaMuChannel(2, 1, omega)
+
     def test_rejects_unordered_pair(self):
         with pytest.raises(ValueError):
             ChannelPair(AlphaMuChannel(2, 1, 1.0), AlphaMuChannel(2, 1, 1.0))

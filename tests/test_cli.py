@@ -219,6 +219,14 @@ theta = 0.5
         _, rows = cmd_approx(cfg)
         assert all(row[2] is None for row in rows)
 
+    def test_theta_zero_fills_every_column(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, self.APPROX.replace("theta = 0.5", "theta = 0")))
+        _, rows = cmd_approx(cfg)
+        high = {row[0]: row for row in rows}[40.0]
+        assert all(v is not None for row in rows for v in row)
+        assert abs(high[2] - high[1]) < 0.05  # high-SNR vs exact
+        assert high[5] == 0.0  # no rate loss without a delay constraint
+
 
 class TestPowerCommand:
     POWER = """
@@ -387,6 +395,26 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(["er", "--lambda-scale", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, text, names",
+        [
+            ("er", "[system]\nrho_db = 4000\n", "[system] rho_db"),
+            ("er", "[system]\ntheta = nan\n", "theta"),
+            ("er", "[system]\ntheta = 0.5, inf\n", "theta"),
+            ("er", "[system]\ntb = inf\n", "block_time_bandwidth"),
+            ("er", "[channel]\nomega_s = inf\n", "omega"),
+            ("dvp", "[snc]\nlambda = 170\nvartheta_max = -1\n", "[snc] vartheta_max"),
+        ],
+        ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max"],
+    )
+    def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
+        path = write_config(tmp_path, text)
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
+        assert captured.out == ""
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "[sim]\ndraws = 1000\n")

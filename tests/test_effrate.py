@@ -63,6 +63,29 @@ class TestTypes:
     def test_a_w_complement(self):
         assert make_system(a_s=0.24).a_w == pytest.approx(0.76)
 
+    @pytest.mark.parametrize(
+        "theta, tb, field",
+        [(math.nan, 1.0, "theta"), (math.inf, 1.0, "theta"), (-1.0, 1.0, "theta"),
+         (0.5, math.inf, "block_time_bandwidth"), (0.5, math.nan, "block_time_bandwidth")],
+    )
+    def test_qos_rejects_nonfinite(self, theta, tb, field):
+        with pytest.raises(ValueError, match=field):
+            DelayQos(theta, tb)
+
+
+class TestStrategies:
+    """er_noma, er_oma and ergodic_rate share one rate path, so every one of them
+    rejects what it cannot evaluate, with or without a delay constraint."""
+
+    @pytest.mark.parametrize("rate", [er_noma, er_oma, ergodic_rate])
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_unsupported_strategy_rejected(self, rate, theta, grid, user):
+        sys = make_system(theta=theta)
+        with pytest.raises(ValueError, match="unsupported strategy"):
+            rate([sys, replace(sys, rho=2.0)] if grid else sys, user, "monte-carlo")
+
 
 class TestErNoma:
     def test_jensen_equality_limit(self):
@@ -114,6 +137,15 @@ class TestErOma:
             )
             assert er_oma(sys, user).value == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("strategy", ["quadrature", "closed-form"])
+    def test_theta_zero_reports_error(self, strategy):
+        # the same error estimate as the ergodic rate's, scaled by the half share
+        sys = make_system(theta=0.0)
+        for user in ("strong", "weak"):
+            r = er_oma(sys, user, strategy)
+            assert r.strategy == strategy
+            assert 0 < r.error_estimate <= 1e-8 * r.value
+
     def test_symmetric_pair_equal_rates(self):
         pair = relaxed_pair(AlphaMuChannel(2, 1, 1.0), AlphaMuChannel(2, 1, 1.0))
         sys = NomaSystem(pair, 0.24, 10.0, DelayQos(0.7))
@@ -143,6 +175,15 @@ class TestHighSnr:
         approx = er_high_snr(sys, "strong").value
         exact = er_noma(sys, "strong").value
         assert abs(approx - exact) < 0.05
+
+    @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 3), (4, 3), (1, 2)])
+    def test_strong_theta_zero_limit(self, alpha, mu):
+        def at(theta):
+            return make_system(alpha=alpha, mu=mu, theta=theta, rho_db=60.0)
+
+        limit = er_high_snr(at(0.0), "strong").value
+        assert limit == pytest.approx(er_high_snr(at(1e-9), "strong").value, rel=1e-7)
+        assert limit == pytest.approx(ergodic_rate(at(0.0), "strong").value, rel=1e-4)
 
     def test_validity_condition(self):
         # alpha*mu = 1 <= 2*nu for theta=1

@@ -148,7 +148,7 @@ class TestDvpBound:
         from noma_effrate.snc import MellinTable
 
         table = MellinTable(cfg, "strong")
-        want = table.log_m(tail.minimizer_s)
+        want = table.terms(tail.minimizer_s)[0]
         assert slope == pytest.approx(want, rel=0.02)
 
     def test_rejects_negative_delay(self):

@@ -22,16 +22,11 @@ from noma_effrate.specfun import (
     ContourError,
     FoxH2Spec,
     MeijerGSpec,
-    PoleError,
     fox_h2,
     laguerre_expectation,
     laguerre_log_expectation,
-    ln_gamma,
     meijer_g,
 )
-
-# frozen 30-digit reference computed with mpmath at 50-digit precision
-LOGGAMMA_3_4J = complex(-1.75662678460378411053060418162, 4.74266443803465792819488940755)
 
 
 def make_pair(alpha=2, mu=1, omega_s=1.0, omega_w2=0.1):
@@ -39,24 +34,6 @@ def make_pair(alpha=2, mu=1, omega_s=1.0, omega_w2=0.1):
         AlphaMuChannel(alpha, mu, omega_s),
         AlphaMuChannel(alpha, mu, math.sqrt(omega_w2)),
     )
-
-
-class TestLnGamma:
-    def test_factorial(self):
-        assert ln_gamma(5).real == pytest.approx(math.log(24.0), rel=1e-14)
-        assert ln_gamma(5).imag == 0.0
-
-    def test_half(self):
-        assert ln_gamma(0.5).real == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_complex_reference(self):
-        got = ln_gamma(3 + 4j)
-        assert abs(got - LOGGAMMA_3_4J) < 1e-12
-
-    @pytest.mark.parametrize("z", [0, -1, -7])
-    def test_pole(self, z):
-        with pytest.raises(PoleError):
-            ln_gamma(z)
 
 
 class TestMeijerIdentities:
