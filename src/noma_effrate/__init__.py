@@ -5,9 +5,9 @@ over alpha-mu fading, with independently cross-validated evaluation routes
 import os
 
 # One BLAS thread per process.  OpenBLAS starts its thread pool when numpy
-# and scipy load, which every CLI invocation pays: on a 2-vCPU Xeon,
-# `import noma_effrate.cli` took 0.48 s with one thread and 0.62 s with the
-# default two (medians of 15 runs), while the library's LAPACK work (the
+# loads, which every CLI invocation pays: on a 2-vCPU Xeon, `import
+# noma_effrate.cli` took 0.24 s with one thread and 0.32 s with the default
+# two (medians of 15 runs), while the library's LAPACK work (the
 # eigen-solves behind its Gauss rules) gained nothing from the second thread
 # (`dvp` on the README config 0.875 s against 0.881 s).  Takes effect only
 # while numpy is not loaded yet; a value already in the environment wins.

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class UnboundedDensityError(ValueError):
@@ -114,7 +113,7 @@ def gain_pdf(ch: AlphaMuChannel, x) -> np.ndarray | float:
         + (0.5 * a * m - 1.0) * np.log(xp)
         - math.log(2.0)
         - a * m * math.log(w)
-        - gammaln(m)
+        - math.lgamma(m)
         - m * xp ** (0.5 * a) / w**a
     )
     out[pos] = np.exp(log_pdf)
@@ -134,7 +133,7 @@ def gain_cdf(ch: AlphaMuChannel, x) -> np.ndarray | float:
     pos = u > 0
     up = u[pos]
     terms = np.stack(
-        [np.exp(-up + j * np.log(up) - gammaln(j + 1)) for j in range(m)]
+        [np.exp(-up + j * np.log(up) - math.lgamma(j + 1)) for j in range(m)]
     )
     out[pos] = 1.0 - terms.sum(axis=0)
     return np.clip(out, 0.0, 1.0) if out.ndim else float(min(max(out, 0.0), 1.0))
@@ -155,9 +154,9 @@ def min_gain_mixture(pair: ChannelPair) -> list[tuple[float, AlphaMuChannel]]:
         weight = 0.0
         for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
             weight += math.exp(
-                gammaln(m + k)
-                - gammaln(m)
-                - gammaln(k + 1)
+                math.lgamma(m + k)
+                - math.lgamma(m)
+                - math.lgamma(k + 1)
                 + (m + k) * math.log(wt)
                 - k * a * math.log(second.omega)
                 - m * a * math.log(first.omega)
@@ -178,7 +177,7 @@ def gain_moment(ch: AlphaMuChannel, k: int) -> float:
         raise ValueError(f"moment order must be a positive integer, got {k}")
     a, m, w = ch.alpha, ch.mu, ch.omega
     r = 2.0 * k / a
-    return math.exp(2 * k * math.log(w) + gammaln(m + r) - r * math.log(m) - gammaln(m))
+    return math.exp(2 * k * math.log(w) + math.lgamma(m + r) - r * math.log(m) - math.lgamma(m))
 
 
 @lru_cache(maxsize=256)

@@ -178,6 +178,8 @@ def _validate(cfg: SweepConfig):
             rho = math.inf
         if not 0 < rho < math.inf:
             raise ConfigError(f"[system] rho_db: {rho_db:g} dB is not a finite positive linear SNR")
+    if not all(0 < lam < math.inf for lam in cfg.lambdas):
+        raise ConfigError(f"[snc] lambda: must be positive and finite, got {cfg.lambdas}")
     if cfg.vartheta_max < 0:
         raise ConfigError(f"[snc] vartheta_max: must be nonnegative, got {cfg.vartheta_max}")
     if cfg.strategy not in ("quadrature", "closed-form"):

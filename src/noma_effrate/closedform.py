@@ -14,9 +14,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln
-from scipy.special import gamma as _gamma
-
 from . import channel
 from .channel import AlphaMuChannel, ChannelPair
 from .specfun import (
@@ -61,8 +58,8 @@ def power_mellin_analytic(
         - 0.5 * math.log(2.0)
         - (al - 0.5) * math.log(2.0 * math.pi)
         - al * mu * math.log(om)
-        - gammaln(mu)
-        - gammaln(w)
+        - math.lgamma(mu)
+        - math.lgamma(w)
         - 0.5 * al * mu * math.log(c)
     )
     return g.sign * math.exp(log_pref + g.log_abs)
@@ -88,8 +85,9 @@ def ratio_mellin_analytic(
     for weight, c in channel.min_gain_mixture(pair):
         z1 = rho * (c.omega**c.alpha / c.mu) ** r
         h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1, cfg)
-        total += weight * h.value / _gamma(c.mu)
-    return total / (_gamma(w) * _gamma(-w))
+        total += weight * h.value / math.gamma(c.mu)
+    # 1 / (Gamma(w) Gamma(-w)) by reflection, finite at every non-integer w
+    return total * -w * math.sin(math.pi * w) / math.pi
 
 
 def log_mean_analytic(
@@ -116,7 +114,7 @@ def log_mean_analytic(
         - 0.5 * math.log(2.0)
         - math.log(LN2)
         - (al - 0.5) * math.log(2.0 * math.pi)
-        - gammaln(mu)
+        - math.lgamma(mu)
         - al * mu * math.log(om)
         - 0.5 * al * mu * math.log(c)
     )

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .channel import sample_gain
 from .effrate import LN2, NomaSystem, RateResult, User, _check_user
@@ -155,6 +154,8 @@ def queue_dvp(
 
 def _binomial_ci(successes, trials, level):
     """Exact (Clopper-Pearson) two-sided binomial interval."""
+    from scipy.special import betaincinv  # only simulating runs load scipy
+
     tail = 0.5 * (1.0 - level)
     k = np.asarray(successes, dtype=float)
     # beta quantiles; the k = 0 and k = trials branches evaluate to nan and are discarded

@@ -40,8 +40,8 @@ class SncConfig:
     def __post_init__(self):
         if self.symbols_per_slot < 1:
             raise ValueError("symbols_per_slot must be a positive integer")
-        if not self.arrival_rate > 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
         if not 0 < self.s_min < self.s_max < math.inf:
             raise ValueError("need 0 < s_min < s_max < inf")
 

@@ -6,10 +6,12 @@ library needs:
 
 * ``laguerre_log_expectation`` integrates directly against the alpha-mu
   gain law (after the exact substitution that maps it to a unit Gamma
-  weight) with one adaptive Gauss engine in log space;
+  weight) with one adaptive Gauss engine in log space, on Gauss-Laguerre
+  and Gauss-Legendre rules that numpy alone builds;
   ``laguerre_expectation`` is its linear view;
 * ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
-  Mellin-Barnes contour integrals (single and double contour).
+  Mellin-Barnes contour integrals (single and double contour).  They need
+  scipy's complex log-gamma, which loads on their first call.
 
 Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
@@ -33,13 +35,14 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import loggamma, roots_genlaguerre
-from scipy.special import gamma as _gamma
 
 from . import channel
 
 _LOG_CUTOFF = 46.0  # integrand tail threshold, exp(-46) ~ 1e-20 of the peak
 _BLOCK = 1 << 16  # entries per block of the Fox-H Hankel row sums
+# Fox-H double contour's v-line node budget: 4x the 4097 that its slowest converging
+# case needs (power 0.05), so a rule that cannot converge raises within seconds
+_DOUBLE_MAX_NODES = 16385
 
 
 class ContourError(RuntimeError):
@@ -247,6 +250,14 @@ def golden_minimize(f, a, b, atol, rtol=0.0):
 
 # ---------------------------------------------------------------------------
 # single-contour engine
+
+
+def loggamma(z):
+    """scipy.special.loggamma, which only the contour engines need: the first
+    call rebinds this module-level name to it, so scipy loads on first use."""
+    global loggamma
+    from scipy.special import loggamma
+    return loggamma(z)
 
 
 def _log_integrand_1d(terms, log_z, s):
@@ -457,8 +468,8 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
         total = contrib[0] + 2.0 * contrib[1:].sum() - contrib[-1]
         return total * h * h / (4.0 * math.pi**2)
 
-    # the u-line carries up to 2n-1 nodes, which the node budget bounds
-    n0, budget = max(cfg.nodes, 64), (cfg.max_nodes + 1) // 2
+    # the u-line carries up to 2n-1 nodes, which the line node budget also bounds
+    n0, budget = max(cfg.nodes, 64), min((cfg.max_nodes + 1) // 2, _DOUBLE_MAX_NODES)
     total, err = refine(estimate, n0, budget, cfg.rtol, "double contour quadrature")
     return total * math.exp(sum(scale)), err
 
@@ -489,7 +500,7 @@ def fox_h2(
     err_abs = abs(total) * err
 
     for k in range(n_res):
-        coeff = (-1.0) ** k / math.factorial(k) * _gamma(k - x) * z2 ** (x - k)
+        coeff = (-1.0) ** k / math.factorial(k) * math.gamma(k - x) * z2 ** (x - k)
         terms = [(c0 + r * (x - k), r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
         line = _trapezoid_line(terms, log_z1, sigma, cfg)
         total += coeff * line.value
@@ -516,18 +527,37 @@ def fox_h2(
 # peaked near g = 0, such as the delay bound's at large exponents).
 
 _START_ORDER = 32
-_GENLAG_MAX_ORDER = 256  # scipy float64 tables degrade to NaN beyond this
+_GENLAG_MAX_ORDER = 256  # the unscaled Laguerre recurrence overflows float64 near order 400
 _MAX_ORDER = 8192  # Gauss-Legendre order budget
 _RTOL = 1e-9  # relative agreement of two successive Gauss estimates
 _COLUMNS = 64  # columns per engine pass; bounds the columns x order arrays of a rule
 
 
+def _genlaguerre(n, a, y):
+    """L_n^(a)(y) and its derivative, by the three-term recurrence."""
+    prev, p = np.ones_like(y), 1.0 + a - y
+    for k in range(1, n):
+        prev, p = p, ((2 * k + 1 + a - y) * p - (k + a) * prev) / (k + 1)
+    return p, (n * p - (n + a) * prev) / y
+
+
 @lru_cache(maxsize=None)
 def _laguerre_table(order: int, mu: int):
-    """Generalized Gauss-Laguerre nodes and log-weights, underflowed weights dropped."""
-    y, w = roots_genlaguerre(order, mu - 1)
-    pos = w > 0
-    return y[pos], np.log(w[pos])
+    """Gauss-Laguerre nodes and log-weights for the weight y^(mu-1) e^-y.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, each
+    polished by one Newton step; the weights are 1/(y L_n'(y)^2) at the
+    polished nodes, formed as logs (the deep-tail weights underflow as
+    numbers) and normalised to sum to Gamma(mu).
+    """
+    a, k = mu - 1.0, np.arange(1, order)
+    jacobi = np.diag(2.0 * np.arange(order) + mu) + np.diag(np.sqrt(k * (k + a)), -1)
+    y = np.linalg.eigvalsh(jacobi)
+    p, dp = _genlaguerre(order, a, y)
+    y = y - p / dp
+    log_w = -np.log(y) - 2.0 * np.log(np.abs(_genlaguerre(order, a, y)[1]))
+    top = log_w.max()
+    return y, log_w - (top + math.log(np.exp(log_w - top).sum()) - math.lgamma(mu))
 
 
 @lru_cache(maxsize=256)

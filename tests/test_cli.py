@@ -380,6 +380,45 @@ class TestMainEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
+    def test_quadrature_routes_skip_scipy(self, tmp_path):
+        er = write_config(tmp_path, ER_CONFIG, "er.ini")
+        dvp = write_config(
+            tmp_path, TestDvpCommand.DVP.replace("slots = 100000", "slots = 0"), "dvp.ini"
+        )
+        code = (
+            "import io, sys, contextlib, noma_effrate.cli as c\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert c.main(['er', '--config', {er!r}]) == 0\n"
+            f"    assert c.main(['dvp', '--config', {dvp!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+    def test_closed_form_route_loads_scipy_on_use(self, tmp_path):
+        path = write_config(tmp_path, ER_CONFIG.replace(
+            "theta = 0.5, 1", "theta = 0.5\nstrategy = closed-form"
+        ).replace("0:20:10", "10"))
+        code = (
+            "import sys, noma_effrate.cli as c\n"
+            f"assert c.main(['er', '--config', {path!r}]) == 0\n"
+            "print('scipy.special' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3 and ",closed-form," in lines[1] and lines[2] == "True"
+
+    def test_contour_names_bound_in_fresh_interpreter(self):
+        # nothing imports closedform first: the package's own import binds it
+        code = (
+            "import noma_effrate\n"
+            "print(noma_effrate.closedform.fox_h2 is noma_effrate.specfun.fox_h2,"
+            " noma_effrate.closedform.meijer_g is noma_effrate.specfun.meijer_g)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "True True", proc.stderr
+
     def test_import_sets_one_blas_thread(self):
         code = "import os, noma_effrate; print(os.environ['OPENBLAS_NUM_THREADS'])"
         for preset, want in ((None, "1"), ("2", "2")):
@@ -405,8 +444,11 @@ class TestMainEntry:
             ("er", "[system]\ntb = inf\n", "block_time_bandwidth"),
             ("er", "[channel]\nomega_s = inf\n", "omega"),
             ("dvp", "[snc]\nlambda = 170\nvartheta_max = -1\n", "[snc] vartheta_max"),
+            ("dvp", "[snc]\nlambda = inf\n", "[snc] lambda"),
+            ("dvp", "[snc]\nlambda = nan\n", "[snc] lambda"),
         ],
-        ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max"],
+        ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "lambda-inf",
+             "lambda-nan"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)

@@ -215,6 +215,11 @@ class TestSncConfig:
         with pytest.raises(ValueError):
             SncConfig(make_system(), 168, 0.0)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_nonfinite_arrival(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            SncConfig(make_system(), 168, rate)
+
     def test_rejects_bad_symbol_count(self):
         with pytest.raises(ValueError):
             SncConfig(make_system(), 0, 1.0)

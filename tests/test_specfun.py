@@ -8,6 +8,7 @@ closed forms they evaluate.
 
 import itertools
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -196,6 +197,23 @@ class TestFoxH2:
         assert len(exc.value.estimates) == 2
         assert all(math.isfinite(e) for e in exc.value.estimates)
 
+    def test_fox_non_convergence_fails_fast(self, monkeypatch):
+        # an O(h) error in every Hankel row sum never settles to rtol; the
+        # double contour's own node budget ends it within seconds
+        from noma_effrate import specfun
+
+        windows = specfun.sliding_window_view
+
+        def skewed(c, n):
+            return windows(c * (1.0 + 1.0 / n), n)
+
+        monkeypatch.setattr(specfun, "sliding_window_view", skewed)
+        spec = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
+        start = time.perf_counter()
+        with pytest.raises(specfun.ConvergenceError, match="double contour"):
+            fox_h2(spec, 0.8, 0.2)
+        assert time.perf_counter() - start < 20.0
+
     def test_double_integral_matches_row_loop(self):
         # the separable lattice evaluation against a direct row-by-row
         # trapezoid of the full five-Gamma integrand on its own grid
@@ -267,6 +285,30 @@ class TestFoxH2:
             else:
                 assert _place_fox_contours(spec) == want, (c0, r, x)
         assert 0 < rejected < 96
+
+
+class TestLaguerreTable:
+    @pytest.mark.parametrize("order", [32, 64, 128, 256])
+    @pytest.mark.parametrize("mu", range(1, 9))
+    def test_monomials_exact(self, order, mu):
+        # the rule integrates y^j against y^(mu-1) e^-y exactly for j < 2 * order
+        from noma_effrate.specfun import _laguerre_table
+
+        y, log_w = _laguerre_table(order, mu)
+        for j in range(12):
+            got = np.exp(log_w + j * np.log(y) - math.lgamma(mu)).sum()
+            want = math.exp(math.lgamma(mu + j) - math.lgamma(mu))
+            assert got == pytest.approx(want, rel=2e-12), j
+
+    @pytest.mark.parametrize("order", [32, 64, 128, 256])
+    @pytest.mark.parametrize("mu", range(1, 9))
+    def test_nodes_match_scipy(self, order, mu):
+        from scipy.special import roots_genlaguerre
+
+        from noma_effrate.specfun import _laguerre_table
+
+        want, _ = roots_genlaguerre(order, mu - 1)
+        np.testing.assert_allclose(_laguerre_table(order, mu)[0], want, rtol=1e-12, atol=0)
 
 
 class TestLaguerreExpectation:
