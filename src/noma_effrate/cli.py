@@ -230,6 +230,11 @@ def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
     if len(cfg.lambdas) != 1:
         raise ConfigError("[snc] lambda: dvp needs exactly one arrival rate per run")
     lam = cfg.lambdas[0] * lambda_scale
+    if not 0 < lam < math.inf:
+        raise ConfigError(
+            f"--lambda-scale {lambda_scale!r} times [snc] lambda {cfg.lambdas[0]!r} gives "
+            f"arrival rate {lam!r}; it must be positive and finite"
+        )
     sysm = cfg.grid(cfg.a_s_values)[0]
     snc_cfg = SncConfig(
         sysm, cfg.symbols_per_slot, lam, s_min=cfg.s_min, s_max=cfg.s_max

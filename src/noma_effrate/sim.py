@@ -23,6 +23,7 @@ import numpy as np
 from .channel import sample_gain
 from .effrate import LN2, NomaSystem, RateResult, User, _check_user
 from .snc import SncConfig
+from .specfun import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,10 @@ class SimPlan:
 @dataclass(frozen=True)
 class DelayCcdf:
     """Empirical Pr(delay > d) for d = 0..max_delay with 99% binomial CIs.
+
+    ``ci_low`` and ``ci_high`` are exact Clopper-Pearson endpoints (Clopper &
+    Pearson, Biometrika 1934) that treat every observation as an independent
+    trial; ``_binomial_ci`` computes them with Loader's binomial probabilities.
 
     ``observations`` is the number of per-slot bit batches the estimate is
     built from; ``bits_observed`` the corresponding bit volume.
@@ -152,16 +157,133 @@ def queue_dvp(
     return DelayCcdf(p, ci_low, ci_high, slots, n_obs, float(n_obs * lam))
 
 
-def _binomial_ci(successes, trials, level):
-    """Exact (Clopper-Pearson) two-sided binomial interval."""
-    from scipy.special import betaincinv  # only simulating runs load scipy
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# log(j!) - log(sqrt(2 pi j) (j/e)^j) for j <= 15, below the series' range
+_STIRLERR_SMALL = np.array(
+    [0.0] + [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _LOG_SQRT_2PI for j in range(1, 16)]
+)
+_TAIL_TERMS = 1 << 18  # rows x terms per block of the binomial tail sums
 
+
+def _binomial_ci(successes, trials, level):
+    """Exact (Clopper-Pearson) two-sided binomial interval.
+
+    The endpoints solve P(Bin(n, low) >= k) = t and P(Bin(n, high) <= k) = t
+    with t = (1 - level)/2 (Clopper & Pearson, Biometrika 1934).  k = 0 and
+    k = n have closed forms; otherwise ``_upper_tail_root`` solves for
+    log(low) at k and for log(1 - high) at n - k, because by the symmetry
+    X -> n - X the upper endpoint is the complement of a lower one.
+    """
+    n = int(trials)
     tail = 0.5 * (1.0 - level)
-    k = np.asarray(successes, dtype=float)
-    # beta quantiles; the k = 0 and k = trials branches evaluate to nan and are discarded
-    low = np.where(k > 0, betaincinv(k, trials - k + 1.0, tail), 0.0)
-    high = np.where(k < trials, betaincinv(k + 1.0, trials - k, 1.0 - tail), 1.0)
+    k = np.asarray(successes).astype(np.int64)
+    low = np.zeros(k.shape)
+    high = np.ones(k.shape)
+    low[k == n] = tail ** (1.0 / n)
+    high[k == 0] = -math.expm1(math.log(tail) / n)
+    inner = (k > 0) & (k < n)
+    if inner.any():
+        z = _normal_quantile(tail)
+        low[inner] = np.exp(_upper_tail_root(k[inner], n, tail, z))
+        high[inner] = -np.expm1(_upper_tail_root(n - k[inner], n, tail, z))
     return low, high
+
+
+def _normal_quantile(tail):
+    """z with P(N(0, 1) > z) = tail < 1/2, by Newton on the log tail."""
+    z = math.sqrt(-2.0 * math.log(tail))
+    for _ in range(6):
+        upper = 0.5 * math.erfc(z / math.sqrt(2.0))
+        z += (math.log(upper) - math.log(tail)) * upper / math.exp(-0.5 * z * z - _LOG_SQRT_2PI)
+    return z
+
+
+def _stirlerr(j):
+    """Stirling's error log(j!) - log(sqrt(2 pi j) (j/e)^j) for integers j >= 1."""
+    j = np.asarray(j)
+    x = np.maximum(j, 16).astype(float)
+    xx = x * x
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * xx)) / xx) / xx) / xx) / x
+    return np.where(j > 15, series, _STIRLERR_SMALL[np.minimum(j, 15)])
+
+
+def _bd0(x, m):
+    """x log(x/m) + m - x, by its odd series in (x - m)/(x + m) where x is near m."""
+    v = (x - m) / (x + m)
+    v2 = v * v
+    near = (x - m) * v
+    term = 2.0 * x * v
+    for i in range(1, 10):  # |v| < 0.1 there, so v^18 is below double precision
+        term = term * v2
+        near = near + term / (2 * i + 1)
+    far = x * np.log(x / m) + m - x
+    return np.where(np.abs(x - m) < 0.1 * (x + m), near, far)
+
+
+def _upper_tail_root(k, n, tail, z):
+    """log p solving P(Bin(n, p) >= k) = tail, for integers 1 <= k <= n - 1.
+
+    Rows are solved in blocks of similar tail length, so memory stays
+    bounded however many counts are asked for.
+    """
+    # terms past 12 standard deviations (+40 for Poisson-like small k) are
+    # below double precision at every p in the search bracket
+    width = np.minimum(n - k + 1, (12.0 * np.sqrt(np.minimum(k, n / 4)) + 40).astype(np.int64))
+    order = np.argsort(width, kind="stable")
+    u = np.empty(k.shape)
+    first = 0
+    while first < order.size:
+        last = first + 1
+        while last < order.size and (last + 1 - first) * width[order[last]] <= _TAIL_TERMS:
+            last += 1
+        rows = order[first:last]
+        u[rows] = _newton_tail_root(k[rows], n, tail, z, int(width[order[last - 1]]))
+        first = last
+    return u
+
+
+def _newton_tail_root(k, n, tail, z, width):
+    """Safeguarded Newton on g(u) = log P(Bin(n, e^u) >= k) - log(tail).
+
+    The tail is pmf(k) times a sum of ``width`` terms moving away from k by
+    the ratio pmf(j+1)/pmf(j) = (n-j)/(j+1) * p/q.  pmf(k) comes from
+    Loader's saddle-point form ("Fast and accurate computation of binomial
+    probabilities", 2000), which keeps full relative accuracy at large n,
+    where a difference of log-gammas cancels.  Since d/dp P(X >= k) =
+    (k/p) pmf(k), g'(u) = k / sum.  The root lies between the Markov bound
+    p = tail k/n and the MLE p = k/n; Newton starts at the Wilson score
+    endpoint (normal quantile z), and a step that leaves the bracket is
+    replaced by bisection.
+    """
+    kf = k.astype(float)
+    j = kf[:, None] + np.arange(width, dtype=float)
+    ratio = np.maximum(n - j, 0.0) / (j + 1.0)  # zero past j = n ends a full tail
+    log_pmf_part = (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+        - _LOG_SQRT_2PI + 0.5 * np.log(n / (kf * (n - kf))) - math.log(tail)
+    )
+    hi = np.log(kf / n)
+    lo = hi + math.log(tail)
+    wilson = (kf + 0.5 * z * z - z * np.sqrt(kf * (n - kf) / n + 0.25 * z * z)) / (n + z * z)
+    u = np.clip(np.log(wilson), lo, hi)
+    for _ in range(100):
+        p = np.exp(u)
+        q = -np.expm1(u)
+        terms = np.cumprod(ratio * (p / q)[:, None], axis=1)
+        total = 1.0 + terms.sum(axis=1)
+        g = log_pmf_part - _bd0(kf, n * p) - _bd0(n - kf, n * q) + np.log(total)
+        lo = np.where(g < 0, u, lo)
+        hi = np.where(g > 0, u, hi)
+        step = u - g * total / kf
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        # Newton converges quadratically: after a step this small, u is exact to rounding
+        done = np.abs(step - u) <= 1e-12 * np.abs(u)
+        u = step
+        if done.all():
+            if np.any(terms[:, -1] > 1e-17 * total):
+                raise ConvergenceError(f"binomial tail of n = {n} not resolved in {width} terms")
+            return u
+    raise ConvergenceError(f"Clopper-Pearson endpoint for n = {n} did not converge")
 
 
 def empirical_decay_slope(ccdf: DelayCcdf, min_count: int = 50) -> tuple[float, np.ndarray]:

@@ -395,6 +395,17 @@ class TestMainEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
 
+    def test_simulating_dvp_skips_scipy(self, tmp_path):
+        dvp = write_config(tmp_path, TestDvpCommand.DVP)
+        code = (
+            "import io, sys, contextlib, noma_effrate.cli as c\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert c.main(['dvp', '--config', {dvp!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
     def test_closed_form_route_loads_scipy_on_use(self, tmp_path):
         path = write_config(tmp_path, ER_CONFIG.replace(
             "theta = 0.5, 1", "theta = 0.5\nstrategy = closed-form"
@@ -456,6 +467,16 @@ class TestMainEntry:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "inf", "nan"])
+    def test_bad_lambda_scale_is_one_error_line(self, tmp_path, capsys, scale):
+        path = write_config(tmp_path, "[snc]\nlambda = 170\n")
+        assert main(["dvp", "--config", path, "--lambda-scale", scale]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--lambda-scale" in lines[0] and "[snc] lambda" in lines[0]
         assert captured.out == ""
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

@@ -2,9 +2,14 @@
 Lindley-recursion equivalence, and distributional checks of the sampler."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betaincinv
 from scipy.stats import kstest
 
 from noma_effrate import sim as sim_module
@@ -168,6 +173,92 @@ class TestQueueDvp:
         slope, used = empirical_decay_slope(got)
         assert slope < 0
         assert used.size >= 2
+
+
+def _tail_ge(k, n, p):
+    """P(Bin(n, p) >= k) for 1 <= k <= n by mpmath's regularized incomplete
+    beta, with the series argument on the side of p or 1 - p where it converges."""
+    if k <= n / 2:
+        return mpmath.betainc(k, n - k + 1, 0, p, regularized=True)
+    return 1 - mpmath.betainc(n - k + 1, k, 0, 1 - p, regularized=True)
+
+
+def _root_within(k, n, low, high, rel):
+    """The exact roots of both Clopper-Pearson equations lie within ``rel``
+    of (low, high): at 30 digits, each equation changes sign across
+    [x (1 - rel), x (1 + rel)]."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(0.5 * (1 - 0.99))
+        down, up = 1 - mpmath.mpf(rel), 1 + mpmath.mpf(rel)
+        low, high = mpmath.mpf(float(low)), mpmath.mpf(float(high))
+        lower_ok = upper_ok = True
+        if k > 0:  # P(X >= k; p) rises through t at low
+            lower_ok = _tail_ge(k, n, low * down) < t < _tail_ge(k, n, low * up)
+        if k < n:  # P(X <= k; p) falls through t at high
+            upper_ok = 1 - _tail_ge(k + 1, n, high * down) > t > 1 - _tail_ge(k + 1, n, high * up)
+    return lower_ok and upper_ok
+
+
+def _geometric_counts(n, m=12):
+    ks = np.unique(np.round(np.geomspace(1, n, m)).astype(np.int64))
+    return np.unique(np.concatenate(([0], ks, n - ks)))
+
+
+class TestBinomialCi:
+    @pytest.mark.parametrize("trials", [1, 2, 1e6])
+    def test_edge_counts_closed_forms_without_warnings(self, trials):
+        n = int(trials)
+        k = np.unique([0, 1, n - 1, n])
+        t = 0.005
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high = sim_module._binomial_ci(k, trials, 0.99)
+        assert np.all(np.isfinite(low)) and np.all(np.isfinite(high))
+        assert np.all((0 <= low) & (low <= k / n) & (k / n <= high) & (high <= 1))
+        assert low[0] == 0.0 and high[0] == pytest.approx(1 - t ** (1 / n), rel=1e-14)
+        assert high[-1] == 1.0 and low[-1] == pytest.approx(t ** (1 / n), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 20_000, 899_970, 10**7])
+    def test_defining_equations_mpmath(self, n):
+        ks = _geometric_counts(n)
+        if n >= 20_000:  # the incomplete-beta series is slow when both n p and n q are large
+            ks = ks[(ks <= 1000) | (ks >= n - 1000)]
+        low, high = sim_module._binomial_ci(ks, n, 0.99)
+        for k, lo, hi in zip(ks, low, high):
+            assert _root_within(int(k), n, lo, hi, 1e-12), (k, n)
+
+    @pytest.mark.parametrize("n", [1, 10, 20_000, 900_000, 10**7])
+    def test_matches_scipy_betaincinv(self, n):
+        ks = _geometric_counts(n, 30)
+        t = 0.005
+        low, high = sim_module._binomial_ci(ks, n, 0.99)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ref_low = np.where(ks > 0, betaincinv(ks, n - ks + 1.0, t), 0.0)
+            ref_high = np.where(ks < n, betaincinv(ks + 1.0, n - ks, 1.0 - t), 1.0)
+        rel = np.maximum(
+            np.abs(low - ref_low) / np.where(ref_low > 0, ref_low, 1.0),
+            np.abs(high - ref_high) / ref_high,
+        )
+        # betaincinv solves I = 1 - t for the upper end, which costs it up to
+        # ~1e-10 relative at small k and large n; there mpmath must side with us
+        for i in np.nonzero(rel > 1e-12)[0]:
+            k = int(ks[i])
+            assert k <= 30 and n >= 900_000, (k, n, rel[i])
+            assert _root_within(k, n, low[i], high[i], 1e-12)
+            assert not _root_within(k, n, ref_low[i], ref_high[i], 1e-12)
+
+    @given(
+        st.integers(1, 10**7).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_brackets_the_mle_and_nondecreasing(self, args):
+        n, a, b = args
+        k = np.array(sorted((a, b)))
+        low, high = sim_module._binomial_ci(k, n, 0.99)
+        assert np.all((low <= k / n) & (k / n <= high))
+        assert low[0] <= low[1] and high[0] <= high[1]
 
 
 class TestSamplerDistribution:
