@@ -10,8 +10,9 @@ library needs:
   and Gauss-Legendre rules that numpy alone builds;
   ``laguerre_expectation`` is its linear view;
 * ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
-  Mellin-Barnes contour integrals (single and double contour).  They need
-  scipy's complex log-gamma, which loads on their first call.
+  Mellin-Barnes contour integrals (single and double contour), on the
+  module's own complex log-gamma (``loggamma``, a shifted Stirling series
+  in numpy), so no route needs scipy.
 
 Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
@@ -21,17 +22,19 @@ one trapezoid step, so of its five Gamma factors four are computed once
 per line node and the coupled one once per point of the lattice s + t, and
 the row sums are Hankel matrix-vector products.  Every engine refines
 through ``refine`` and raises ConvergenceError instead of returning an
-unconverged value.  All integrands are computed in log
-space and rescaled by the maximum exponent before summation, so Gamma
-factors with arguments into the hundreds and kernels such as
-(1 + SINR)^-w with w in the thousands neither overflow nor underflow.
+unconverged value; the contour rules keep each level's log-integrand
+values and evaluate only the nodes the next level adds (``_nested``).
+All integrands are computed in log space and rescaled by the maximum
+exponent before summation, so Gamma factors with arguments into the
+hundreds and kernels such as (1 + SINR)^-w with w in the thousands
+neither overflow nor underflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -252,19 +255,106 @@ def golden_minimize(f, a, b, atol, rtol=0.0):
 # single-contour engine
 
 
+# B_2k / (2k (2k-1)) for k = 8 down to 1: the Stirling series in 1/z^2, in Horner order
+_STIRLING = (
+    -3617.0 / 122400.0, 1.0 / 156.0, -691.0 / 360360.0, 1.0 / 1188.0,
+    -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0,
+)
+
+
+def _log(z):
+    """Principal complex log from real parts (numpy's complex log is ten times slower)."""
+    out = np.empty(z.shape, dtype=complex)
+    np.log(np.abs(z), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
+
+
+def _loggamma_right(w):
+    """ln Gamma(w) for Re w >= -1/2: the Stirling series at w + 8, shifted back by
+    ln(w (w+1) ... (w+7)); with |w + 8| >= 7.5 the first omitted term is below 3e-16."""
+    # w (w+1) ... (w+7) = v (v + 4u + 60) with u = w (w+7), v = u (u+12)
+    u = w * (w + 7.0)
+    v = u * (u + 12.0)
+    x = w + 8.0
+    r = 1.0 / x
+    r2 = r * r
+    series = _STIRLING[0] * r2 + _STIRLING[1]
+    for c in _STIRLING[2:]:
+        series *= r2
+        series += c
+    series *= r
+    out = (x - 0.5) * _log(x)
+    out -= x
+    out += series
+    out -= _log(v * (v + 4.0 * u + 60.0))
+    out += 0.5 * math.log(2.0 * math.pi)
+    return out
+
+
+def _log_sin_pi(z):
+    """ln sin(pi z) modulo 2 pi i, finite for every |Im z| (sin itself overflows past 226).
+
+    With z = n + x + iy, n = round(Re z) and y >= 0 (conjugate symmetry
+    covers y < 0), sin(pi z) = (-1)^n (i/2) e^(pi y - i pi x) (1 - e^(2 pi i (x + iy))),
+    and the last factor rounds to 1 once y > 7.
+    """
+    n = np.round(z.real)
+    x, y = z.real - n, np.abs(z.imag)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = math.pi * y - math.log(2.0)
+    out.imag = math.pi * (0.5 - x + np.fmod(n, 2.0))
+    near = y < 7.0
+    if near.any():
+        x, e = x[near], np.exp(-2.0 * math.pi * y[near])
+        q = np.empty(x.shape, dtype=complex)
+        q.real = 1.0 - e * np.cos(2.0 * math.pi * x)
+        q.imag = -e * np.sin(2.0 * math.pi * x)
+        out[near] += _log(q)
+    np.negative(out.imag, out=out.imag, where=z.imag < 0)
+    return out
+
+
 def loggamma(z):
-    """scipy.special.loggamma, which only the contour engines need: the first
-    call rebinds this module-level name to it, so scipy loads on first use."""
-    global loggamma
-    from scipy.special import loggamma
-    return loggamma(z)
+    """Principal-branch complex ln Gamma(z), elementwise, its imaginary part modulo 2 pi.
+
+    The contour engines only exponentiate it, so the phase is exact up to
+    whole turns.  Re z >= -1/2 takes the shifted Stirling series, which
+    covers most contour nodes (Gamma arguments near the imaginary axis);
+    Re z < -1/2 the reflection Gamma(z) Gamma(1-z) = pi / sin(pi z).  At a
+    pole (z a nonpositive integer) the real part is +inf.  Agrees with
+    scipy's loggamma to about 1e-14 relative (see tests/test_specfun.py).
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        return loggamma(z[None])[0]
+    refl = z.real < -0.5
+    with np.errstate(divide="ignore"):  # the log of zero at a pole
+        if not refl.any():
+            return _loggamma_right(z)
+        out = _loggamma_right(np.where(refl, 1.0 - z, z))
+        out[refl] = math.log(math.pi) - _log_sin_pi(z[refl]) - out[refl]
+    return out
 
 
 def _log_integrand_1d(terms, log_z, s):
-    """Sum of signed log-gammas plus s*log(z); s may be a complex array."""
-    acc = s * log_z
+    """Sum of signed log-gammas plus s*log(z) over a complex array s, in one loggamma call."""
+    a0, b0, sg = (np.array(col, dtype=float)[:, None] for col in zip(*terms))
+    return s * log_z + (sg * loggamma(a0 + b0 * s)).sum(axis=0)
+
+
+def _real_log_integrand(terms, log_z, c):
+    """ln|integrand| at a real s = c, with ln|Gamma| from math.lgamma.
+
+    A pole of a denominator Gamma (where math.lgamma raises) gives -inf: the
+    integrand vanishes there.
+    """
+    acc = c * log_z
     for a0, b0, sg in terms:
-        acc = acc + sg * loggamma(a0 + b0 * s)
+        try:
+            acc += sg * math.lgamma(a0 + b0 * c)
+        except ValueError:
+            acc += sg * math.inf
     return acc
 
 
@@ -295,12 +385,7 @@ def _saddle_offset(terms, log_z, left, right):
     the integrand.  The search stays a safe margin inside (left, right);
     an unbounded side (no pole family) is scanned geometrically.
     """
-
-    def g(c):
-        # complex dtype: loggamma on the negative real axis is defined only
-        # as the principal-branch limit, whose real part is ln|Gamma|
-        return _log_integrand_1d(terms, log_z, np.asarray(c, dtype=complex)).real
-
+    g = partial(_real_log_integrand, terms, log_z)
     margin = 0.05 * min(1.0, (right - left) if math.isfinite(left) and math.isfinite(right) else 1.0)
     lo = left + margin if math.isfinite(left) else None
     hi = right - margin if math.isfinite(right) else None
@@ -312,7 +397,7 @@ def _saddle_offset(terms, log_z, left, right):
         cand = lo + np.geomspace(1e-3, 1 << 20, 513)
     else:
         cand = np.linspace(lo, hi, 129)
-    vals = g(cand)
+    vals = np.array([g(c) for c in cand.tolist()])
     c0 = float(cand[np.argmin(vals)])
     # golden-section refinement around the best grid point
     step = np.diff(cand).max()
@@ -324,26 +409,50 @@ def _saddle_offset(terms, log_z, left, right):
     return golden_minimize(g, a, b, atol=1e-10, rtol=1e-10)
 
 
+def _nested(log_f, origin):
+    """``log_f`` at the nodes origin + i*h*k, k = lo..hi, as a function of (h, lo, hi).
+
+    Under the 2n-1 growth of ``refine`` each level halves the step, so the
+    previous level's nodes are the even k of the next one (k*2h and 2k*h
+    are the same float): their values are reused and only the new nodes
+    are evaluated.
+    """
+    last = (math.nan, 0, np.empty(0))  # the previous level's step, first k and values
+
+    def values(h, lo, hi):
+        nonlocal last
+        out = np.empty(hi - lo + 1, dtype=complex)
+        even, odd = lo + lo % 2, lo + 1 - lo % 2  # the first even and odd k
+        last_h, last_lo, last_values = last
+        if last_h == 2.0 * h and last_lo <= even // 2 <= hi // 2 < last_lo + last_values.size:
+            out[even - lo :: 2] = last_values[even // 2 - last_lo : hi // 2 - last_lo + 1]
+            out[odd - lo :: 2] = log_f(origin + 1j * h * np.arange(odd, hi + 1, 2))
+        else:
+            out[:] = log_f(origin + 1j * h * np.arange(lo, hi + 1))
+        last = (h, lo, out)
+        return out
+
+    return values
+
+
 def _trapezoid_line(terms, log_z, offset, cfg):
     """(1/2*pi*i) * integral over Re(s)=offset, exploiting conjugate symmetry.
 
     Returns a QuadValue.  The integrand must be conjugate-symmetric, i.e.
     all gamma parameters and z real (z > 0).
     """
-
-    def log_f(t):
-        return _log_integrand_1d(terms, log_z, offset + 1j * np.asarray(t))
-
-    height = _find_height(lambda t: log_f(t).real)
+    log_f = partial(_log_integrand_1d, terms, log_z)
+    height = _find_height(lambda t: log_f(offset + 1j * t).real)
+    nodes = _nested(log_f, offset)
     scale = None
 
     def estimate(n):
         nonlocal scale
-        t = np.linspace(0.0, height, n)
-        la = log_f(t)
+        h = height / (n - 1)
+        la = nodes(h, 0, n - 1)
         if scale is None:
             scale = la.real.max()
-        return np.trapezoid(np.exp(la - scale).real, t) / math.pi
+        return np.trapezoid(np.exp(la - scale).real, dx=h) / math.pi
 
     total, err = refine(estimate, max(cfg.nodes, 64), cfg.max_nodes, cfg.rtol, "line quadrature")
     sign = math.copysign(1.0, total) if total != 0 else 1.0
@@ -432,26 +541,25 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
     """
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
 
-    def log_a(s):
-        return loggamma(x + s) + loggamma(-s) + s * log_z1
-
-    def log_b(t):
-        return loggamma(t - x) + loggamma(-t) + t * log_z2
-
-    def log_c(s_plus_t):
-        return loggamma(c0 + r * s_plus_t)
+    log_a = partial(_log_integrand_1d, [(x, 1.0, 1), (0.0, -1.0, 1)], log_z1)
+    log_b = partial(_log_integrand_1d, [(-x, 1.0, 1), (0.0, -1.0, 1)], log_z2)
+    log_c = partial(_log_integrand_1d, [(c0, r, 1)], 0.0)
 
     hu = 1.3 * _find_height(lambda u: (log_a(sigma + 1j * u) + log_c(sigma + tau + 1j * u)).real)
     hv = 1.3 * _find_height(lambda v: (log_b(tau + 1j * v) + log_c(sigma + tau + 1j * v)).real)
+    # h halves from level to level and each extent grows from k to 2k-1 or 2k
+    # steps, so a level's even nodes were all evaluated at the level before
+    a_nodes, b_nodes = _nested(log_a, sigma), _nested(log_b, tau)
+    c_nodes = _nested(log_c, sigma + tau)
     scale = None
 
     def estimate(n):
         nonlocal scale
         h = max(hu, hv) / (n - 1)
         ku, kv = math.ceil(hu / h - 1e-9), math.ceil(hv / h - 1e-9)  # whole steps
-        la = log_a(sigma + 1j * h * np.arange(-ku, ku + 1))
-        lb = log_b(tau + 1j * h * np.arange(kv + 1))
-        lc = log_c(sigma + tau + 1j * h * np.arange(-ku, ku + kv + 1))
+        la = a_nodes(h, -ku, ku)
+        lb = b_nodes(h, 0, kv)
+        lc = c_nodes(h, -ku, ku + kv)
         if scale is None:
             scale = (la.real.max(), lb.real.max(), lc.real.max())
         a = np.exp(la - scale[0])

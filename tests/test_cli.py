@@ -1,10 +1,12 @@
 """CLI tests: config parsing, CSV schemas, determinism across --jobs
 values, validity flags, and error reporting."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -406,19 +408,47 @@ class TestMainEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
 
-    def test_closed_form_route_loads_scipy_on_use(self, tmp_path):
-        path = write_config(tmp_path, ER_CONFIG.replace(
+    def test_contour_routes_skip_scipy(self, tmp_path):
+        # the Meijer-G and Fox-H engines take their log-gamma from numpy too;
+        # dvp computes its bounds by quadrature whatever the strategy, so the
+        # closed-form Mellin transforms of its system are called directly
+        er = write_config(tmp_path, ER_CONFIG.replace(
             "theta = 0.5, 1", "theta = 0.5\nstrategy = closed-form"
-        ).replace("0:20:10", "10"))
+        ).replace("0:20:10", "10"), "er.ini")
+        dvp = write_config(tmp_path, TestDvpCommand.DVP.replace(
+            "theta = 0.5", "theta = 0.5\nstrategy = closed-form"
+        ).replace("slots = 100000", "slots = 0"), "dvp.ini")
         code = (
-            "import sys, noma_effrate.cli as c\n"
-            f"assert c.main(['er', '--config', {path!r}]) == 0\n"
-            "print('scipy.special' in sys.modules)"
+            "import io, sys, contextlib, noma_effrate.cli as c\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    assert c.main(['er', '--config', {er!r}]) == 0\n"
+            f"    assert c.main(['dvp', '--config', {dvp!r}]) == 0\n"
+            "assert ',closed-form,' in out.getvalue().splitlines()[1]\n"
+            "from noma_effrate import snc\n"
+            f"cfg = c.load_config({dvp!r})\n"
+            "system = snc.SncConfig(cfg.grid(cfg.a_s_values)[0], cfg.symbols_per_slot, 120.0)\n"
+            "for mellin in (snc.mellin_strong, snc.mellin_weak):\n"
+            "    assert 0 < mellin(system, 0.03, 'closed-form').value < 1\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 3 and ",closed-form," in lines[1] and lines[2] == "True"
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+    def test_package_source_imports_no_scipy(self):
+        # scipy is a test-only dependency: no module of the package names it
+        package = Path(__file__).resolve().parents[1] / "src" / "noma_effrate"
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) >= 8
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
 
     def test_contour_names_bound_in_fresh_interpreter(self):
         # nothing imports closedform first: the package's own import binds it

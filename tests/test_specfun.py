@@ -287,6 +287,194 @@ class TestFoxH2:
         assert 0 < rejected < 96
 
 
+def assert_loggamma_matches_scipy(z):
+    """The real part to 1e-12 relative and the phase to 1e-12 relative modulo 2 pi.
+
+    Both bounds floor the reference at 1: near the zeros of ln|Gamma| only
+    an absolute bound holds, for scipy's value as much as for ours.
+    """
+    from noma_effrate.specfun import loggamma as own
+
+    got, want = own(z), loggamma(z)
+    re_err = np.abs(got.real - want.real) / np.maximum(np.abs(want.real), 1.0)
+    turns = np.remainder(got.imag - want.imag + math.pi, 2.0 * math.pi) - math.pi
+    phase_err = np.abs(turns) / np.maximum(np.abs(want.imag), 1.0)
+    assert re_err.max() <= 1e-12, z.flat[np.argmax(re_err)]
+    assert phase_err.max() <= 1e-12, z.flat[np.argmax(phase_err)]
+
+
+class TestLogGamma:
+    def test_tall_lines(self):
+        rng = np.random.default_rng(1)
+        z = rng.uniform(-3.0, 3.0, 4000) + 1j * rng.uniform(-1e3, 1e3, 4000)
+        assert_loggamma_matches_scipy(z)
+        # whole vertical lines, as the contour engines pass them
+        t = np.linspace(-1e3, 1e3, 4001)
+        assert_loggamma_matches_scipy(np.array([-2.7, -0.35, 0.5, 1.0, 2.9])[:, None] + 1j * t)
+
+    def test_reflection_half_plane(self):
+        rng = np.random.default_rng(2)
+        z = rng.uniform(-300.0, 0.5, 4000) + 1j * rng.uniform(-50.0, 50.0, 4000)
+        assert_loggamma_matches_scipy(z)
+
+    def test_large_real_parts(self):
+        # Mellin exponents in the thousands put Gamma arguments far right
+        x = np.geomspace(0.5, 1e6, 400)[:, None]
+        assert_loggamma_matches_scipy(x + 1j * np.array([-1e3, -7.0, 0.0, 0.3, 40.0, 1e3]))
+
+    def test_negative_real_axis(self):
+        from noma_effrate.specfun import loggamma as own
+
+        x = -np.random.default_rng(3).uniform(0.0, 200.0, 4000)
+        z = x + 0j
+        assert_loggamma_matches_scipy(z)
+        # the real part is ln|Gamma|
+        want = np.array([math.lgamma(v) for v in x])
+        np.testing.assert_allclose(own(z).real, want, rtol=1e-12, atol=1e-12)
+
+    def test_conjugate_symmetry(self):
+        from noma_effrate.specfun import loggamma as own
+
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-50.0, 50.0, 2000) + 1j * rng.uniform(0.0, 300.0, 2000)
+        got, want = own(z.conj()), own(z).conj()
+        turns = np.remainder(got.imag - want.imag + math.pi, 2.0 * math.pi) - math.pi
+        assert np.all(got.real == want.real)
+        assert np.abs(turns).max() <= 1e-12
+
+    def test_scalar_and_poles(self):
+        from noma_effrate.specfun import loggamma as own
+
+        assert own(7.5) == pytest.approx(math.lgamma(7.5), rel=1e-14)
+        assert np.ndim(own(7.5)) == 0
+        with np.errstate(all="raise"):
+            assert np.all(own(np.array([0.0, -1.0, -7.0]) + 0j).real == math.inf)
+            for pole in (0.0, -1.0, -7.0):
+                assert own(pole).real == math.inf
+
+    def test_saddle_objective_at_denominator_pole(self):
+        # 1/Gamma(s) vanishes at s = 0, the middle grid point of (-0.95, 0.95):
+        # math.lgamma raises there, the objective reads -inf
+        from noma_effrate.specfun import _meijer_terms, _real_log_integrand, _saddle_offset
+
+        spec = MeijerGSpec(a=(0.0,), b=(1.0, 1.0), m=1, n=1)
+        terms = _meijer_terms(spec)
+        with pytest.raises(ValueError):
+            math.lgamma(0.0)
+        assert _real_log_integrand(terms, math.log(0.7), 0.0) == -math.inf
+        assert abs(_saddle_offset(terms, math.log(0.7), -1.0, 1.0)) < 1e-9
+        want = float(mp.meijerg([[0.0], []], [[1.0], [1.0]], 0.7))
+        assert meijer_g(spec, 0.7).value == pytest.approx(want, rel=1e-9)
+
+
+class TestNestedRule:
+    """The trapezoid rules reuse the previous level's nodes and evaluate only the new ones."""
+
+    MEIJER = MeijerGSpec(a=(0.5, -0.25), b=(0.0, 0.5, -0.25), m=3, n=1)
+    FOX = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
+    CFG = ContourConfig(nodes=65, max_nodes=1 << 14, rtol=1e-12)
+
+    @staticmethod
+    def levels(monkeypatch, run, fresh):
+        """[size, estimate, loggamma elements outside _find_height] per refinement level."""
+        from noma_effrate import specfun
+
+        levels, scanning = [], [False]
+        refine, loggamma_, find_height = specfun.refine, specfun.loggamma, specfun._find_height
+
+        def counted(z):
+            if not scanning[0]:
+                levels[-1][2] += np.size(z)
+            return loggamma_(z)
+
+        def scan(logf):
+            scanning[0] = True
+            try:
+                return find_height(logf)
+            finally:
+                scanning[0] = False
+
+        def recorded(estimate, n, *args):
+            if len(args) > 3:  # refine's own column-wise call
+                return refine(estimate, n, *args)
+
+            def wrapped(m):
+                levels.append([m, None, 0])
+                levels[-1][1] = estimate(m)
+                return levels[-1][1]
+
+            return refine(wrapped, n, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "loggamma", counted)
+            patch.setattr(specfun, "_find_height", scan)
+            patch.setattr(specfun, "refine", recorded)
+            if fresh:
+                patch.setattr(specfun, "_nested", lambda log_f, origin: (
+                    lambda h, lo, hi: log_f(origin + 1j * h * np.arange(lo, hi + 1))
+                ))
+            run()
+        assert len(levels) >= 3
+        return levels
+
+    def line(self):
+        from noma_effrate.specfun import _meijer_terms, _saddle_offset, _trapezoid_line
+
+        terms, log_z = _meijer_terms(self.MEIJER), math.log(1.7)
+        _trapezoid_line(terms, log_z, _saddle_offset(terms, log_z, -0.5, -0.25), self.CFG)
+
+    def lattice(self):
+        from noma_effrate.specfun import _fox_double_integral
+
+        _fox_double_integral(self.FOX, math.log(0.8), math.log(0.2), -0.35, -0.4, self.CFG)
+
+    @pytest.mark.parametrize("rule", ["line", "lattice"])
+    def test_estimates_match_fresh_evaluation(self, monkeypatch, rule):
+        nested = self.levels(monkeypatch, getattr(self, rule), fresh=False)
+        fresh = self.levels(monkeypatch, getattr(self, rule), fresh=True)
+        assert [n for n, _, _ in nested] == [n for n, _, _ in fresh]
+        for (n, got, _), (_, want, _) in zip(nested, fresh):
+            assert got == pytest.approx(want, rel=1e-14, abs=0), n
+
+    def test_line_evaluates_only_midpoints(self, monkeypatch):
+        nested = self.levels(monkeypatch, self.line, fresh=False)
+        fresh = self.levels(monkeypatch, self.line, fresh=True)
+        n_terms = len(self.MEIJER.a) + len(self.MEIJER.b)
+        sizes = [n for n, _, _ in nested]
+        assert [count for _, _, count in fresh] == [n_terms * n for n in sizes]
+        # the first level in full, then the (n - 1) / 2 midpoints of each later one
+        assert [count for _, _, count in nested] == [n_terms * sizes[0]] + [
+            n_terms * (n - 1) // 2 for n in sizes[1:]
+        ]
+
+    def test_lattice_evaluates_only_new_nodes(self, monkeypatch):
+        from noma_effrate import specfun
+
+        nested, calls = specfun._nested, []  # [origin, lo, hi, nodes evaluated]
+
+        def counting(log_f, origin):
+            def counted(s):
+                calls[-1][3] += s.size
+                return log_f(s)
+
+            values = nested(counted, origin)
+
+            def recorded(h, lo, hi):
+                calls.append([origin, lo, hi, 0])
+                return values(h, lo, hi)
+
+            return recorded
+
+        monkeypatch.setattr(specfun, "_nested", counting)
+        self.lattice()
+        seen = set()
+        for origin, lo, hi, count in calls:
+            odd = (hi + 1) // 2 - (lo + 1) // 2  # odd k in lo..hi
+            assert count == (odd if origin in seen else hi - lo + 1), (origin, lo, hi)
+            seen.add(origin)
+        assert len(seen) == 3 and len(calls) >= 9
+
+
 class TestLaguerreTable:
     @pytest.mark.parametrize("order", [32, 64, 128, 256])
     @pytest.mark.parametrize("mu", range(1, 9))
