@@ -225,6 +225,8 @@ DVP_HEADER = "user,vartheta,bound,minimizer_s,feasible,empirical_p,ci_low,ci_hig
 
 
 def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
+    if cfg.strategy != "quadrature":
+        raise ConfigError(f"[system] strategy: dvp has no {cfg.strategy} route; use strategy = quadrature")
     if len(cfg.a_s_values) != 1 or len(cfg.theta) != 1 or len(cfg.rho_db) != 1:
         raise ConfigError("dvp needs single a_s, theta and rho_db values")
     if len(cfg.lambdas) != 1:

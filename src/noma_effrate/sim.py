@@ -5,7 +5,8 @@ arrival of lam bits enters a FIFO queue each slot; the slot's service is
 N*log2(1+gamma) bits with gamma drawn independently per slot (block
 fading, one fading block per slot).  Delay is accounted per bit: bits
 arriving in slot k leave once cumulative departures reach cumulative
-arrivals through k.
+arrivals through k.  As departures = arrivals - backlog, they wait more
+than d slots exactly when the backlog after slot k+d exceeds d*lam.
 
 Random numbers come from numpy's PCG64 via default_rng; batch streams are
 spawned from one SeedSequence so results are reproducible regardless of
@@ -138,20 +139,16 @@ def queue_dvp(
             stacklevel=2,
         )
     backlog = queue_backlog(lam, service)
-    # cumulative departures through slot k = arrivals through k - backlog
-    arrivals = lam * np.arange(1, slots + 1)
-    departures = arrivals - backlog[1:]
     warm = slots // 10
     last = slots - max_delay
     if last <= warm:
         raise ValueError("trace too short for the requested max_delay and warm-up")
-    k = np.arange(warm, last)
     eps = 1e-9 * max(lam, 1.0)
-    j = np.searchsorted(departures, arrivals[k] - eps, side="left")
-    delays = np.minimum(j - k, max_delay + 1)
-    # exceed[d] = #{delays > d}: the tail sums of the delay histogram
-    exceed = np.cumsum(np.bincount(delays, minlength=max_delay + 2)[::-1])[::-1][1:]
-    n_obs = len(k)
+    # bits of slot k wait more than d slots iff the backlog after slot k+d
+    # still exceeds the d*lam bits that arrived after them
+    exceed = np.array([np.count_nonzero(backlog[warm + 1 + d : last + 1 + d] > d * lam + eps)
+                       for d in range(max_delay + 1)])
+    n_obs = last - warm
     p = exceed / n_obs
     ci_low, ci_high = _binomial_ci(exceed, n_obs, 0.99)
     return DelayCcdf(p, ci_low, ci_high, slots, n_obs, float(n_obs * lam))

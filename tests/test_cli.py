@@ -169,6 +169,22 @@ slots = 100000
         with pytest.raises(ConfigError, match="lambda"):
             cmd_dvp(cfg, lambda_scale=1.0)
 
+    def test_rejects_closed_form_strategy(self, tmp_path, capsys):
+        # the bounds come from quadrature only, so another route is refused
+        text = self.DVP.replace("theta = 0.5", "theta = 0.5\nstrategy = closed-form")
+        path = write_config(tmp_path, text.replace("slots = 100000", "slots = 0"))
+        assert main(["dvp", "--config", path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:") and out.err.strip().count("\n") == 0
+        assert "strategy = quadrature" in out.err
+
+    def test_explicit_quadrature_strategy_gives_rows(self, tmp_path):
+        text = self.DVP.replace("theta = 0.5", "theta = 0.5\nstrategy = quadrature")
+        cfg = load_config(write_config(tmp_path, text.replace("slots = 100000", "slots = 0")))
+        header, rows = cmd_dvp(cfg, lambda_scale=1.0)
+        assert header.startswith("user,vartheta,bound") and len(rows) == 2 * 9
+
     def test_decay_steepens_with_alpha(self, tmp_path):
         # one run per non-linearity value, fixed arrival rate across runs
         import numpy as np
@@ -410,13 +426,13 @@ class TestMainEntry:
 
     def test_contour_routes_skip_scipy(self, tmp_path):
         # the Meijer-G and Fox-H engines take their log-gamma from numpy too;
-        # dvp computes its bounds by quadrature whatever the strategy, so the
-        # closed-form Mellin transforms of its system are called directly
+        # dvp computes its bounds by quadrature only, so the closed-form
+        # Mellin transforms of its system are called directly
         er = write_config(tmp_path, ER_CONFIG.replace(
             "theta = 0.5, 1", "theta = 0.5\nstrategy = closed-form"
         ).replace("0:20:10", "10"), "er.ini")
         dvp = write_config(tmp_path, TestDvpCommand.DVP.replace(
-            "theta = 0.5", "theta = 0.5\nstrategy = closed-form"
+            "theta = 0.5", "theta = 0.5\nstrategy = quadrature"
         ).replace("slots = 100000", "slots = 0"), "dvp.ini")
         code = (
             "import io, sys, contextlib, noma_effrate.cli as c\n"

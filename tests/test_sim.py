@@ -2,6 +2,7 @@
 Lindley-recursion equivalence, and distributional checks of the sampler."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -128,6 +129,56 @@ class TestQueueDvp:
         delays = np.array(delays)
         want = [(delays > t).mean() for t in range(max_delay + 1)]
         np.testing.assert_allclose(got.probabilities, want, atol=0)
+
+    @pytest.mark.parametrize("load, user", [(0.7, "strong"), (0.95, "weak"), (1.2, "strong")])
+    @pytest.mark.parametrize("max_delay", [30, 89_000])
+    def test_backlog_count_matches_searchsorted_count(self, load, user, max_delay):
+        # the count from the backlog threshold equals the one taken from
+        # cumulative departures with searchsorted and a capped-delay histogram,
+        # on a stable, a near-critical and an unstable queue; 89_000 is close
+        # to the longest max_delay a 100_000-slot trace allows
+        cfg = self.make_cfg(load=load, user=user)
+        lam = cfg.arrival_rate
+        for seed in (3, 4, 5):
+            plan = SimPlan(seed, 100_000)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = queue_dvp(cfg, user, plan, max_delay)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            gamma = sim_module._draw_sinr(cfg.system, user, rng, plan.draws)
+            backlog = queue_backlog(lam, cfg.symbols_per_slot * np.log2(1.0 + gamma))
+            arrivals = lam * np.arange(1, plan.draws + 1)
+            departures = arrivals - backlog[1:]
+            k = np.arange(plan.draws // 10, plan.draws - max_delay)
+            j = np.searchsorted(departures, arrivals[k] - 1e-9 * max(lam, 1.0), side="left")
+            delays = np.minimum(j - k, max_delay + 1)
+            exceed = np.cumsum(np.bincount(delays, minlength=max_delay + 2)[::-1])[::-1][1:]
+            # p = count / observations, so equal p means equal counts
+            assert got.observations == len(k)
+            np.testing.assert_array_equal(got.probabilities, exceed / len(k))
+
+    def test_bits_leaving_at_slot_end_meet_that_delay(self, monkeypatch):
+        # SINRs 0, 1, 3, 3 serve 0, N, 2N, 2N bits with lam = N: bits of the
+        # first slot leave exactly at the end of the next one, where the
+        # backlog equals lam, so their delay is 1 and not more
+        monkeypatch.setattr(sim_module, "sample_gain", lambda ch, rng, n: np.resize([0.0, 1.0, 3.0, 3.0], n))
+        pair = ChannelPair(AlphaMuChannel(2, 1, 1.0), AlphaMuChannel(2, 1, 0.5))
+        cfg = SncConfig(NomaSystem(pair, 0.25, 4.0, DelayQos(0.5)), 168, 168.0)
+        got = queue_dvp(cfg, "strong", SimPlan(1, 4000), 4)
+        np.testing.assert_array_equal(got.probabilities, [0.5, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_queue_dvp_peak_memory_per_slot(self, user):
+        # the count reads the backlog in place: no per-observation arrays
+        cfg = self.make_cfg(user=user)
+        queue_dvp(cfg, user, SimPlan(1, 1000), 30)  # first-call allocations
+        tracemalloc.start()
+        try:
+            queue_dvp(cfg, user, SimPlan(1, 200_000), 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 200_000
 
     def test_higher_arrival_rate_shifts_curve_up(self):
         sys = make_system()
