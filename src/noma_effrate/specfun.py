@@ -6,9 +6,10 @@ library needs:
 
 * ``laguerre_log_expectation`` integrates directly against the alpha-mu
   gain law (after the exact substitution that maps it to a unit Gamma
-  weight) with one adaptive Gauss engine in log space, on Gauss-Laguerre
-  and Gauss-Legendre rules that numpy alone builds;
-  ``laguerre_expectation`` is its linear view;
+  weight, in its envelope variable) with one adaptive Gauss-Legendre
+  engine in log space; ``laguerre_expectation`` is its linear view (the
+  names, from an earlier Gauss-Laguerre rule, stay because the
+  benchmark's layer spans patch them);
 * ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
   Mellin-Barnes contour integrals (single and double contour), on the
   module's own complex log-gamma (``loggamma``, a shifted Stirling series
@@ -55,11 +56,9 @@ class ContourError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, msg, estimates=None, columns=None, result=None):
+    def __init__(self, msg, estimates=None):
         super().__init__(msg)
         self.estimates = estimates
-        self.columns = columns  # the open columns of a column-wise rule
-        self.result = result  # its (estimate, change) lists over all columns
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1, width=None)
     index array, or a full slice while every column is open) that have not
     agreed yet, every column stops at its first agreement, and the result
     is a pair of lists.  When the budget runs out the error carries the
-    first open column's estimates, the open columns and the two lists.
+    first open column's estimates.
     """
     if width is None:
         last, err = refine(lambda n, cols: [estimate(n)], n, limit, rtol, what, grow, 1)
@@ -207,8 +206,6 @@ def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1, width=None)
             raise ConvergenceError(
                 f"{what} did not reach relative tolerance {rtol:g} by size {n}",
                 estimates=(prev[open_[0]], last[open_[0]]),
-                columns=np.array(open_),
-                result=(last, err),
             )
         n = grow(n)
 
@@ -623,56 +620,17 @@ def fox_h2(
 # Gauss quadrature expectations against the alpha-mu gain law
 #
 # The exact substitution y = mu * g^(alpha/2) / omega^alpha maps the gain
-# law to the unit Gamma(mu) weight.  For alpha in {1, 2} the substituted
-# kernel is analytic in y and generalized Gauss-Laguerre converges
-# geometrically.  For alpha >= 3 the kernel carries a y^(2/alpha) branch
-# point at the origin (algebraic convergence only, and float64
-# Gauss-Laguerre tables are unavailable above order ~256), so the engine
-# integrates in the envelope variable r = y^(1/alpha) instead, where the
-# integrand r^(alpha*mu-1) exp(-r^alpha) kernel(scale * r^2) is analytic,
-# using Gauss-Legendre on the truncated support.  The envelope rule also
-# takes over when Laguerre has not converged by its last table (kernels
-# peaked near g = 0, such as the delay bound's at large exponents).
+# law to the unit Gamma(mu) weight, and r = y^(1/alpha) to the envelope
+# variable, where the integrand r^(alpha*mu-1) exp(-r^alpha) kernel(scale * r^2)
+# is analytic for every alpha (in y it has a y^(2/alpha) branch point at the
+# origin for alpha >= 3).  So one rule serves every gain law: Gauss-Legendre
+# in r on the support truncated where an envelope scan finds the integrand
+# negligible, its order doubling from _START_ORDER up to _MAX_ORDER.
 
 _START_ORDER = 32
-_GENLAG_MAX_ORDER = 256  # the unscaled Laguerre recurrence overflows float64 near order 400
 _MAX_ORDER = 8192  # Gauss-Legendre order budget
 _RTOL = 1e-9  # relative agreement of two successive Gauss estimates
 _COLUMNS = 64  # columns per engine pass; bounds the columns x order arrays of a rule
-
-
-def _genlaguerre(n, a, y):
-    """L_n^(a)(y) and its derivative, by the three-term recurrence."""
-    prev, p = np.ones_like(y), 1.0 + a - y
-    for k in range(1, n):
-        prev, p = p, ((2 * k + 1 + a - y) * p - (k + a) * prev) / (k + 1)
-    return p, (n * p - (n + a) * prev) / y
-
-
-@lru_cache(maxsize=None)
-def _laguerre_table(order: int, mu: int):
-    """Gauss-Laguerre nodes and log-weights for the weight y^(mu-1) e^-y.
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, each
-    polished by one Newton step; the weights are 1/(y L_n'(y)^2) at the
-    polished nodes, formed as logs (the deep-tail weights underflow as
-    numbers) and normalised to sum to Gamma(mu).
-    """
-    a, k = mu - 1.0, np.arange(1, order)
-    jacobi = np.diag(2.0 * np.arange(order) + mu) + np.diag(np.sqrt(k * (k + a)), -1)
-    y = np.linalg.eigvalsh(jacobi)
-    p, dp = _genlaguerre(order, a, y)
-    y = y - p / dp
-    log_w = -np.log(y) - 2.0 * np.log(np.abs(_genlaguerre(order, a, y)[1]))
-    top = log_w.max()
-    return y, log_w - (top + math.log(np.exp(log_w - top).sum()) - math.lgamma(mu))
-
-
-@lru_cache(maxsize=256)
-def _laguerre_gains(order: int, al: int, mu: int, gscale: float):
-    """The Laguerre nodes as gains, gscale * y^(2/alpha), and their log-weights."""
-    y, log_w = _laguerre_table(order, mu)
-    return gscale * y ** (2.0 / al), log_w
 
 
 @lru_cache(maxsize=None)
@@ -709,50 +667,53 @@ def _envelope_cutoff(ch, gscale, k, c):
     return rmax
 
 
-def _refine_log_sum(log_terms, order, limit, width, fallback=None):
-    """Per column, log sum(exp(log_terms(n, cols))), doubling n from ``order`` up to ``limit``.
+def _refine_log_sum(terms, width):
+    """Per column, log sum(d exp(x)) for the log-weights ln d and exponents x of
+    ``terms(n, cols)``, doubling n from _START_ORDER up to _MAX_ORDER.
 
     Every column's estimates are taken relative to the largest term of its
     first one, so sums spanning thousands of decades neither overflow nor
     underflow; a finer estimate that overflows is inf, which does not
-    converge.  Columns still open when the budget runs out go to
-    ``fallback(cols)``, which returns their (log sums, errors); without one
-    the ConvergenceError propagates.  Returns (log sums, relative changes of
-    the last doubling).
+    converge.  A column whose exponents all lie in [-1, 1] at the first
+    order is near one: the log-sum would bury its deviation from one under
+    the rounding of O(1) terms, so it converges on eps = sum(d expm1(x)) /
+    sum(d) instead and returns log1p(eps), the log of the rule's own
+    normalised mean.  Returns lists of (log sums, relative errors of the
+    sums or means, near one).
     """
-    scale = None
+    near, scale = None, None
 
     def estimate(n, cols):
-        nonlocal scale
-        terms = log_terms(n, cols)
+        nonlocal near, scale
+        log_d, x = terms(n, cols)
+        out = log_d + x
         if scale is None:
-            scale = terms.max(axis=1)
-        terms -= scale[cols, None]
+            near, scale = np.abs(x).max(axis=1) <= 1.0, out.max(axis=1)
+        out -= scale[cols, None]
         # row sums along the contiguous axis: bit for bit the 1-D sums
-        return np.exp(terms, out=terms).sum(axis=1).tolist()
+        out = np.exp(out, out=out).sum(axis=1)
+        rows = near[cols]
+        if rows.any():
+            log_d = log_d[rows]
+            d = np.exp(log_d - log_d.max(axis=1)[:, None])
+            out[rows] = (d * np.expm1(x[rows])).sum(axis=1) / d.sum(axis=1)
+        return out.tolist()
 
-    open_cols = []
     with np.errstate(over="ignore"):
-        try:
-            total, err = refine(
-                estimate, order, limit, _RTOL, "gain expectation", lambda n: 2 * n, width
-            )
-        except ConvergenceError as exc:
-            if fallback is None:
-                raise
-            open_cols, (total, err) = exc.columns, exc.result
-    # the open columns' nan placeholders are replaced by the fallback
+        total, err = refine(
+            estimate, _START_ORDER, _MAX_ORDER, _RTOL, "gain expectation", lambda n: 2 * n, width
+        )
     log_sum = [
-        a + math.log(t) if e <= _RTOL else math.nan for a, t, e in zip(scale.tolist(), total, err)
+        math.log1p(t) if m else a + math.log(t) for a, t, m in zip(scale.tolist(), total, near)
     ]
-    if len(open_cols):
-        for i, ls, e in zip(open_cols.tolist(), *fallback(open_cols)):
-            log_sum[i], err[i] = ls, e
-    return log_sum, err
+    # the relative error of eps, as one of the mean 1 + eps
+    err = [e * abs(t) / (1.0 + t) if m else e for t, e, m in zip(total, err, near)]
+    return log_sum, err, near.tolist()
 
 
 def _log_component(ch, k, c, params):
-    """Lists over the columns i of (log E[exp(c_i k(g, *p_i))], relative error), for one gain.
+    """Lists over the columns i of (log E[exp(c_i k(g, *p_i))], relative error,
+    near one), for one gain.
 
     ``params`` holds one array per kernel parameter, indexed by column like
     ``c``; with none, every column's kernel is ``k(g)``.
@@ -760,35 +721,24 @@ def _log_component(ch, k, c, params):
     al, mu = ch.alpha, ch.mu
     gscale = (ch.omega**al / mu) ** (2.0 / al)
 
-    def kernel(params, cols, g):
+    def kernel(g, cols):
         return k(g, *(p[cols, None] for p in params))
 
-    def envelope(c, params, order):
-        rmax = _envelope_cutoff(ch, gscale, lambda g, rows: kernel(params, rows, g), c)
+    rmax = _envelope_cutoff(ch, gscale, kernel, c)
 
-        def legendre(n, cols):
-            u, log_w = _legendre_table(n)
-            r = rmax[cols, None] * u
-            return (log_w + (al * mu - 1.0) * np.log(r) - r**al
-                    + c[cols, None] * kernel(params, cols, gscale * r**2))
+    def legendre(n, cols):
+        u, log_w = _legendre_table(n)
+        r = rmax[cols, None] * u
+        return log_w + (al * mu - 1.0) * np.log(r) - r**al, c[cols, None] * kernel(gscale * r**2, cols)
 
-        log_sum, err = _refine_log_sum(legendre, order, _MAX_ORDER, c.size)
-        return [ls + math.log(al * x) for ls, x in zip(log_sum, rmax.tolist())], err
-
-    if al > 2:
-        log_sum, err = envelope(c, params, _START_ORDER)
-    else:
-
-        def laguerre(n, cols):
-            g, log_w = _laguerre_gains(n, al, mu, gscale)
-            return log_w + c[cols, None] * kernel(params, cols, g)
-
-        log_sum, err = _refine_log_sum(
-            laguerre, _START_ORDER, _GENLAG_MAX_ORDER, c.size,
-            fallback=lambda cols: envelope(c[cols], [p[cols] for p in params], _GENLAG_MAX_ORDER),
-        )
+    log_sum, err, near = _refine_log_sum(legendre, c.size)
+    # the rule on [0, rmax] weighs by rmax; the envelope density integrates to Gamma(mu) / alpha
     log_norm = math.lgamma(mu)
-    return [ls - log_norm for ls in log_sum], err
+    log_e = [
+        ls if m else ls + math.log(al * x) - log_norm
+        for ls, x, m in zip(log_sum, rmax.tolist(), near)
+    ]
+    return log_e, err, near
 
 
 def laguerre_log_expectation(target, k, c=1.0, params=()):
@@ -799,6 +749,9 @@ def laguerre_log_expectation(target, k, c=1.0, params=()):
     thousands).  The order doubles until two successive estimates agree to
     1e-9 relative; ConvergenceError when the order budget runs out first.
     A minimum-gain pair is the weighted sum over its mixture components.
+    Where every exponent c*k is at most 1 in magnitude the expectation is
+    built from its deviation from one (see ``_refine_log_sum``), so a log
+    expectation of 1e-9 keeps its relative accuracy and c = 0 gives 0.0.
 
     ``c`` and the kernel parameters ``params`` broadcast to a grid of
     columns, evaluated in one pass per rule order and block of _COLUMNS:
@@ -822,10 +775,15 @@ def laguerre_log_expectation(target, k, c=1.0, params=()):
         parts = [(w, *_log_component(comp, k, cs[cols], block_ps)) for w, comp in mixture]
         for i in range(len(parts[0][1])):
             # combined in math per column, as a scalar evaluation would
-            top = max(le[i] for _, le, _ in parts)
-            terms = [(w * math.exp(le[i] - top), e[i]) for w, le, e in parts]
+            top = max(le[i] for _, le, _, _ in parts)
+            terms = [(w * math.exp(le[i] - top), e[i]) for w, le, e, _ in parts]
             total = sum(t for t, _ in terms)
-            log_e.append(top + math.log(total))
+            if all(near[i] for *_, near in parts):
+                # every component is near one: mix their deviations from one
+                eps = sum(w * math.expm1(le[i]) for w, le, _, _ in parts)
+                log_e.append(math.log1p(eps / sum(w for w, *_ in parts)))
+            else:
+                log_e.append(top + math.log(total))
             err.append(sum(t * e for t, e in terms) / total)
     return (log_e[0], err[0]) if scalar else (np.array(log_e), np.array(err))
 

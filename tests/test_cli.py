@@ -149,8 +149,9 @@ slots = 100000
         assert scaled[5][2] >= base[5][2]
 
     def test_quiet_when_laguerre_overflows(self, tmp_path):
-        # finer Laguerre orders find terms over 709 nats above the first
-        # estimate's scale here; those estimates fall through to Legendre
+        # Nakagami-3 at 20 dB under a large arrival rate: the delay bound's
+        # Mellin exponents reach the thousands, and its gain quadrature must
+        # still give rows without a numpy warning on stderr
         text = self.DVP.replace("mu = 1", "mu = 3").replace("a_s = 0.24", "a_s = 0.2")
         text = text.replace("rho_db = 10", "rho_db = 20").replace("lambda = 120", "lambda = 300")
         path = write_config(tmp_path, text.split("[sim]")[0])

@@ -119,6 +119,29 @@ class TestErNoma:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("theta", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("rho_db, a_s", [(0, 0.3), (10, 0.24), (20, 0.1), (20, 0.4)])
+    def test_small_theta_matches_mpmath(self, theta, rho_db, a_s):
+        # strong Rayleigh: E[(1 + c g)^-w] = e^(1/c) c^-w Gamma(1 - w, 1/c), c = a_s rho;
+        # at small theta the log of that mean is about theta itself
+        sys = make_system(a_s=a_s, rho_db=rho_db, theta=theta)
+        with mp.workdps(50):
+            w, c = mp.mpf(theta) / mp.log(2), mp.mpf(a_s * sys.rho)
+            mean = mp.exp(1 / c) * c**-w * mp.gammainc(1 - w, 1 / c)
+            want = float(-mp.log(mean) / (w * mp.log(2)))
+        assert er_noma(sys, "strong").value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 2), (2, 3), (1, 2), (4, 3)])
+    def test_jensen_upper_bound_at_small_theta(self, alpha, mu):
+        pair = make_pair(alpha, mu)
+        systems = [
+            NomaSystem(pair, a_s, 10.0 ** (rho_db / 10.0), DelayQos(1e-9))
+            for a_s in (0.1, 0.24, 0.4) for rho_db in (0, 10, 20, 30)
+        ]
+        for user in ("strong", "weak"):
+            for er, erg in zip(er_noma(systems, user), ergodic_rate(systems, user)):
+                assert er.value <= erg.value + 1e-6
+
     def test_jensen_upper_bound(self):
         for theta in (0.1, 0.5, 2.0):
             sys = make_system(theta=theta, alpha=3, mu=2)
@@ -398,9 +421,9 @@ class TestGrids:
     @pytest.mark.parametrize(
         "alpha, mu, thetas",
         [
-            (2, 1, (0.5, 2.0)),  # Laguerre only
-            (2, 3, (0.5, 2.0)),  # the weak user's high-SNR columns fall back to Legendre
-            (4, 3, (0.5, 2.0)),  # envelope rule
+            (2, 1, (0.5, 2.0)),
+            (2, 3, (0.5, 2.0)),  # the weak user's high-SNR columns need high orders
+            (4, 3, (0.5, 2.0)),
             (2, 3, (0.5, 0.0, 2.0)),  # theta = 0 columns amid theta > 0 ones
         ],
     )
@@ -418,8 +441,7 @@ class TestGrids:
         monkeypatch.setattr(specfun, "_envelope_cutoff", spy_cutoff)
         systems = self.grid(alpha, mu, thetas)
         self.assert_bitwise(rate, systems, user)
-        if (alpha, mu, rate, user) == (2, 3, er_noma, "weak"):
-            assert widths  # the fallback ran
+        assert widths  # every grid takes the envelope rule
 
     def test_grid_wider_than_a_column_block(self):
         from noma_effrate.specfun import _COLUMNS

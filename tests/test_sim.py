@@ -178,7 +178,7 @@ class TestQueueDvp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 200_000
+        assert peak <= 36 * 200_000
 
     def test_higher_arrival_rate_shifts_curve_up(self):
         sys = make_system()
