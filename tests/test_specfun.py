@@ -475,6 +475,24 @@ class TestNestedRule:
         assert len(seen) == 3 and len(calls) >= 9
 
 
+class TestLaguerreTable:
+    # the class and case ids are those of the Gauss-Laguerre table this rule replaced
+    @pytest.mark.parametrize("order", [32, 64, 128, 256])
+    @pytest.mark.parametrize("mu", range(1, 9))
+    def test_monomials_exact(self, order, mu, monkeypatch):
+        # started at `order`, the envelope Gauss-Legendre rule gives the moments
+        # E[y^j] = Gamma(mu + j) / Gamma(mu) of y = mu g^(alpha/2) ~ Gamma(mu)
+        from noma_effrate import specfun
+
+        monkeypatch.setattr(specfun, "_START_ORDER", order)
+        j = np.arange(12.0)
+        want = np.exp(loggamma(mu + j) - loggamma(mu))
+        for alpha in (1, 2):
+            log_y = lambda g, j: j * (math.log(mu) + 0.5 * alpha * np.log(g))  # noqa: E731
+            got = np.exp(laguerre_log_expectation(AlphaMuChannel(alpha, mu, 1.0), log_y, 1.0, (j,))[0])
+            np.testing.assert_allclose(got, want, rtol=2e-12, atol=0, err_msg=f"alpha={alpha}")
+
+
 class TestLaguerreExpectation:
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     @pytest.mark.parametrize("mu", [1, 2, 3, 4])
