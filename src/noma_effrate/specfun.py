@@ -355,22 +355,39 @@ def _real_log_integrand(terms, log_z, c):
     return acc
 
 
+def _first_drop(values, n, drop, peak=None):
+    """Per row of ``values(idx)`` (the rows at grid indices ``idx``: one index row for
+    all, or one each), the first index after the row's first maximum that is ``drop``
+    below max(peak, maximum), or n, and that max.  It reads every 8th point and the
+    last, the 15 around the coarse maximum and the 8 up to the first coarse point under
+    the threshold: the full scan's index whenever the first maximum lies within 7
+    points of the coarse one and the row does not climb back to the threshold once
+    under it, as when it rises strictly to its maximum and does not rise after it."""
+    coarse = np.append(np.arange(0, n - 1, 8), n - 1)
+    lc = values(coarse[None])
+    start = np.minimum(np.maximum(coarse[np.argmax(lc, axis=1)] - 7, 0), n - 15)
+    win, rows = start[:, None] + np.arange(15), np.arange(lc.shape[0])
+    lw = values(win)
+    at = np.argmax(lw, axis=1)
+    top, first = lw[rows, at], win[rows, at]
+    top = top if peak is None else np.where(top > peak, top, peak)  # Python's max(peak, top)
+    under = (lc < (top - drop)[:, None]) & (coarse > first[:, None])
+    fine = np.maximum(coarse[np.argmax(under, axis=1), None] + np.arange(-7, 1), 0)
+    fine_under = (values(fine) < (top - drop)[:, None]) & (fine > first[:, None])
+    return np.where(under.any(axis=1), fine[rows, np.argmax(fine_under, axis=1)], n), top
+
+
 def _find_height(logf):
-    """Truncation height: where the log-integrand drops CUTOFF below its peak."""
-    t = np.linspace(0.0, 64.0, 513)
-    la = logf(t)
-    peak = la.max()
-    k = 0
-    while True:
-        below = np.nonzero((la < peak - _LOG_CUTOFF) & (t > t[np.argmax(la)]))[0]
-        if below.size:
-            return t[below[0]]
-        k += 1
-        if k > 12:
-            raise ContourError("contour integrand does not decay")
+    """Truncation height: the first point past the log-integrand's peak that is _LOG_CUTOFF
+    below it, on 513 points of [0, 64] or up to 12 range-doubling extensions; ``_first_drop``
+    finds the full scan's point when the integrand rises strictly to one peak, not after."""
+    t, peak = np.linspace(0.0, 64.0, 513), None
+    for _ in range(13):
+        i, peak = _first_drop(lambda idx: logf(t[idx.ravel()])[None], t.size, _LOG_CUTOFF, peak)
+        if i[0] < t.size:
+            return t[i[0]]
         t = t[-1] + np.linspace(0.0, t[-1], 513)[1:]
-        la = logf(t)
-        peak = max(peak, la.max())
+    raise ContourError("contour integrand does not decay")
 
 
 def _saddle_offset(terms, log_z, left, right):
@@ -625,7 +642,9 @@ def fox_h2(
 # is analytic for every alpha (in y it has a y^(2/alpha) branch point at the
 # origin for alpha >= 3).  So one rule serves every gain law: Gauss-Legendre
 # in r on the support truncated where an envelope scan finds the integrand
-# negligible, its order doubling from _START_ORDER up to _MAX_ORDER.
+# negligible, its order doubling from _START_ORDER up to _MAX_ORDER.  The scan reads
+# about 280 of its 2048 points (``_first_drop``), which finds the full scan's radius
+# wherever the log-integrand rises strictly to one peak and does not rise after it.
 
 _START_ORDER = 32
 _MAX_ORDER = 8192  # Gauss-Legendre order budget
@@ -648,23 +667,19 @@ def _envelope_grid(al: int, mu: int, gscale: float):
 
 
 def _envelope_cutoff(ch, gscale, k, c):
-    """Per column, the radius beyond which the envelope-space integrand is negligible.
+    """Per column, the first scan radius after the envelope-space integrand's peak
+    where it is 55 below it (non-finite values count as -inf), or the last one.
 
-    ``k(g, rows)`` is the kernel over the scan's gains: one row, or one per
-    column of ``rows``.  The scan takes 8 columns at a time, which bounds
-    its columns x 2048 arrays.
-    """
+    ``k(g, cols)`` is the kernel over the gains ``g``, one row or one per column.
+    ``_first_drop`` reads 280 of the 2048 points, in _COLUMNS x 257 arrays at most:
+    the full scan's radius for an integrand rising strictly to one peak and not after."""
     r, log_density, g = _envelope_grid(ch.alpha, ch.mu, gscale)
-    rmax = np.empty(c.size)
-    for i in range(0, c.size, 8):
-        rows = slice(i, i + 8)
-        li = log_density + c[rows, None] * k(g, rows)
-        li = np.where(np.isfinite(li), li, -np.inf)
-        peak = np.argmax(li, axis=1)
-        top = li[np.arange(li.shape[0]), peak]
-        below = (li < top[:, None] - 55.0) & (np.arange(r.size) > peak[:, None])
-        rmax[rows] = np.where(below.any(axis=1), r[np.argmax(below, axis=1)], r[-1])
-    return rmax
+
+    def values(idx):
+        li = log_density[idx] + c[:, None] * k(g[idx], slice(None))
+        return np.where(np.isfinite(li), li, -np.inf)
+
+    return r[np.minimum(_first_drop(values, r.size, 55.0)[0], r.size - 1)]
 
 
 def _refine_log_sum(terms, width):

@@ -87,6 +87,7 @@ def test_criterion_1_reduction_suite():
     print(f"\nPASS criterion 1: reduction suite (exp/Gamma oracles, {elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_triple_oracle(grid_rates):
     start = time.time()
     worst_rel = {"strong": 0.0, "weak": 0.0}
@@ -182,6 +183,7 @@ def test_criterion_5_low_snr_anchor():
     print("\nPASS criterion 5: low-SNR Taylor within 1% at -30 dB, derivatives vs FD")
 
 
+@pytest.mark.slow
 def test_criterion_6_jensen_limit_suite(grid_rates):
     for alpha, mu, rho_db in GRID:
         sys = make_system(alpha, mu, rho_db)

@@ -13,6 +13,8 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import loggamma
 
@@ -626,3 +628,182 @@ class TestLaguerreExpectation:
             laguerre_log_expectation(ch, step, np.array([0.0, 1.0, 0.0]))
         assert len(exc.value.estimates) == 2
         assert all(math.isfinite(e) for e in exc.value.estimates)
+
+
+def full_cutoff(ch, gscale, k, c):
+    """The envelope cutoff as a scan of all 2048 points, 8 columns at a time: the oracle."""
+    from noma_effrate.specfun import _envelope_grid
+
+    r, log_density, g = _envelope_grid(ch.alpha, ch.mu, gscale)
+    rmax = np.empty(c.size)
+    for i in range(0, c.size, 8):
+        rows = slice(i, i + 8)
+        li = log_density + c[rows, None] * k(g, rows)
+        li = np.where(np.isfinite(li), li, -np.inf)
+        peak = np.argmax(li, axis=1)
+        top = li[np.arange(li.shape[0]), peak]
+        below = (li < top[:, None] - 55.0) & (np.arange(r.size) > peak[:, None])
+        rmax[rows] = np.where(below.any(axis=1), r[np.argmax(below, axis=1)], r[-1])
+    return rmax
+
+
+def full_height(logf):
+    """The contour height as a scan of all 513 points of each range: the oracle."""
+    from noma_effrate.specfun import _LOG_CUTOFF
+
+    t = np.linspace(0.0, 64.0, 513)
+    la = logf(t)
+    peak = la.max()
+    k = 0
+    while True:
+        below = np.nonzero((la < peak - _LOG_CUTOFF) & (t > t[np.argmax(la)]))[0]
+        if below.size:
+            return t[below[0]]
+        k += 1
+        if k > 12:
+            raise ContourError("contour integrand does not decay")
+        t = t[-1] + np.linspace(0.0, t[-1], 513)[1:]
+        la = logf(t)
+        peak = max(peak, la.max())
+
+
+@st.composite
+def unimodal_rows(draw, sizes=(513, 2048)):
+    """A row of n values that rises strictly to its maximum and does not rise after it,
+    with the threshold crossing placed on a coarse point, just after the peak, anywhere
+    or nowhere, and optionally a run of -inf or nan at its head or tail."""
+    n = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(
+        st.sampled_from([0, n - 1])
+        | st.integers(0, (n - 1) // 8).map(lambda k: 8 * k)
+        | st.integers(0, n - 1)
+    )
+    top, steep = draw(st.floats(-1e3, 1e3)), draw(st.sampled_from([1.0, 40.0]))
+    row = np.empty(n)
+    row[: p + 1] = top - np.cumsum(steep * rng.uniform(1e-3, 3.0, p + 1)[::-1])[::-1]
+    row[p] = top
+    fall = steep * rng.uniform(0.0, 2.0, n - p - 1) * (rng.random(n - p - 1) < 0.7)
+    row[p + 1 :] = top - np.cumsum(fall)
+    where = draw(st.sampled_from(["anywhere", "coarse", "after peak", "none"]))
+    if where != "anywhere" and p < n - 1:
+        q = {"coarse": min(n - 1, 8 * (p // 8 + draw(st.integers(1, 40)))), "after peak": p + 1,
+             "none": n}[where]
+        row[p + 1 :] = np.maximum(row[p + 1 :], top - 55.0 + 1e-3)  # above the threshold before q
+        row[q:] = np.minimum(row[q:], top - 55.0 - draw(st.floats(1e-9, 10.0)))
+        row[p + 1 :] = top - np.maximum.accumulate(top - row[p + 1 :])  # no rise after the peak
+    special, run = draw(st.sampled_from([None, -np.inf, np.nan])), draw(st.sampled_from("hta"))
+    if special is not None and run == "t":
+        row[max(p + 1, n - draw(st.integers(1, n))) :] = special
+    elif special is not None and run == "a":
+        row[:] = special
+    elif special is not None and p >= 9:
+        row[: draw(st.integers(1, p - 8))] = -np.inf
+    return row
+
+
+class TestFirstDrop:
+    """``_first_drop`` returns the full scan's index from a fraction of the points."""
+
+    @staticmethod
+    def full_scan(li, drop):
+        # the loop body of the full envelope scan
+        li = np.where(np.isfinite(li), li, -np.inf)
+        peak = np.argmax(li, axis=1)
+        top = li[np.arange(li.shape[0]), peak]
+        below = (li < top[:, None] - drop) & (np.arange(li.shape[1]) > peak[:, None])
+        return np.where(below.any(axis=1), np.argmax(below, axis=1), li.shape[1])
+
+    @seed(20201013)
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(unimodal_rows(), min_size=1, max_size=6))
+    def test_synthetic_rows(self, rows):
+        from noma_effrate.specfun import _first_drop
+
+        for n in (513, 2048):
+            block = [row for row in rows if row.size == n]
+            if not block:
+                continue
+            li = np.where(np.isfinite(block), block, -np.inf)
+            seen = []
+
+            def values(idx):
+                seen.append(idx.shape[1])
+                return np.take_along_axis(li, np.broadcast_to(idx, (li.shape[0], idx.shape[1])), 1)
+
+            got = _first_drop(values, n, 55.0)[0]
+            assert got.tolist() == self.full_scan(li, 55.0).tolist()
+            assert sum(seen) <= n // 8 + 24
+
+    @seed(20201013)
+    @settings(max_examples=60, deadline=None)
+    @given(unimodal_rows(sizes=(513,)))
+    def test_synthetic_heights(self, row):
+        # a 513-point row on [0, 64], falling on past 64 for the extension branch
+        from noma_effrate.specfun import _find_height
+
+        row = np.where(np.isnan(row), -np.inf, row)
+
+        def logf(t):
+            k = np.minimum(np.rint(8.0 * t).astype(int), 512)
+            return np.where(t <= 64.0, row[k], row[-1] - (t - 64.0))
+
+        def outcome(find_height):
+            try:
+                return find_height(logf)
+            except ContourError:  # a row of -inf never drops below its peak
+                return None
+
+        assert outcome(_find_height) == outcome(full_height)
+
+    @seed(20201013)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        alpha=st.integers(1, 6),
+        mu=st.integers(1, 8),
+        omega=st.floats(0.3, 3.0),
+        n=st.integers(1, 64),
+        c_max=st.floats(1e-9, 168.0 * 5.0 / math.log(2.0)),
+        sign=st.sampled_from([-1.0, 1.0, 0.0]),
+        ratio=st.booleans(),
+        state=st.integers(0, 2**32 - 1),
+    )
+    def test_envelope_integrands(self, alpha, mu, omega, n, c_max, sign, ratio, state):
+        # the engine's kernels, one parameter set and one exponent per column;
+        # sign 0 mixes both signs
+        from noma_effrate import specfun
+
+        rng = np.random.default_rng(state)
+        ch = AlphaMuChannel(alpha, mu, omega)
+        gscale = (ch.omega**alpha / mu) ** (2.0 / alpha)
+        c = c_max * np.geomspace(1e-6, 1.0, n) * (sign or rng.choice([-1.0, 1.0], n))
+        rho = 10.0 ** rng.uniform(-3.0, 6.0, n)
+        params = (rho, rng.uniform(0.05, 0.5, n)) if ratio else (rho,)
+
+        def kernel(g, cols):
+            x, *a_s = (p[cols, None] for p in params)
+            return np.log1p(x * g) - np.log1p(a_s[0] * x * g) if a_s else np.log1p(x * g)
+
+        got = specfun._envelope_cutoff(ch, gscale, kernel, c)
+        assert got.tolist() == full_cutoff(ch, gscale, kernel, c).tolist()
+
+    def test_contour_heights(self, monkeypatch):
+        # every height the Meijer-G and Fox-H engines ask for; G^{1,0}_{0,1}(50 | 50)
+        # peaks so far up its line that its height lies past t = 64
+        from noma_effrate import specfun
+
+        heights, find_height = [], specfun._find_height
+
+        def both(logf):
+            heights.append((find_height(logf), full_height(logf)))
+            return heights[-1][0]
+
+        monkeypatch.setattr(specfun, "_find_height", both)
+        meijer_g(MeijerGSpec(a=(), b=(50.0,), m=1, n=0), 50.0)
+        meijer_g(MeijerGSpec(a=(0.5, -0.25), b=(0.0, 0.5, -0.25), m=3, n=1), 1.7)
+        power_mellin_analytic(AlphaMuChannel(4, 3, 1.0), 7.6, 2.3)
+        fox_h2(FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213), 0.8, 0.2)
+        ratio_mellin_analytic(make_pair(2, 3), 31.6, 0.24, 1.7)
+        assert len(heights) >= 8
+        assert max(h for h, _ in heights) > 64.0
+        assert [h for h, _ in heights] == [h for _, h in heights]
