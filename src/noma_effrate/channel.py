@@ -197,7 +197,10 @@ def sample_gain(ch: AlphaMuChannel, rng: np.random.Generator, size=None):
     streams (e.g. via numpy SeedSequence.spawn).
     """
     y = rng.gamma(shape=ch.mu, scale=1.0, size=size)
-    return (ch.omega**ch.alpha * y / ch.mu) ** (2.0 / ch.alpha)
+    y *= ch.omega**ch.alpha  # in place: no whole-draw temporaries, same bits
+    y /= ch.mu
+    y **= 2.0 / ch.alpha
+    return y
 
 
 def sample_min_gain(pair: ChannelPair, rng: np.random.Generator, size=None):

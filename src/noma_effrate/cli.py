@@ -141,8 +141,11 @@ def load_config(path: str | None) -> SweepConfig:
     cfg = SweepConfig()
     if path is None:
         return cfg
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # a repeated key or section, or no section header
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     unknown = set(cp.sections()) - CONFIG_KEYS.keys()
@@ -180,8 +183,9 @@ def _validate(cfg: SweepConfig):
             raise ConfigError(f"[system] rho_db: {rho_db:g} dB is not a finite positive linear SNR")
     if not all(0 < lam < math.inf for lam in cfg.lambdas):
         raise ConfigError(f"[snc] lambda: must be positive and finite, got {cfg.lambdas}")
-    if cfg.vartheta_max < 0:
-        raise ConfigError(f"[snc] vartheta_max: must be nonnegative, got {cfg.vartheta_max}")
+    for section, key in (("snc", "vartheta_max"), ("sim", "slots")):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"[{section}] {key}: must be nonnegative, got {getattr(cfg, key)}")
     if cfg.strategy not in ("quadrature", "closed-form"):
         raise ConfigError(f"[system] strategy: {cfg.strategy!r} not supported")
     if cfg.out_format not in ("csv", "svg"):

@@ -8,9 +8,11 @@ arriving in slot k leave once cumulative departures reach cumulative
 arrivals through k.  As departures = arrivals - backlog, they wait more
 than d slots exactly when the backlog after slot k+d exceeds d*lam.
 
-Random numbers come from numpy's PCG64 via default_rng; batch streams are
-spawned from one SeedSequence so results are reproducible regardless of
-execution order.
+The queue is simulated in one pass over blocks of 2^16 slots that carries
+the drift and its running minimum, so it holds one block; the weak user also
+holds the strong link's gains (8 B/slot), drawn first in the stream.  Random
+numbers come from numpy's PCG64 via default_rng; batch streams are spawned
+from one SeedSequence, so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .channel import sample_gain
 from .effrate import LN2, NomaSystem, RateResult, User, _check_user
 from .snc import SncConfig
 from .specfun import ConvergenceError
+
+_BLOCK = 1 << 16  # slots per block of the queue simulation
 
 
 @dataclass(frozen=True)
@@ -69,15 +73,15 @@ class DelayCcdf:
             raise ValueError("delay CCDF must be nonincreasing")
 
 
-def _draw_sinr(sys: NomaSystem, user: User, rng: np.random.Generator, n: int):
+def _draw_sinr(sys: NomaSystem, user: User, rng: np.random.Generator, n: int, strong=None):
+    # built in place, over ``strong`` when the strong link's n gains are drawn already
+    g = sample_gain(sys.pair.strong, rng, n) if strong is None else strong
     if user == "strong":
-        g = sample_gain(sys.pair.strong, rng, n)
-        return sys.a_s * sys.rho * g
-    # a_w rho g / (a_s rho g + 1) over g = min(g_s, g_w), built in place
-    g = sample_gain(sys.pair.strong, rng, n)
+        g *= sys.a_s * sys.rho
+        return g
+    # a_w rho g / (a_s rho g + 1) over g = min(g_s, g_w)
     np.minimum(g, sample_gain(sys.pair.weak, rng, n), out=g)
-    den = sys.a_s * sys.rho * g
-    den += 1.0
+    den = sys.a_s * sys.rho * g + 1.0
     g *= sys.a_w * sys.rho
     g /= den
     return g
@@ -104,16 +108,6 @@ def mc_effective_rate(sys: NomaSystem, user: User, plan: SimPlan) -> RateResult:
     return RateResult(overall, "monte-carlo", se)
 
 
-def queue_backlog(lam: float, service: np.ndarray) -> np.ndarray:
-    """Backlog after each slot for constant arrivals, via the running-minimum
-    form of the max(0, B + lam - s) recursion.
-
-    Returns B of length len(service)+1 with B[0] = 0.
-    """
-    drift = np.concatenate(([0.0], np.cumsum(lam - service)))
-    return drift - np.minimum.accumulate(drift)
-
-
 def queue_dvp(
     cfg: SncConfig,
     user: User,
@@ -124,37 +118,51 @@ def queue_dvp(
 
     The first 10% of slots are warm-up; bits arriving within max_delay of
     the trace end are excluded so no delay measurement is censored.
-    Delays beyond max_delay are counted as exceeding every target.
+    Delays beyond max_delay are counted as exceeding every target.  Memory
+    is one block of slots, plus the weak user's strong-link gains (8 B/slot).
     """
     _check_user(user)
     if max_delay < 1:
         raise ValueError("max_delay must be positive")
     slots = plan.draws
     lam = cfg.arrival_rate
-    n = cfg.symbols_per_slot
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    gamma = _draw_sinr(cfg.system, user, rng, slots)
-    service = n * np.log2(1.0 + gamma)
-    del gamma  # frees 8 B/slot before the backlog's arrays are built
-    mean_service = float(service.mean())
+    strong = sample_gain(cfg.system.pair.strong, rng, slots) if user == "weak" else None
+    warm = slots // 10
+    last = slots - max_delay
+    eps = 1e-9 * max(lam, 1.0)
+    exceed = [0] * (max_delay + 1)
+    mean_service = drift = floor = 0.0
+    for start in range(0, slots, _BLOCK):
+        stop = min(start + _BLOCK, slots)
+        x = _draw_sinr(cfg.system, user, rng, stop - start, None if strong is None else strong[start:stop])
+        x += 1.0
+        np.log2(x, out=x)
+        x *= cfg.symbols_per_slot  # the block's service
+        mean_service += float(x.sum()) / slots
+        np.subtract(lam, x, out=x)
+        # backlog = drift - its running minimum, both carried over from earlier blocks
+        x[0] += drift
+        np.cumsum(x, out=x)
+        low = np.minimum.accumulate(x)
+        np.minimum(low, floor, out=low)
+        drift, floor = x[-1], low[-1]
+        x -= low  # x[i] is the backlog after slot start + i
+        # bits of slot k wait more than d slots iff the backlog after slot k+d still
+        # exceeds the d*lam bits that arrived after them; d reads slots [warm+d, last+d)
+        for d in range(max(start - last + 1, 0), min(stop - warm, max_delay + 1)):
+            exceed[d] += np.count_nonzero(x[max(warm + d - start, 0) : last + d - start] > d * lam + eps)
+        del x, low  # free the block before the next one is drawn
     if lam >= mean_service:
         warnings.warn(
             f"unstable queue: arrival rate {lam} >= mean service {mean_service:.3f}",
             RuntimeWarning,
             stacklevel=2,
         )
-    backlog = queue_backlog(lam, service)
-    warm = slots // 10
-    last = slots - max_delay
     if last <= warm:
         raise ValueError("trace too short for the requested max_delay and warm-up")
-    eps = 1e-9 * max(lam, 1.0)
-    # bits of slot k wait more than d slots iff the backlog after slot k+d
-    # still exceeds the d*lam bits that arrived after them
-    exceed = np.array([np.count_nonzero(backlog[warm + 1 + d : last + 1 + d] > d * lam + eps)
-                       for d in range(max_delay + 1)])
     n_obs = last - warm
-    p = exceed / n_obs
+    p = np.array(exceed) / n_obs
     ci_low, ci_high = _binomial_ci(exceed, n_obs, 0.99)
     return DelayCcdf(p, ci_low, ci_high, slots, n_obs, float(n_obs * lam))
 

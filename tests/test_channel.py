@@ -262,6 +262,19 @@ class TestSampling:
         crit = 1.6276 / math.sqrt(draws.size)
         assert stat < crit
 
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("mu", [1, 3])
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_in_place_keeps_bits(self, alpha, mu, size):
+        # the in-place form must equal the expression it replaced, for array
+        # draws and for a scalar draw (size None), where it acts on a float
+        ch = AlphaMuChannel(alpha, mu, 0.8)
+        got = sample_gain(ch, np.random.default_rng(17), size)
+        y = np.random.default_rng(17).gamma(shape=mu, scale=1.0, size=size)
+        want = (ch.omega**alpha * y / mu) ** (2.0 / alpha)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+
     def test_deterministic_per_seed(self):
         a = sample_gain(RAYLEIGH, np.random.default_rng(99), 1000)
         b = sample_gain(RAYLEIGH, np.random.default_rng(99), 1000)

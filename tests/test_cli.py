@@ -75,6 +75,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[channel\] alpha"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[channel]\nalpha = 2\nalpha = 3\n", "option 'alpha' in section 'channel' already exists"),
+            ("[channel]\nalpha = 2\n[channel]\nmu = 1\n", "section 'channel' already exists"),
+            ("alpha = 2\n[channel]\nmu = 1\n", "no section headers"),
+            ("[sim]\nslots = -5\n", r"\[sim\] slots: must be nonnegative, got -5"),
+            ("[system]\ntheta = 5%\n", r"\[system\] theta: cannot parse '5%'"),
+        ],
+        ids=["repeated-key", "repeated-section", "no-section-header", "negative-slots", "percent-sign"],
+    )
+    def test_syntax_errors_are_one_line(self, tmp_path, capsys, text, message):
+        # a repeated key or section, a missing section header, a negative slot
+        # count and a '%' (values are literal, not interpolated) each give one
+        # error line and exit 2, on every subcommand
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        for command in ("er", "dvp", "approx", "power"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_channel_reported(self, tmp_path):
         path = write_config(tmp_path, "[channel]\nomega_w = 2.0\n")
         with pytest.raises(ConfigError, match="weaker"):

@@ -21,10 +21,48 @@ from noma_effrate.sim import (
     SimPlan,
     empirical_decay_slope,
     mc_effective_rate,
-    queue_backlog,
     queue_dvp,
 )
 from noma_effrate.snc import SncConfig, dvp_curve
+
+_BLOCK = sim_module._BLOCK
+_SPAN = 3 * _BLOCK + 17  # a trace of four blocks, the last one short
+
+
+def _queue_backlog(lam, service):
+    """Backlog after each slot for constant arrivals, via the running-minimum
+    form of the max(0, B + lam - s) recursion over the whole trace.
+
+    Returns B of length len(service)+1 with B[0] = 0.
+    """
+    drift = np.concatenate(([0.0], np.cumsum(lam - service)))
+    return drift - np.minimum.accumulate(drift)
+
+
+def _whole_trace_sinr(sys, user, rng, n):
+    """SINR of n slots from the whole-trace expressions the blocked pass replaced."""
+    def gain(ch):
+        return (ch.omega**ch.alpha * rng.gamma(shape=ch.mu, scale=1.0, size=n) / ch.mu) ** (2.0 / ch.alpha)
+
+    g = gain(sys.pair.strong)
+    if user == "strong":
+        return sys.a_s * sys.rho * g
+    g = np.minimum(g, gain(sys.pair.weak))
+    return sys.a_w * sys.rho * g / (sys.a_s * sys.rho * g + 1.0)
+
+
+def _whole_trace_dvp(cfg, user, plan, max_delay):
+    """queue_dvp as one whole-trace pass: the oracle of the blocked one."""
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
+    gamma = _whole_trace_sinr(cfg.system, user, rng, plan.draws)
+    lam = cfg.arrival_rate
+    backlog = _queue_backlog(lam, cfg.symbols_per_slot * np.log2(1.0 + gamma))
+    warm, last = plan.draws // 10, plan.draws - max_delay
+    eps = 1e-9 * max(lam, 1.0)
+    exceed = np.array([np.count_nonzero(backlog[warm + 1 + d : last + 1 + d] > d * lam + eps)
+                       for d in range(max_delay + 1)])
+    ci_low, ci_high = sim_module._binomial_ci(exceed, last - warm, 0.99)
+    return exceed / (last - warm), ci_low, ci_high
 
 
 def make_system(alpha=2, mu=1, a_s=0.24, rho_db=10.0, theta=0.5, omega_w2=0.1):
@@ -51,6 +89,20 @@ class TestMcEffectiveRate:
         got = mc_effective_rate(sys, user, SimPlan(23, 2_000_000))
         want = er_noma(sys, user, "quadrature").value
         assert abs(got.value - want) < 3 * got.error_estimate
+
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_same_bits_as_whole_trace_draw(self, user):
+        sys = make_system(alpha=3, mu=2)
+        plan = SimPlan(31, 50_000)
+        total, rates = 0.0, []
+        for ss in np.random.SeedSequence(plan.seed).spawn(plan.batches):
+            gamma = _whole_trace_sinr(sys, user, np.random.default_rng(ss), plan.draws // plan.batches)
+            mean = float(np.mean((1.0 + gamma) ** -sys.nu))
+            rates.append(-math.log2(mean) / sys.nu)
+            total += mean
+        got = mc_effective_rate(sys, user, plan)
+        assert got.value == -math.log2(total / plan.batches) / sys.nu
+        assert got.error_estimate == float(np.std(rates, ddof=1)) / math.sqrt(plan.batches)
 
     def test_seeds_agree_within_error(self):
         sys = make_system()
@@ -80,7 +132,7 @@ class TestQueueBacklog:
         rng = np.random.default_rng(3)
         service = rng.exponential(10.0, 1000)
         lam = 8.0
-        fast = queue_backlog(lam, service)
+        fast = _queue_backlog(lam, service)
         b = 0.0
         for k, s in enumerate(service):
             b = max(0.0, b + lam - s)
@@ -146,7 +198,7 @@ class TestQueueDvp:
                 got = queue_dvp(cfg, user, plan, max_delay)
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             gamma = sim_module._draw_sinr(cfg.system, user, rng, plan.draws)
-            backlog = queue_backlog(lam, cfg.symbols_per_slot * np.log2(1.0 + gamma))
+            backlog = _queue_backlog(lam, cfg.symbols_per_slot * np.log2(1.0 + gamma))
             arrivals = lam * np.arange(1, plan.draws + 1)
             departures = arrivals - backlog[1:]
             k = np.arange(plan.draws // 10, plan.draws - max_delay)
@@ -169,16 +221,44 @@ class TestQueueDvp:
 
     @pytest.mark.parametrize("user", ["strong", "weak"])
     def test_queue_dvp_peak_memory_per_slot(self, user):
-        # the count reads the backlog in place: no per-observation arrays
+        # the pass holds two block-sized arrays at a time, so the strong user's
+        # peak does not grow with the trace; the fixed bound also covers the
+        # Clopper-Pearson scratch (about 1.9 MB at 800k slots).  The weak user
+        # adds the strong link's gains, 8 B/slot.
         cfg = self.make_cfg(user=user)
         queue_dvp(cfg, user, SimPlan(1, 1000), 30)  # first-call allocations
-        tracemalloc.start()
-        try:
-            queue_dvp(cfg, user, SimPlan(1, 200_000), 30)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 36 * 200_000
+        bound = 48 * _BLOCK  # 3 MiB
+        for slots in (200_000, 800_000):
+            tracemalloc.start()
+            try:
+                queue_dvp(cfg, user, SimPlan(1, slots), 30)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound + (8 * slots if user == "weak" else 0), slots
+
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    @pytest.mark.parametrize("load", [0.7, 0.95, 1.2, 10.0])
+    @pytest.mark.parametrize(
+        "slots, max_delay",
+        [(slots, d) for slots in (_BLOCK - 1, _BLOCK, _BLOCK + 1, _SPAN) for d in (1, 30)]
+        + [(_SPAN, _SPAN - _SPAN // 10 - 1000)],
+    )
+    def test_blocks_keep_whole_trace_bits(self, user, load, slots, max_delay):
+        # every backlog value keeps its bits across block edges, so the
+        # probabilities and both interval ends equal the whole-trace pass's;
+        # the last case's 1000-slot windows lie in every block, some cross
+        # each block edge, and each block meets only some of the targets; at
+        # load 10 the backlog outgrows even the longest windows' thresholds
+        cfg = self.make_cfg(load=load, user=user)
+        plan = SimPlan(41, slots)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = queue_dvp(cfg, user, plan, max_delay)
+        p, ci_low, ci_high = _whole_trace_dvp(cfg, user, plan, max_delay)
+        np.testing.assert_array_equal(got.probabilities, p)
+        np.testing.assert_array_equal(got.ci_low, ci_low)
+        np.testing.assert_array_equal(got.ci_high, ci_high)
 
     def test_higher_arrival_rate_shifts_curve_up(self):
         sys = make_system()
