@@ -55,7 +55,6 @@ from .snc import (
     mellin_weak,
 )
 from .specfun import (
-    ContourConfig,
     ContourError,
     ConvergenceError,
     FoxH2Spec,

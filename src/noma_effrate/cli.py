@@ -10,7 +10,7 @@ power   discrete search for the sum-rate-maximizing power coefficient
 Config files are INI-style with [channel], [system], [snc], [sim] and
 [output] sections; dB and coefficient ranges use start:stop:step
 (inclusive) and lists are comma-separated.  Command-line flags win over
-file values.  Set NOMA_EFFRATE_LOG=debug for diagnostics.
+file values.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import itertools
-import logging
 import math
-import os
 import sys as _sys
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +29,6 @@ from .channel import AlphaMuChannel, ChannelPair
 from .effrate import (
     DelayQos,
     NomaSystem,
-    er_derivatives,
     er_high_snr,
     er_low_snr,
     er_noma,
@@ -45,8 +42,6 @@ from .effrate import (
 from .sim import SimPlan, queue_dvp
 from .snc import SncConfig, dvp_curve
 from .specfun import ContourError, ConvergenceError
-
-log = logging.getLogger("noma_effrate")
 
 
 class ConfigError(ValueError):
@@ -245,17 +240,15 @@ def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
     snc_cfg = SncConfig(
         sysm, cfg.symbols_per_slot, lam, s_min=cfg.s_min, s_max=cfg.s_max
     )
+    users = ("strong", "weak")
+    # both simulations first, so a trace too short for vartheta_max fails before any bound
+    emps = [None, None]
+    if cfg.slots > 0:
+        plan = SimPlan(cfg.seed, cfg.slots, cfg.batches)
+        emps = [queue_dvp(snc_cfg, user, plan, cfg.vartheta_max) for user in users]
     rows = []
-    for user in ("strong", "weak"):
+    for user, emp in zip(users, emps):
         curve = dvp_curve(snc_cfg, user, range(cfg.vartheta_max + 1))
-        emp = None
-        if cfg.slots > 0:
-            emp = queue_dvp(
-                snc_cfg,
-                user,
-                SimPlan(cfg.seed, cfg.slots, cfg.batches),
-                cfg.vartheta_max,
-            )
         for d, b in enumerate(curve):
             empirical = (None,) * 3 if emp is None else (
                 emp.probabilities[d], emp.ci_low[d], emp.ci_high[d]
@@ -410,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("NOMA_EFFRATE_LOG", "").upper()
-    if level:
-        logging.basicConfig(level=getattr(logging, level, logging.INFO))
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -420,7 +410,6 @@ def main(argv=None) -> int:
         for name, value in flags.items():
             if value is not None:
                 setattr(cfg, name, value)
-        log.info("command %s", args.command)
         with warnings.catch_warnings():
             # a warning (such as an unstable queue) is one line, like an error
             warnings.showwarning = lambda message, *_: print(

@@ -16,14 +16,7 @@ import math
 
 from . import channel
 from .channel import AlphaMuChannel, ChannelPair
-from .specfun import (
-    DEFAULT_CONTOUR,
-    ContourConfig,
-    FoxH2Spec,
-    MeijerGSpec,
-    fox_h2,
-    meijer_g,
-)
+from .specfun import FoxH2Spec, MeijerGSpec, fox_h2, meijer_g
 
 LN2 = math.log(2.0)
 
@@ -32,12 +25,7 @@ def _delta(x: int, y: float) -> tuple[float, ...]:
     return tuple((y + k) / x for k in range(x))
 
 
-def power_mellin_analytic(
-    ch: AlphaMuChannel,
-    c: float,
-    w: float,
-    cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> float:
+def power_mellin_analytic(ch: AlphaMuChannel, c: float, w: float) -> float:
     """E[(1 + c*g)^-w] for an alpha-mu gain, Meijer-G closed form."""
     if not c > 0:
         raise ValueError("scale c must be positive")
@@ -51,7 +39,7 @@ def power_mellin_analytic(
         n=al,
     )
     z = mu**2 / (4.0 * c**al * om ** (2 * al))
-    g = meijer_g(spec, z, cfg)
+    g = meijer_g(spec, z)
     log_pref = (
         w * math.log(al)
         + mu * math.log(mu)
@@ -65,13 +53,7 @@ def power_mellin_analytic(
     return g.sign * math.exp(log_pref + g.log_abs)
 
 
-def ratio_mellin_analytic(
-    pair: ChannelPair,
-    rho: float,
-    a_s: float,
-    w: float,
-    cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> float:
+def ratio_mellin_analytic(pair: ChannelPair, rho: float, a_s: float, w: float) -> float:
     """E[((1 + rho*g_min) / (1 + a_s*rho*g_min))^-w], bivariate Fox-H form.
 
     This is the weak-user SINR kernel: the ratio equals 1 + sinr where
@@ -84,17 +66,13 @@ def ratio_mellin_analytic(
     total = 0.0
     for weight, c in channel.min_gain_mixture(pair):
         z1 = rho * (c.omega**c.alpha / c.mu) ** r
-        h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1, cfg)
+        h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1)
         total += weight * h.value / math.gamma(c.mu)
     # 1 / (Gamma(w) Gamma(-w)) by reflection, finite at every non-integer w
     return total * -w * math.sin(math.pi * w) / math.pi
 
 
-def log_mean_analytic(
-    ch: AlphaMuChannel,
-    c: float,
-    cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> float:
+def log_mean_analytic(ch: AlphaMuChannel, c: float) -> float:
     """E[log2(1 + c*g)] for an alpha-mu gain, Meijer-G closed form."""
     if not c > 0:
         raise ValueError("scale c must be positive")
@@ -108,7 +86,7 @@ def log_mean_analytic(
         n=al,
     )
     z = (mu / (2.0 * om**al)) ** 2 / c**al
-    g = meijer_g(spec, z, cfg)
+    g = meijer_g(spec, z)
     log_pref = (
         mu * math.log(mu)
         - 0.5 * math.log(2.0)
@@ -121,12 +99,7 @@ def log_mean_analytic(
     return g.sign * math.exp(log_pref + g.log_abs)
 
 
-def min_log_mean_difference_analytic(
-    pair: ChannelPair,
-    rho: float,
-    a_s: float,
-    cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> float:
+def min_log_mean_difference_analytic(pair: ChannelPair, rho: float, a_s: float) -> float:
     """E[log2(1 + rho*g_min)] - E[log2(1 + a_s*rho*g_min)], Meijer-G form.
 
     Equals the weak user's ergodic rate under superposition with
@@ -135,6 +108,6 @@ def min_log_mean_difference_analytic(
     if not (rho > 0 and 0 < a_s < 1):
         raise ValueError("need rho > 0 and a_s in (0, 1)")
     return sum(
-        weight * (log_mean_analytic(c, rho, cfg) - log_mean_analytic(c, a_s * rho, cfg))
+        weight * (log_mean_analytic(c, rho) - log_mean_analytic(c, a_s * rho))
         for weight, c in channel.min_gain_mixture(pair)
     )

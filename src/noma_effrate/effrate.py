@@ -28,8 +28,7 @@ import numpy as np
 from . import closedform
 from .channel import AlphaMuChannel, ChannelPair, gain_moment, min_gain_moment
 from .specfun import (
-    DEFAULT_CONTOUR,
-    ContourConfig,
+    CONTOUR_RTOL,
     ContourError,
     laguerre_expectation,
     laguerre_log_expectation,
@@ -136,17 +135,17 @@ def log1p_sinr(sys: NomaSystem, user: User, access: Access = "noma"):
     return sys.pair, _log1p_ratio, (sys.rho, sys.a_s), 1.0
 
 
-def closed_form(law, p, w: float, cfg: ContourConfig) -> float:
+def closed_form(law, p, w: float) -> float:
     """E[(1 + SINR)^-w] for w > 0, or E[log2(1 + SINR)] for w = 0, over a
     ``log1p_sinr`` law and p: Meijer-G forms for one alpha-mu gain, the
     bivariate Fox-H and min-gain log-mean difference forms for a pair."""
     if isinstance(law, AlphaMuChannel):
         if w:
-            return closedform.power_mellin_analytic(law, *p, w, cfg)
-        return closedform.log_mean_analytic(law, *p, cfg)
+            return closedform.power_mellin_analytic(law, *p, w)
+        return closedform.log_mean_analytic(law, *p)
     if w:
-        return closedform.ratio_mellin_analytic(law, *p, w, cfg)
-    return closedform.min_log_mean_difference_analytic(law, *p, cfg)
+        return closedform.ratio_mellin_analytic(law, *p, w)
+    return closedform.min_log_mean_difference_analytic(law, *p)
 
 
 def _gridwise(fn):
@@ -165,7 +164,7 @@ def _gridwise(fn):
     return wrapper
 
 
-def _rate(systems, user, access, strategy, cfg, ergodic=False) -> list[RateResult]:
+def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
     """The one rate path: -log E[(1+SINR)^-(tau*nu)] / (nu ln 2) for the systems
     with nu > 0, and tau*E[log2(1+SINR)] (the common nu -> 0 limit) for those
     with nu = 0, or for all of them when ``ergodic``.  On the quadrature route
@@ -189,10 +188,10 @@ def _rate(systems, user, access, strategy, cfg, ergodic=False) -> list[RateResul
                 means = laguerre_expectation(law, lambda g, *p: k(g, *p) / LN2, params)
             means = means.tolist()
         else:
-            rtol, means = cfg.rtol, []
+            rtol, means = CONTOUR_RTOL, []
             for i, p in zip(rows, ps):
                 try:
-                    mean = closed_form(law, p, tau * nus[i], cfg)
+                    mean = closed_form(law, p, tau * nus[i])
                 except ContourError as exc:
                     raise ContourError(
                         f"closed form cannot evaluate theta = {systems[i].qos.theta:.10g} "
@@ -209,24 +208,18 @@ def _rate(systems, user, access, strategy, cfg, ergodic=False) -> list[RateResul
 
 @_gridwise
 def er_noma(
-    systems: list[NomaSystem],
-    user: User,
-    strategy: Route = "quadrature",
-    cfg: ContourConfig = DEFAULT_CONTOUR,
+    systems: list[NomaSystem], user: User, strategy: Route = "quadrature"
 ) -> list[RateResult]:
     """Effective rate of one user under superposition transmission."""
-    return _rate(systems, user, "noma", strategy, cfg)
+    return _rate(systems, user, "noma", strategy)
 
 
 @_gridwise
 def er_oma(
-    systems: list[NomaSystem],
-    user: User,
-    strategy: Route = "quadrature",
-    cfg: ContourConfig = DEFAULT_CONTOUR,
+    systems: list[NomaSystem], user: User, strategy: Route = "quadrature"
 ) -> list[RateResult]:
     """Effective rate under time-shared orthogonal access (half exponent, full power)."""
-    return _rate(systems, user, "oma", strategy, cfg)
+    return _rate(systems, user, "oma", strategy)
 
 
 def er_high_snr(sys: NomaSystem, user: User) -> RateResult:
@@ -303,13 +296,10 @@ def wideband_slope(sys: NomaSystem, user: User) -> float:
 
 @_gridwise
 def ergodic_rate(
-    systems: list[NomaSystem],
-    user: User,
-    strategy: Route = "quadrature",
-    cfg: ContourConfig = DEFAULT_CONTOUR,
+    systems: list[NomaSystem], user: User, strategy: Route = "quadrature"
 ) -> list[RateResult]:
     """Mean log-rate E[log2(1+gamma)]; the theta->0 upper bound on the ER."""
-    return _rate(systems, user, "noma", strategy, cfg, ergodic=True)
+    return _rate(systems, user, "noma", strategy, ergodic=True)
 
 
 @_gridwise

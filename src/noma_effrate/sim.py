@@ -125,11 +125,13 @@ def queue_dvp(
     if max_delay < 1:
         raise ValueError("max_delay must be positive")
     slots = plan.draws
+    warm = slots // 10
+    last = slots - max_delay
+    if last <= warm:
+        raise ValueError("trace too short for the requested max_delay and warm-up")
     lam = cfg.arrival_rate
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
     strong = sample_gain(cfg.system.pair.strong, rng, slots) if user == "weak" else None
-    warm = slots // 10
-    last = slots - max_delay
     eps = 1e-9 * max(lam, 1.0)
     exceed = [0] * (max_delay + 1)
     mean_service = drift = floor = 0.0
@@ -159,8 +161,6 @@ def queue_dvp(
             RuntimeWarning,
             stacklevel=2,
         )
-    if last <= warm:
-        raise ValueError("trace too short for the requested max_delay and warm-up")
     n_obs = last - warm
     p = np.array(exceed) / n_obs
     ci_low, ci_high = _binomial_ci(exceed, n_obs, 0.99)

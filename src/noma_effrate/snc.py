@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effrate import LN2, NomaSystem, Route, User, _check_user, closed_form, log1p_sinr
-from .specfun import DEFAULT_CONTOUR, ContourConfig, golden_section, laguerre_log_expectation
+from .specfun import CONTOUR_RTOL, golden_section, laguerre_log_expectation
 
 _S_TOL = 1e-6  # golden-section width on log s at the minimizer
 _COARSE_POINTS = 200  # log-spaced scan of [s_min, s_max] before the golden section
@@ -87,9 +87,7 @@ def _log_mellin(cfg: SncConfig, user: User, s):
     return laguerre_log_expectation(target, lambda g: f(g, *params), -cfg.varpi(s))
 
 
-def _mellin(
-    cfg: SncConfig, user: User, s: float, strategy: Route, contour: ContourConfig
-) -> MellinValue:
+def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValue:
     if not s > 0:
         raise ValueError("s must be positive")
     w = cfg.varpi(s)
@@ -97,70 +95,38 @@ def _mellin(
         log_m, err = _log_mellin(cfg, user, s)
     elif strategy == "closed-form":
         law, _, params, _ = log1p_sinr(cfg.system, user)
-        log_m, err = math.log(closed_form(law, params, w, contour)), contour.rtol
+        log_m, err = math.log(closed_form(law, params, w)), CONTOUR_RTOL
     else:
         raise ValueError(f"unsupported strategy {strategy!r}")
     return MellinValue(math.exp(min(log_m, 0.0)), log_m, s, w, strategy, err)
 
 
-def mellin_strong(
-    cfg: SncConfig,
-    s: float,
-    strategy: Route = "quadrature",
-    contour: ContourConfig = DEFAULT_CONTOUR,
-) -> MellinValue:
+def mellin_strong(cfg: SncConfig, s: float, strategy: Route = "quadrature") -> MellinValue:
     """E[(1 + a_s*rho*g_s)^-varpi] with varpi = N*s/ln 2."""
-    return _mellin(cfg, "strong", s, strategy, contour)
+    return _mellin(cfg, "strong", s, strategy)
 
 
-def mellin_weak(
-    cfg: SncConfig,
-    s: float,
-    strategy: Route = "quadrature",
-    contour: ContourConfig = DEFAULT_CONTOUR,
-) -> MellinValue:
+def mellin_weak(cfg: SncConfig, s: float, strategy: Route = "quadrature") -> MellinValue:
     """E[(1 + a_w*rho*g_min/(a_s*rho*g_min + 1))^-varpi].
 
     The quadrature strategy is authoritative; the Fox-H closed form is the
     cross-validation route (agreement to the contour's 1e-8 relative
     tolerance in tests, for s up to 0.03 on the reference systems).
     """
-    return _mellin(cfg, "weak", s, strategy, contour)
+    return _mellin(cfg, "weak", s, strategy)
 
 
-class MellinTable:
-    """Memoized log-Mellin evaluator for one (config, user) pair.
-
-    Every call evaluates all the exponents it has not seen in one engine
-    call, so the coarse scan of a delay curve costs one call, and so does
-    each lockstep round of its golden sections.
-    """
-
-    def __init__(self, cfg: SncConfig, user: User):
-        _check_user(user)
-        self.cfg = cfg
-        self.user = user
-        self._cache: dict[float, tuple[float, float]] = {}
-
-    def terms(self, s):
-        """(log M(s), log(1 - exp(lam*s)*M(s))) at every exponent of ``s``,
-        the second -inf where the stability kernel exp(lam*s)*M(s) >= 1."""
-        points = np.ravel(s).tolist()
-        missing = list(dict.fromkeys(x for x in points if x not in self._cache))
-        if missing:
-            log_ms = _log_mellin(self.cfg, self.user, np.array(missing))[0].tolist()
-            for x, log_m in zip(missing, log_ms):
-                log_k = self.cfg.arrival_rate * x + log_m
-                tail = -math.inf if log_k >= 0.0 else math.log1p(-math.exp(log_k))
-                self._cache[x] = (log_m, tail)
-        log_m, tail = np.array([self._cache[x] for x in points]).reshape(-1, 2).T
-        return log_m.reshape(np.shape(s)), tail.reshape(np.shape(s))
-
-
-def _log_brackets(table: MellinTable, s, target_delays):
-    """log[M(s)^d / (1 - exp(lam*s)*M(s))], broadcast over s and d; inf where unstable."""
-    log_m, tail = table.terms(s)
-    return target_delays * log_m - tail
+def _log_brackets(cfg: SncConfig, user: User, s, target_delays):
+    """log[M(s)^d / (1 - exp(lam*s)*M(s))] over a list of s, broadcast against d;
+    inf where the stability kernel exp(lam*s)*M(s) >= 1.  One engine call over
+    the distinct exponents."""
+    points, index = np.unique(s, return_inverse=True)
+    log_m = _log_mellin(cfg, user, points)[0]
+    tail = []
+    for x, lm in zip(points.tolist(), log_m.tolist()):
+        log_k = cfg.arrival_rate * x + lm
+        tail.append(-math.inf if log_k >= 0.0 else math.log1p(-math.exp(log_k)))
+    return target_delays * log_m[index] - np.array(tail)[index]
 
 
 def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
@@ -173,12 +139,12 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
     transforms, and the delays' golden sections run in lockstep, one batch
     per round, with the same points and bits as one search at a time.
     """
+    _check_user(user)
     delays = np.array([float(d) for d in target_delays])
     if np.any(delays < 0):
         raise ValueError("target delay must be nonnegative")
-    table = MellinTable(cfg, user)
     grid = np.geomspace(cfg.s_min, cfg.s_max, _COARSE_POINTS)
-    vals = _log_brackets(table, grid, delays[:, None])
+    vals = _log_brackets(cfg, user, grid, delays[:, None])
     best_k = np.argmin(vals, axis=1)
     searches = {}
     for i, k in enumerate(best_k):
@@ -190,16 +156,18 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
     log_s = {}
     while points:
         live = list(points)
-        f = _log_brackets(table, [math.exp(points[i]) for i in live], delays[live])
+        f = _log_brackets(cfg, user, [math.exp(points[i]) for i in live], delays[live])
         points = {}
         for i, fi in zip(live, f.tolist()):
             try:
                 points[i] = searches[i].send(fi)
             except StopIteration as done:
                 log_s[i] = done.value
-    s_star = {i: math.exp(x) for i, x in log_s.items()}
-    log_b = _log_brackets(table, list(s_star.values()), delays[list(s_star)])
     out = [DvpBound(d, 1.0, None, False, 0.0) for d in delays.tolist()]
+    if not log_s:  # no delay has a stable exponent
+        return out
+    s_star = {i: math.exp(x) for i, x in log_s.items()}
+    log_b = _log_brackets(cfg, user, list(s_star.values()), delays[list(s_star)])
     for (i, s), lb in zip(s_star.items(), log_b.tolist()):
         best = min(lb, float(vals[i, best_k[i]]))
         if math.isfinite(best):

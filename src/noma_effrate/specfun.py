@@ -25,6 +25,9 @@ the row sums are Hankel matrix-vector products.  Every engine refines
 through ``refine`` and raises ConvergenceError instead of returning an
 unconverged value; the contour rules keep each level's log-integrand
 values and evaluate only the nodes the next level adds (``_nested``).
+Their controls are module constants: ``_NODES`` starting nodes per line,
+doubled up to ``_MAX_NODES`` (the double contour's v-line also stops at
+``_DOUBLE_MAX_NODES``) until two estimates agree to ``CONTOUR_RTOL``.
 All integrands are computed in log space and rescaled by the maximum
 exponent before summation, so Gamma factors with arguments into the
 hundreds and kernels such as (1 + SINR)^-w with w in the thousands
@@ -47,6 +50,10 @@ _BLOCK = 1 << 16  # entries per block of the Fox-H Hankel row sums
 # Fox-H double contour's v-line node budget: 4x the 4097 that its slowest converging
 # case needs (power 0.05), so a rule that cannot converge raises within seconds
 _DOUBLE_MAX_NODES = 16385
+# contour rules: starting trapezoid nodes, node budget, relative tolerance
+_NODES = 129
+_MAX_NODES = 1 << 19
+CONTOUR_RTOL = 1e-8
 
 
 class ContourError(RuntimeError):
@@ -59,27 +66,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, msg, estimates=None):
         super().__init__(msg)
         self.estimates = estimates
-
-
-@dataclass(frozen=True)
-class ContourConfig:
-    """Controls for the Mellin-Barnes quadrature.
-
-    ``nodes`` is the initial trapezoid node count per contour, doubled
-    until the result stabilizes to ``rtol`` relative or ``max_nodes`` is
-    exceeded.
-    """
-
-    nodes: int = 129
-    max_nodes: int = 1 << 19
-    rtol: float = 1e-8
-
-    def __post_init__(self):
-        if self.nodes < 64:
-            raise ValueError("node count must be at least 64")
-
-
-DEFAULT_CONTOUR = ContourConfig()
 
 
 @dataclass(frozen=True)
@@ -449,7 +435,7 @@ def _nested(log_f, origin):
     return values
 
 
-def _trapezoid_line(terms, log_z, offset, cfg):
+def _trapezoid_line(terms, log_z, offset):
     """(1/2*pi*i) * integral over Re(s)=offset, exploiting conjugate symmetry.
 
     Returns a QuadValue.  The integrand must be conjugate-symmetric, i.e.
@@ -468,7 +454,7 @@ def _trapezoid_line(terms, log_z, offset, cfg):
             scale = la.real.max()
         return np.trapezoid(np.exp(la - scale).real, dx=h) / math.pi
 
-    total, err = refine(estimate, max(cfg.nodes, 64), cfg.max_nodes, cfg.rtol, "line quadrature")
+    total, err = refine(estimate, _NODES, _MAX_NODES, CONTOUR_RTOL, "line quadrature")
     sign = math.copysign(1.0, total) if total != 0 else 1.0
     log_abs = scale + math.log(max(abs(total), 1e-300))
     value = sign * math.exp(log_abs) if log_abs < 700 else math.inf * sign
@@ -498,7 +484,7 @@ def _meijer_gap(spec: MeijerGSpec) -> tuple[float, float]:
     return left, right
 
 
-def meijer_g(spec: MeijerGSpec, z: float, cfg: ContourConfig = DEFAULT_CONTOUR) -> QuadValue:
+def meijer_g(spec: MeijerGSpec, z: float) -> QuadValue:
     """Evaluate a Meijer G-function at z > 0 by contour quadrature."""
     if not z > 0:
         raise ValueError("argument must be positive")
@@ -509,7 +495,7 @@ def meijer_g(spec: MeijerGSpec, z: float, cfg: ContourConfig = DEFAULT_CONTOUR) 
     log_z = math.log(z)
     left, right = _meijer_gap(spec)
     offset = _saddle_offset(terms, log_z, left, right)
-    return _trapezoid_line(terms, log_z, offset, cfg)
+    return _trapezoid_line(terms, log_z, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +527,7 @@ def _place_fox_contours(spec: FoxH2Spec):
     return float(sig_grid[i]), float(tau[0, j]), int(n_res[0, j])
 
 
-def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
+def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
     """Straight-contour part of the double Mellin-Barnes integral.
 
     Both lines share one trapezoid step h, each extent rounded up to whole
@@ -591,17 +577,12 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg):
         return total * h * h / (4.0 * math.pi**2)
 
     # the u-line carries up to 2n-1 nodes, which the line node budget also bounds
-    n0, budget = max(cfg.nodes, 64), min((cfg.max_nodes + 1) // 2, _DOUBLE_MAX_NODES)
-    total, err = refine(estimate, n0, budget, cfg.rtol, "double contour quadrature")
+    budget = min((_MAX_NODES + 1) // 2, _DOUBLE_MAX_NODES)
+    total, err = refine(estimate, _NODES, budget, CONTOUR_RTOL, "double contour quadrature")
     return total * math.exp(sum(scale)), err
 
 
-def fox_h2(
-    spec: FoxH2Spec,
-    z1: float,
-    z2: float,
-    cfg: ContourConfig = DEFAULT_CONTOUR,
-) -> QuadValue:
+def fox_h2(spec: FoxH2Spec, z1: float, z2: float) -> QuadValue:
     """Evaluate the bivariate Fox-H kernel at z1, z2 > 0.
 
     The straight double contour (a shared-step trapezoid lattice, see
@@ -618,13 +599,13 @@ def fox_h2(
 
     log_z1 = math.log(z1)
     log_z2 = math.log(z2)
-    total, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg)
+    total, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau)
     err_abs = abs(total) * err
 
     for k in range(n_res):
         coeff = (-1.0) ** k / math.factorial(k) * math.gamma(k - x) * z2 ** (x - k)
         terms = [(c0 + r * (x - k), r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
-        line = _trapezoid_line(terms, log_z1, sigma, cfg)
+        line = _trapezoid_line(terms, log_z1, sigma)
         total += coeff * line.value
         err_abs += abs(coeff * line.value) * line.error
 

@@ -172,6 +172,19 @@ slots = 100000
         # higher effective arrival rate cannot lower the bound
         assert scaled[5][2] >= base[5][2]
 
+    def test_short_trace_fails_before_any_bound(self, tmp_path, monkeypatch, capsys):
+        # 950,001 bound rows per user would take a minute: the simulations run first
+        from noma_effrate import cli
+
+        def no_curve(*args):
+            raise AssertionError("bounds computed for a trace too short to use")
+
+        monkeypatch.setattr(cli, "dvp_curve", no_curve)
+        text = self.DVP.replace("vartheta_max = 8", "vartheta_max = 950000")
+        path = write_config(tmp_path, text.replace("slots = 100000", "slots = 1000000"))
+        assert main(["dvp", "--config", path]) == 2
+        assert "trace too short" in capsys.readouterr().err
+
     def test_quiet_when_laguerre_overflows(self, tmp_path):
         # Nakagami-3 at 20 dB under a large arrival rate: the delay bound's
         # Mellin exponents reach the thousands, and its gain quadrature must
@@ -376,22 +389,6 @@ class TestMainEntry:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
-
-    def test_log_env_var(self, tmp_path):
-        import os
-
-        path = write_config(tmp_path, ER_CONFIG.replace("0:20:10", "10").replace(
-            "theta = 0.5, 1", "theta = 0.5"
-        ))
-        env = dict(os.environ, NOMA_EFFRATE_LOG="debug")
-        proc = subprocess.run(
-            [sys.executable, "-m", "noma_effrate.cli", "er", "--config", path],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        assert "command er" in proc.stderr
 
     def test_engine_error_is_one_line(self, tmp_path):
         # theta*T*B = ln 2 makes nu = 1, an integer Fox-H binomial power

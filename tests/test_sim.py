@@ -298,6 +298,17 @@ class TestQueueDvp:
         with pytest.raises(ValueError, match="too short"):
             queue_dvp(cfg, "strong", SimPlan(1, 100), 95)
 
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_short_trace_rejected_before_any_draw(self, monkeypatch, user):
+        from noma_effrate import sim
+
+        def no_draw(*args):
+            raise AssertionError("gains drawn for a trace too short to use")
+
+        monkeypatch.setattr(sim, "sample_gain", no_draw)
+        with pytest.raises(ValueError, match="too short"):
+            queue_dvp(self.make_cfg(), user, SimPlan(1, 100), 95)
+
     def test_decay_slope_fit(self):
         cfg = self.make_cfg()
         got = queue_dvp(cfg, "strong", SimPlan(29, 400_000), 20)

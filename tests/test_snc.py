@@ -144,11 +144,7 @@ class TestDvpBound:
         cfg = make_cfg()
         curve = dvp_curve(cfg, "strong", range(10, 31))
         slope = bound_decay_slope(curve)
-        tail = curve[-1]
-        from noma_effrate.snc import MellinTable
-
-        table = MellinTable(cfg, "strong")
-        want = table.terms(tail.minimizer_s)[0]
+        want = mellin_strong(cfg, curve[-1].minimizer_s).log_value
         assert slope == pytest.approx(want, rel=0.02)
 
     def test_rejects_negative_delay(self):
@@ -203,6 +199,24 @@ class TestDvpBound:
 
         got = dvp_curve(cfg, user, range(31))
         assert got == [sequential(float(d)) for d in range(31)]
+
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_engine_calls_never_repeat_an_exponent(self, monkeypatch, user):
+        # each batch of Mellin transforms evaluates its distinct exponents once
+        from noma_effrate import snc
+
+        engine, batches = snc.laguerre_log_expectation, []
+
+        def spy(target, k, c=1.0, params=()):
+            batches.append(np.ravel(c).tolist())
+            return engine(target, k, c, params)
+
+        monkeypatch.setattr(snc, "laguerre_log_expectation", spy)
+        curve = dvp_curve(make_cfg(load=0.7, user_for_load="weak"), user, range(31))
+        assert all(b.feasible for b in curve)
+        assert len(batches) > 2  # the scan, the golden-section rounds, the minimizers
+        for batch in batches:
+            assert len(set(batch)) == len(batch)
 
 
 class TestSncConfig:

@@ -21,7 +21,6 @@ from scipy.special import loggamma
 from noma_effrate.channel import AlphaMuChannel, ChannelPair, gain_moment, min_gain_pdf
 from noma_effrate.closedform import power_mellin_analytic, ratio_mellin_analytic
 from noma_effrate.specfun import (
-    ContourConfig,
     ContourError,
     FoxH2Spec,
     MeijerGSpec,
@@ -30,6 +29,15 @@ from noma_effrate.specfun import (
     laguerre_log_expectation,
     meijer_g,
 )
+
+
+def set_contour(monkeypatch, nodes=129, max_nodes=1 << 19, rtol=1e-8):
+    """Set the contour rules' starting nodes, node budget and tolerance."""
+    from noma_effrate import specfun
+
+    monkeypatch.setattr(specfun, "_NODES", nodes)
+    monkeypatch.setattr(specfun, "_MAX_NODES", max_nodes)
+    monkeypatch.setattr(specfun, "CONTOUR_RTOL", rtol)
 
 
 def make_pair(alpha=2, mu=1, omega_s=1.0, omega_w2=0.1):
@@ -78,10 +86,12 @@ class TestMeijerIdentities:
         )
         assert meijer_g(spec, z).value == pytest.approx(want, rel=1e-9)
 
-    def test_doubling_nodes_stays_within_error(self):
+    def test_doubling_nodes_stays_within_error(self, monkeypatch):
         spec = MeijerGSpec(a=(0.3,), b=(0.0, 0.5), m=2, n=1)
-        coarse = meijer_g(spec, 1.3, ContourConfig(nodes=129))
-        fine = meijer_g(spec, 1.3, ContourConfig(nodes=257))
+        set_contour(monkeypatch, nodes=129)
+        coarse = meijer_g(spec, 1.3)
+        set_contour(monkeypatch, nodes=257)
+        fine = meijer_g(spec, 1.3)
         assert abs(fine.value - coarse.value) <= 2 * abs(coarse.value) * max(
             coarse.error, 1e-14
         )
@@ -148,7 +158,7 @@ class TestFoxH2:
         got = ratio_mellin_analytic(pair, rho, a_s, w)
         assert abs(got - samples.mean()) < 3 * se
 
-    def test_direct_kernel_value(self):
+    def test_direct_kernel_value(self, monkeypatch):
         # at mu=1 the branch prefactors collapse and the bare double-contour
         # kernel equals Gamma(w) Gamma(-w) times the ratio expectation
         pair = make_pair(2, 1, 1.0, 0.1)
@@ -157,16 +167,19 @@ class TestFoxH2:
         wt = pair.omega_tilde
         z1 = rho * (wt / mu) ** (2 / al)
         spec = FoxH2Spec(outer_c=mu, outer_r=2 / al, power=w)
-        h = fox_h2(spec, z1, a_s * z1, ContourConfig(rtol=1e-9))
+        set_contour(monkeypatch, rtol=1e-9)
+        h = fox_h2(spec, z1, a_s * z1)
         kernel = lambda x: (1 + rho * x) ** -w * (1 + a_s * rho * x) ** w
         mean, _ = quad(lambda x: kernel(x) * min_gain_pdf(pair, x), 0, np.inf, limit=300)
         want = mean * math.gamma(w) * math.gamma(-w)
         assert h.value == pytest.approx(want, rel=1e-7)
 
-    def test_doubling_nodes_stays_within_error(self):
+    def test_doubling_nodes_stays_within_error(self, monkeypatch):
         spec = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
-        coarse = fox_h2(spec, 0.8, 0.2, ContourConfig(nodes=129, rtol=1e-7))
-        fine = fox_h2(spec, 0.8, 0.2, ContourConfig(nodes=257, rtol=1e-7))
+        set_contour(monkeypatch, nodes=129, rtol=1e-7)
+        coarse = fox_h2(spec, 0.8, 0.2)
+        set_contour(monkeypatch, nodes=257, rtol=1e-7)
+        fine = fox_h2(spec, 0.8, 0.2)
         assert abs(fine.value - coarse.value) <= 2 * abs(coarse.value) * max(
             coarse.error, 1e-12
         )
@@ -175,27 +188,25 @@ class TestFoxH2:
         with pytest.raises(ContourError):
             FoxH2Spec(outer_c=1.0, outer_r=1.0, power=2.0)
 
-    def test_contour_config_invariants(self):
-        with pytest.raises(ValueError):
-            ContourConfig(nodes=32)
-
-    def test_non_convergence_reports_estimates(self):
+    def test_non_convergence_reports_estimates(self, monkeypatch):
         from noma_effrate.specfun import ConvergenceError
 
         spec = MeijerGSpec(a=(0.3,), b=(0.0, 0.5), m=2, n=1)
+        set_contour(monkeypatch, nodes=65, max_nodes=66, rtol=1e-14)
         with pytest.raises(ConvergenceError) as exc:
-            meijer_g(spec, 1.3, ContourConfig(nodes=65, max_nodes=66, rtol=1e-14))
+            meijer_g(spec, 1.3)
         assert exc.value.estimates is not None
         assert len(exc.value.estimates) == 2
 
-    def test_fox_non_convergence_reports_estimates(self):
+    def test_fox_non_convergence_reports_estimates(self, monkeypatch):
         # the residue lines converge within 257 nodes but the double contour
         # does not: an exhausted budget raises instead of returning its value
         from noma_effrate.specfun import ConvergenceError
 
         spec = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
+        set_contour(monkeypatch, nodes=65, max_nodes=257, rtol=1e-8)
         with pytest.raises(ConvergenceError) as exc:
-            fox_h2(spec, 0.8, 0.2, ContourConfig(nodes=65, max_nodes=257, rtol=1e-8))
+            fox_h2(spec, 0.8, 0.2)
         assert len(exc.value.estimates) == 2
         assert all(math.isfinite(e) for e in exc.value.estimates)
 
@@ -216,7 +227,7 @@ class TestFoxH2:
             fox_h2(spec, 0.8, 0.2)
         assert time.perf_counter() - start < 20.0
 
-    def test_double_integral_matches_row_loop(self):
+    def test_double_integral_matches_row_loop(self, monkeypatch):
         # the separable lattice evaluation against a direct row-by-row
         # trapezoid of the full five-Gamma integrand on its own grid
         from noma_effrate.specfun import _find_height, _fox_double_integral, refine
@@ -224,7 +235,7 @@ class TestFoxH2:
         c0, r, x = 2.0, 1.0, 0.7213
         log_z1, log_z2 = math.log(0.8), math.log(0.2)
         sigma, tau = -0.35, -0.4
-        cfg = ContourConfig(nodes=65, max_nodes=4097, rtol=1e-10)
+        set_contour(monkeypatch, nodes=65, max_nodes=4097, rtol=1e-10)
 
         def log_f(s, t):
             return (
@@ -241,10 +252,10 @@ class TestFoxH2:
             # rows at -v are the conjugates of rows at v
             return 2.0 * np.trapezoid(np.real(rows), v) / (4.0 * math.pi**2)
 
-        want, _ = refine(rows_estimate, cfg.nodes, cfg.max_nodes, cfg.rtol, "oracle")
+        want, _ = refine(rows_estimate, 65, 4097, 1e-10, "oracle")
         spec = FoxH2Spec(outer_c=c0, outer_r=r, power=x)
-        got, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau, cfg)
-        assert err <= cfg.rtol
+        got, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau)
+        assert err <= 1e-10
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_small_exponent_matches_quadrature(self):
@@ -374,7 +385,10 @@ class TestNestedRule:
 
     MEIJER = MeijerGSpec(a=(0.5, -0.25), b=(0.0, 0.5, -0.25), m=3, n=1)
     FOX = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
-    CFG = ContourConfig(nodes=65, max_nodes=1 << 14, rtol=1e-12)
+
+    @pytest.fixture(autouse=True)
+    def contour(self, monkeypatch):
+        set_contour(monkeypatch, nodes=65, max_nodes=1 << 14, rtol=1e-12)
 
     @staticmethod
     def levels(monkeypatch, run, fresh):
@@ -423,12 +437,12 @@ class TestNestedRule:
         from noma_effrate.specfun import _meijer_terms, _saddle_offset, _trapezoid_line
 
         terms, log_z = _meijer_terms(self.MEIJER), math.log(1.7)
-        _trapezoid_line(terms, log_z, _saddle_offset(terms, log_z, -0.5, -0.25), self.CFG)
+        _trapezoid_line(terms, log_z, _saddle_offset(terms, log_z, -0.5, -0.25))
 
     def lattice(self):
         from noma_effrate.specfun import _fox_double_integral
 
-        _fox_double_integral(self.FOX, math.log(0.8), math.log(0.2), -0.35, -0.4, self.CFG)
+        _fox_double_integral(self.FOX, math.log(0.8), math.log(0.2), -0.35, -0.4)
 
     @pytest.mark.parametrize("rule", ["line", "lattice"])
     def test_estimates_match_fresh_evaluation(self, monkeypatch, rule):
