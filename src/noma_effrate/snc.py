@@ -25,6 +25,7 @@ from .specfun import CONTOUR_RTOL, golden_section, laguerre_log_expectation
 
 _S_TOL = 1e-6  # golden-section width on log s at the minimizer
 _COARSE_POINTS = 200  # log-spaced scan of [s_min, s_max] before the golden section
+_DELAY_BLOCK = 1024  # delays per block of the scan's delays x _COARSE_POINTS brackets
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValu
         log_m, err = math.log(closed_form(law, params, w)), CONTOUR_RTOL
     else:
         raise ValueError(f"unsupported strategy {strategy!r}")
-    return MellinValue(math.exp(min(log_m, 0.0)), log_m, s, w, strategy, err)
+    return MellinValue(math.exp(log_m), log_m, s, w, strategy, err)
 
 
 def mellin_strong(cfg: SncConfig, s: float, strategy: Route = "quadrature") -> MellinValue:
@@ -116,17 +117,17 @@ def mellin_weak(cfg: SncConfig, s: float, strategy: Route = "quadrature") -> Mel
     return _mellin(cfg, "weak", s, strategy)
 
 
-def _log_brackets(cfg: SncConfig, user: User, s, target_delays):
-    """log[M(s)^d / (1 - exp(lam*s)*M(s))] over a list of s, broadcast against d;
-    inf where the stability kernel exp(lam*s)*M(s) >= 1.  One engine call over
-    the distinct exponents."""
+def _log_brackets(cfg: SncConfig, user: User, s):
+    """d -> log[M(s)^d / (1 - exp(lam*s)*M(s))] over a list of s, broadcast against d,
+    inf where exp(lam*s)*M(s) >= 1: one engine call over the distinct exponents."""
     points, index = np.unique(s, return_inverse=True)
     log_m = _log_mellin(cfg, user, points)[0]
     tail = []
     for x, lm in zip(points.tolist(), log_m.tolist()):
         log_k = cfg.arrival_rate * x + lm
         tail.append(-math.inf if log_k >= 0.0 else math.log1p(-math.exp(log_k)))
-    return target_delays * log_m[index] - np.array(tail)[index]
+    log_m, tail = log_m[index], np.array(tail)[index]
+    return lambda d: d * log_m - tail
 
 
 def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
@@ -136,19 +137,22 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
     the result to [0, 1] (a bound above one is vacuous but still valid).
     Integer target delays match the slotted queue; fractional values
     interpolate the same expression.  The scan is one batch of Mellin
-    transforms, and the delays' golden sections run in lockstep, one batch
-    per round, with the same points and bits as one search at a time.
+    transforms, minimised in blocks of delays, and the delays' golden sections
+    run in lockstep, one batch per round, with the same bits as one at a time.
     """
     _check_user(user)
     delays = np.array([float(d) for d in target_delays])
     if np.any(delays < 0):
         raise ValueError("target delay must be nonnegative")
     grid = np.geomspace(cfg.s_min, cfg.s_max, _COARSE_POINTS)
-    vals = _log_brackets(cfg, user, grid, delays[:, None])
-    best_k = np.argmin(vals, axis=1)
+    bracket, best_k, coarse = _log_brackets(cfg, user, grid), [], []
+    for i in range(0, delays.size, _DELAY_BLOCK):
+        vals = bracket(delays[i : i + _DELAY_BLOCK, None])
+        best_k += np.argmin(vals, axis=1).tolist()
+        coarse += vals.min(axis=1).tolist()
     searches = {}
     for i, k in enumerate(best_k):
-        if np.any(np.isfinite(vals[i])):
+        if math.isfinite(coarse[i]):
             lo = grid[max(k - 1, 0)]
             hi = grid[min(k + 1, len(grid) - 1)]
             searches[i] = golden_section(math.log(lo), math.log(hi), atol=_S_TOL)
@@ -156,7 +160,7 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
     log_s = {}
     while points:
         live = list(points)
-        f = _log_brackets(cfg, user, [math.exp(points[i]) for i in live], delays[live])
+        f = _log_brackets(cfg, user, [math.exp(points[i]) for i in live])(delays[live])
         points = {}
         for i, fi in zip(live, f.tolist()):
             try:
@@ -167,9 +171,9 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
     if not log_s:  # no delay has a stable exponent
         return out
     s_star = {i: math.exp(x) for i, x in log_s.items()}
-    log_b = _log_brackets(cfg, user, list(s_star.values()), delays[list(s_star)])
+    log_b = _log_brackets(cfg, user, list(s_star.values()))(delays[list(s_star)])
     for (i, s), lb in zip(s_star.items(), log_b.tolist()):
-        best = min(lb, float(vals[i, best_k[i]]))
+        best = min(lb, coarse[i])
         if math.isfinite(best):
             log_bound = min(best, 0.0)
             out[i] = DvpBound(out[i].target_delay, math.exp(log_bound), s, True, log_bound)

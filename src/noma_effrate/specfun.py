@@ -4,12 +4,12 @@ Gauss quadrature against the alpha-mu gain law.
 Two independent evaluation routes are provided for every expectation the
 library needs:
 
-* ``laguerre_log_expectation`` integrates directly against the alpha-mu
-  gain law (after the exact substitution that maps it to a unit Gamma
-  weight, in its envelope variable) with one adaptive Gauss-Legendre
-  engine in log space; ``laguerre_expectation`` is its linear view (the
-  names, from an earlier Gauss-Laguerre rule, stay because the
-  benchmark's layer spans patch them);
+* ``laguerre_log_expectation`` integrates directly against the gain law in
+  its envelope variable, where an alpha-mu gain and the minimum gain of a
+  pair (its finite alpha-mu mixture, summed into one density) both have a
+  Gamma-type density, with one adaptive Gauss-Legendre engine in log space;
+  ``laguerre_expectation`` is its linear view (the names, from an earlier
+  Gauss-Laguerre rule, stay because the benchmark's layer spans patch them);
 * ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
   Mellin-Barnes contour integrals (single and double contour), on the
   module's own complex log-gamma (``loggamma``, a shifted Stirling series
@@ -18,19 +18,14 @@ library needs:
 Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
 
-The double contour of ``fox_h2`` is evaluated separably: both lines share
-one trapezoid step, so of its five Gamma factors four are computed once
-per line node and the coupled one once per point of the lattice s + t, and
-the row sums are Hankel matrix-vector products.  Every engine refines
-through ``refine`` and raises ConvergenceError instead of returning an
-unconverged value; the contour rules keep each level's log-integrand
-values and evaluate only the nodes the next level adds (``_nested``).
-Their controls are module constants: ``_NODES`` starting nodes per line,
-doubled up to ``_MAX_NODES`` (the double contour's v-line also stops at
-``_DOUBLE_MAX_NODES``) until two estimates agree to ``CONTOUR_RTOL``.
-All integrands are computed in log space and rescaled by the maximum
-exponent before summation, so Gamma factors with arguments into the
-hundreds and kernels such as (1 + SINR)^-w with w in the thousands
+The double contour of ``fox_h2`` is evaluated separably (see
+``_fox_double_integral``).  Every engine refines through ``refine`` and
+raises ConvergenceError instead of returning an unconverged value; the
+contour rules evaluate only the nodes each level adds (``_nested``), from
+``_NODES`` per line up to ``_MAX_NODES`` until two estimates agree to
+``CONTOUR_RTOL``.  All integrands are computed in log space and rescaled by
+the maximum exponent before summation, so Gamma factors with arguments into
+the hundreds and kernels such as (1 + SINR)^-w with w in the thousands
 neither overflow nor underflow.
 """
 
@@ -38,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -619,13 +614,13 @@ def fox_h2(spec: FoxH2Spec, z1: float, z2: float) -> QuadValue:
 #
 # The exact substitution y = mu * g^(alpha/2) / omega^alpha maps the gain
 # law to the unit Gamma(mu) weight, and r = y^(1/alpha) to the envelope
-# variable, where the integrand r^(alpha*mu-1) exp(-r^alpha) kernel(scale * r^2)
+# variable, where the integrand r^(alpha*mu-1) exp(-r^alpha) kernel(gscale * r^2)
 # is analytic for every alpha (in y it has a y^(2/alpha) branch point at the
-# origin for alpha >= 3).  So one rule serves every gain law: Gauss-Legendre
-# in r on the support truncated where an envelope scan finds the integrand
-# negligible, its order doubling from _START_ORDER up to _MAX_ORDER.  The scan reads
-# about 280 of its 2048 points (``_first_drop``), which finds the full scan's radius
-# wherever the log-integrand rises strictly to one peak and does not rise after it.
+# origin for alpha >= 3).  The minimum-gain mixture's components (shapes mu+k)
+# share one gscale, so a pair's law is one such density too (``_Envelope``).
+# One rule serves every gain law: Gauss-Legendre in r on the support truncated
+# where an envelope scan (``_first_drop``, about 280 of 2048 points) finds the
+# integrand negligible, its order doubling from _START_ORDER up to _MAX_ORDER.
 
 _START_ORDER = 32
 _MAX_ORDER = 8192  # Gauss-Legendre order budget
@@ -640,21 +635,52 @@ def _legendre_table(order: int):
     return 0.5 * (x + 1.0), np.log(0.5 * w)
 
 
+@dataclass(frozen=True)
+class _Envelope:
+    """A gain law as g = gscale * r^2, r having the density alpha / Gamma(mu) r^(alpha*mu-1)
+    exp(-r^alpha) P(r^alpha): P = 1, or ``poly``, whose coefficients are positive."""
+
+    alpha: int
+    mu: int
+    gscale: float
+    poly: tuple[float, ...] = ()  # highest power first
+
+    def log_density(self, r):
+        """ln of the density at r."""
+        y = r**self.alpha
+        out = (self.alpha * self.mu - 1.0) * np.log(r) - y
+        out += math.log(self.alpha) - math.lgamma(self.mu)
+        if self.poly:
+            out += np.log(np.polyval(self.poly, y))
+        return out
+
+    @cached_property
+    def grid(self):
+        """The envelope scan's radii r, log densities and gains gscale*r^2."""
+        r = np.geomspace(1e-4, 80.0 ** (1.0 / self.alpha), 2048)
+        return r, self.log_density(r), self.gscale * r**2
+
+
 @lru_cache(maxsize=64)
-def _envelope_grid(al: int, mu: int, gscale: float):
-    """The envelope scan's radii r, (alpha*mu-1) ln r - r^alpha, and gains gscale*r^2."""
-    r = np.geomspace(1e-4, 80.0 ** (1.0 / al), 2048)
-    return r, (al * mu - 1.0) * np.log(r) - r**al, gscale * r**2
+def _envelope(target) -> _Envelope:
+    """The envelope of an alpha-mu gain or of a pair's minimum gain, where the
+    component of weight w and shape mu+k adds w Gamma(mu) / Gamma(mu+k) y^k to P."""
+    al, mu = target.alpha, target.mu
+    if isinstance(target, channel.AlphaMuChannel):
+        return _Envelope(al, mu, (target.omega**al / mu) ** (2.0 / al))
+    mixture = channel.min_gain_mixture(target)[::-1]
+    poly = tuple(w * math.exp(math.lgamma(mu) - math.lgamma(c.mu)) for w, c in mixture)
+    return _Envelope(al, mu, (target.omega_tilde / mu) ** (2.0 / al), poly)
 
 
-def _envelope_cutoff(ch, gscale, k, c):
+def _envelope_cutoff(target, k, c):
     """Per column, the first scan radius after the envelope-space integrand's peak
     where it is 55 below it (non-finite values count as -inf), or the last one.
 
     ``k(g, cols)`` is the kernel over the gains ``g``, one row or one per column.
     ``_first_drop`` reads 280 of the 2048 points, in _COLUMNS x 257 arrays at most:
     the full scan's radius for an integrand rising strictly to one peak and not after."""
-    r, log_density, g = _envelope_grid(ch.alpha, ch.mu, gscale)
+    r, log_density, g = _envelope(target).grid
 
     def values(idx):
         li = log_density[idx] + c[:, None] * k(g[idx], slice(None))
@@ -675,7 +701,7 @@ def _refine_log_sum(terms, width):
     the rounding of O(1) terms, so it converges on eps = sum(d expm1(x)) /
     sum(d) instead and returns log1p(eps), the log of the rule's own
     normalised mean.  Returns lists of (log sums, relative errors of the
-    sums or means, near one).
+    sums or means).
     """
     near, scale = None, None
 
@@ -704,50 +730,20 @@ def _refine_log_sum(terms, width):
     ]
     # the relative error of eps, as one of the mean 1 + eps
     err = [e * abs(t) / (1.0 + t) if m else e for t, e, m in zip(total, err, near)]
-    return log_sum, err, near.tolist()
-
-
-def _log_component(ch, k, c, params):
-    """Lists over the columns i of (log E[exp(c_i k(g, *p_i))], relative error,
-    near one), for one gain.
-
-    ``params`` holds one array per kernel parameter, indexed by column like
-    ``c``; with none, every column's kernel is ``k(g)``.
-    """
-    al, mu = ch.alpha, ch.mu
-    gscale = (ch.omega**al / mu) ** (2.0 / al)
-
-    def kernel(g, cols):
-        return k(g, *(p[cols, None] for p in params))
-
-    rmax = _envelope_cutoff(ch, gscale, kernel, c)
-
-    def legendre(n, cols):
-        u, log_w = _legendre_table(n)
-        r = rmax[cols, None] * u
-        return log_w + (al * mu - 1.0) * np.log(r) - r**al, c[cols, None] * kernel(gscale * r**2, cols)
-
-    log_sum, err, near = _refine_log_sum(legendre, c.size)
-    # the rule on [0, rmax] weighs by rmax; the envelope density integrates to Gamma(mu) / alpha
-    log_norm = math.lgamma(mu)
-    log_e = [
-        ls if m else ls + math.log(al * x) - log_norm
-        for ls, x, m in zip(log_sum, rmax.tolist(), near)
-    ]
-    return log_e, err, near
+    return log_sum, err
 
 
 def laguerre_log_expectation(target, k, c=1.0, params=()):
     """log E[exp(c*k(g, *params))] for an alpha-mu gain or a minimum-gain pair.
 
-    Adaptive Gauss quadrature in log space, stable for kernels spanning
-    many decades (the delay bound's Mellin exponent reaches the
-    thousands).  The order doubles until two successive estimates agree to
-    1e-9 relative; ConvergenceError when the order budget runs out first.
-    A minimum-gain pair is the weighted sum over its mixture components.
-    Where every exponent c*k is at most 1 in magnitude the expectation is
-    built from its deviation from one (see ``_refine_log_sum``), so a log
-    expectation of 1e-9 keeps its relative accuracy and c = 0 gives 0.0.
+    Adaptive Gauss quadrature in log space against the target's envelope
+    density (``_envelope``), stable for kernels spanning many decades (the
+    delay bound's Mellin exponent reaches the thousands).  The order doubles
+    until two successive estimates agree to 1e-9 relative; ConvergenceError
+    when the order budget runs out first.  Where every exponent c*k is at
+    most 1 in magnitude the expectation is built from its deviation from one
+    (see ``_refine_log_sum``), so a log expectation of 1e-9 keeps its
+    relative accuracy and c = 0 gives 0.0.
 
     ``c`` and the kernel parameters ``params`` broadcast to a grid of
     columns, evaluated in one pass per rule order and block of _COLUMNS:
@@ -760,27 +756,26 @@ def laguerre_log_expectation(target, k, c=1.0, params=()):
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c, *params)))
     scalar = arrays[0].ndim == 0
     cs, *ps = (a.reshape(-1) for a in arrays)
-    if isinstance(target, channel.AlphaMuChannel):
-        mixture = [(1.0, target)]
-    else:
-        mixture = channel.min_gain_mixture(target)
+    env = _envelope(target)
     log_e, err = [], []
     for block in range(0, cs.size, _COLUMNS):
-        cols = slice(block, block + _COLUMNS)
-        block_ps = [p[cols] for p in ps]
-        parts = [(w, *_log_component(comp, k, cs[cols], block_ps)) for w, comp in mixture]
-        for i in range(len(parts[0][1])):
-            # combined in math per column, as a scalar evaluation would
-            top = max(le[i] for _, le, _, _ in parts)
-            terms = [(w * math.exp(le[i] - top), e[i]) for w, le, e, _ in parts]
-            total = sum(t for t, _ in terms)
-            if all(near[i] for *_, near in parts):
-                # every component is near one: mix their deviations from one
-                eps = sum(w * math.expm1(le[i]) for w, le, _, _ in parts)
-                log_e.append(math.log1p(eps / sum(w for w, *_ in parts)))
-            else:
-                log_e.append(top + math.log(total))
-            err.append(sum(t * e for t, e in terms) / total)
+        c = cs[block : block + _COLUMNS]
+        block_ps = [p[block : block + _COLUMNS] for p in ps]
+
+        def kernel(g, cols):
+            return k(g, *(p[cols, None] for p in block_ps))
+
+        rmax = _envelope_cutoff(target, kernel, c)
+
+        def legendre(n, cols):
+            u, log_w = _legendre_table(n)
+            r = rmax[cols, None] * u  # the rule on [0, rmax] weighs by rmax
+            log_d = log_w + np.log(rmax[cols, None]) + env.log_density(r)
+            return log_d, c[cols, None] * kernel(env.gscale * r**2, cols)
+
+        block_e, block_err = _refine_log_sum(legendre, c.size)
+        log_e += block_e
+        err += block_err
     return (log_e[0], err[0]) if scalar else (np.array(log_e), np.array(err))
 
 

@@ -434,9 +434,9 @@ class TestGrids:
 
         widths, cutoff = [], specfun._envelope_cutoff
 
-        def spy_cutoff(ch, gscale, k, c):
+        def spy_cutoff(target, k, c):
             widths.append(c.size)
-            return cutoff(ch, gscale, k, c)
+            return cutoff(target, k, c)
 
         monkeypatch.setattr(specfun, "_envelope_cutoff", spy_cutoff)
         systems = self.grid(alpha, mu, thetas)

@@ -67,6 +67,15 @@ class TestMellinStrong:
         with pytest.raises(ValueError):
             mellin_strong(make_cfg(), 0.0)
 
+    def test_value_above_one_raises(self, monkeypatch):
+        # log M > 0 is impossible for s > 0: the check sees the engine's value unclamped
+        from noma_effrate import snc
+
+        cfg = make_cfg()
+        monkeypatch.setattr(snc, "_log_mellin", lambda cfg, user, s: (1e-6, 0.0))
+        with pytest.raises(ValueError, match="cannot exceed 1"):
+            mellin_strong(cfg, 0.01)
+
 
 class TestMellinWeak:
     def test_tends_to_one_at_small_exponent(self):
@@ -199,6 +208,23 @@ class TestDvpBound:
 
         got = dvp_curve(cfg, user, range(31))
         assert got == [sequential(float(d)) for d in range(31)]
+
+    def test_long_curve_keeps_no_delay_by_grid_matrix(self):
+        # the coarse scan keeps each delay's argmin and minimum, not a row of 200
+        # brackets: 20,000 delays x 200 doubles alone would take 30.5 MiB.  The README
+        # system's weak user is unstable at every exponent, so its curve is the scan
+        # alone (a strong curve also holds a golden section per delay, 15 MiB in all)
+        import tracemalloc
+
+        cfg = SncConfig(make_system(), 168, 170.0)
+        tracemalloc.start()
+        try:
+            curve = dvp_curve(cfg, "weak", range(20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == 20000 and not any(b.feasible for b in curve)
+        assert peak < 30 * 2**20
 
     @pytest.mark.parametrize("user", ["strong", "weak"])
     def test_engine_calls_never_repeat_an_exponent(self, monkeypatch, user):

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from noma_effrate.channel import AlphaMuChannel, ChannelPair, gain_moment, min_gain_pdf
+from noma_effrate.channel import (
+    AlphaMuChannel,
+    ChannelPair,
+    gain_moment,
+    min_gain_mixture,
+    min_gain_pdf,
+)
 from noma_effrate.closedform import power_mellin_analytic, ratio_mellin_analytic
 from noma_effrate.specfun import (
     ContourError,
@@ -605,9 +611,9 @@ class TestLaguerreExpectation:
         widths, orders = [], []  # exponents per envelope scan, Legendre orders
         cutoff, table = specfun._envelope_cutoff, specfun._legendre_table
 
-        def spy_cutoff(ch, gscale, k, c):
+        def spy_cutoff(target, k, c):
             widths.append(c.size)
-            return cutoff(ch, gscale, k, c)
+            return cutoff(target, k, c)
 
         def spy_table(n):
             orders.append(n)
@@ -624,6 +630,54 @@ class TestLaguerreExpectation:
         assert all(type(v) is float for pair in one for v in pair)
         assert got.tolist() == [v for v, _ in one]
         assert err.tolist() == [e for _, e in one]
+
+    def test_pair_is_one_rule_per_column_block(self, monkeypatch):
+        # a mu = 3 pair is one density: one envelope scan and one doubling sequence
+        # of orders per block of columns, not one per mixture component
+        from noma_effrate import specfun
+
+        scans, orders = [], []
+        cutoff, table = specfun._envelope_cutoff, specfun._legendre_table
+        monkeypatch.setattr(specfun, "_envelope_cutoff", lambda *a: scans.append(a[-1].size) or cutoff(*a))
+        monkeypatch.setattr(specfun, "_legendre_table", lambda n: orders.append(n) or table(n))
+        c = -168.0 * np.geomspace(1e-6, 5.0, specfun._COLUMNS + 36) / math.log(2.0)
+        k = lambda g: np.log1p(31.6 * g) - np.log1p(7.6 * g)  # noqa: E731
+        laguerre_log_expectation(make_pair(2, 3), k, c)
+        assert scans == [specfun._COLUMNS, 36]
+        starts = [i for i, n in enumerate(orders) if n == 32]
+        assert starts[0] == 0 and len(starts) == 2
+        for a, b in zip(starts, starts[1:] + [len(orders)]):
+            assert orders[a:b] == [32 << j for j in range(b - a)]
+
+    @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 2), (2, 3), (4, 3), (1, 2), (3, 4), (2, 6)])
+    def test_pair_matches_per_component_oracle(self, alpha, mu):
+        # the mixture summed from single-law evaluations of its components; where the
+        # one-density rule stops with a change near its 1e-9 tolerance (err >= 1e-10,
+        # about 3% of these columns), its estimate is good only to that change
+        pair = make_pair(alpha, mu)
+        w = np.array([wk for wk, _ in min_gain_mixture(pair)])[:, None]
+        c = -np.concatenate(
+            [168.0 * np.geomspace(1e-6, 5.0, 200), [1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0]]
+        ) / math.log(2.0)  # the dvp search range's Mellin exponents, then rate exponents
+        for db in (0, 10, 30):
+            rho = 10.0 ** (db / 10.0)
+            k = lambda g: np.log1p(rho * g) - np.log1p(0.24 * rho * g)  # noqa: E731
+            got, err = laguerre_log_expectation(pair, k, c)
+            parts = [laguerre_log_expectation(comp, k, c) for _, comp in min_gain_mixture(pair)]
+            logs, errs = (np.array([p[j] for p in parts]) for j in (0, 1))
+            terms = w * np.exp(logs - logs.max(axis=0))
+            with np.errstate(divide="ignore"):  # log1p(-1) in the columns far from one
+                want = np.where(
+                    np.abs(logs).max(axis=0) <= 1.0,
+                    np.log1p((w * np.expm1(logs)).sum(axis=0) / w.sum()),
+                    logs.max(axis=0) + np.log(terms.sum(axis=0)),
+                )
+            want_err = (terms * errs).sum(axis=0) / terms.sum(axis=0)
+            tight = err < 1e-10
+            assert tight.mean() > 0.9
+            rel = np.abs(got - want) / np.abs(want)
+            assert rel[tight].max() <= 1e-13, (db, np.argmax(np.where(tight, rel, 0)))
+            assert np.all(np.abs(np.expm1(got - want))[~tight] <= (err + want_err)[~tight])
 
     @pytest.mark.parametrize("target", [AlphaMuChannel(2, 1, 1.0), make_pair(2, 3)])
     def test_zero_exponent_gives_exactly_zero(self, target):
@@ -644,11 +698,11 @@ class TestLaguerreExpectation:
         assert all(math.isfinite(e) for e in exc.value.estimates)
 
 
-def full_cutoff(ch, gscale, k, c):
+def full_cutoff(target, k, c):
     """The envelope cutoff as a scan of all 2048 points, 8 columns at a time: the oracle."""
-    from noma_effrate.specfun import _envelope_grid
+    from noma_effrate.specfun import _envelope
 
-    r, log_density, g = _envelope_grid(ch.alpha, ch.mu, gscale)
+    r, log_density, g = _envelope(target).grid
     rmax = np.empty(c.size)
     for i in range(0, c.size, 8):
         rows = slice(i, i + 8)
@@ -781,15 +835,17 @@ class TestFirstDrop:
         sign=st.sampled_from([-1.0, 1.0, 0.0]),
         ratio=st.booleans(),
         state=st.integers(0, 2**32 - 1),
+        weak=st.one_of(st.none(), st.floats(0.05, 0.95)),
     )
-    def test_envelope_integrands(self, alpha, mu, omega, n, c_max, sign, ratio, state):
+    def test_envelope_integrands(self, alpha, mu, omega, n, c_max, sign, ratio, state, weak):
         # the engine's kernels, one parameter set and one exponent per column;
-        # sign 0 mixes both signs
+        # sign 0 mixes both signs; ``weak`` draws a pair with omega_w = weak * omega
         from noma_effrate import specfun
 
         rng = np.random.default_rng(state)
-        ch = AlphaMuChannel(alpha, mu, omega)
-        gscale = (ch.omega**alpha / mu) ** (2.0 / alpha)
+        target = AlphaMuChannel(alpha, mu, omega)
+        if weak is not None:
+            target = ChannelPair(target, AlphaMuChannel(alpha, mu, weak * omega))
         c = c_max * np.geomspace(1e-6, 1.0, n) * (sign or rng.choice([-1.0, 1.0], n))
         rho = 10.0 ** rng.uniform(-3.0, 6.0, n)
         params = (rho, rng.uniform(0.05, 0.5, n)) if ratio else (rho,)
@@ -798,8 +854,8 @@ class TestFirstDrop:
             x, *a_s = (p[cols, None] for p in params)
             return np.log1p(x * g) - np.log1p(a_s[0] * x * g) if a_s else np.log1p(x * g)
 
-        got = specfun._envelope_cutoff(ch, gscale, kernel, c)
-        assert got.tolist() == full_cutoff(ch, gscale, kernel, c).tolist()
+        got = specfun._envelope_cutoff(target, kernel, c)
+        assert got.tolist() == full_cutoff(target, kernel, c).tolist()
 
     def test_contour_heights(self, monkeypatch):
         # every height the Meijer-G and Fox-H engines ask for; G^{1,0}_{0,1}(50 | 50)
