@@ -135,10 +135,10 @@ def log1p_sinr(sys: NomaSystem, user: User, access: Access = "noma"):
     return sys.pair, _log1p_ratio, (sys.rho, sys.a_s), 1.0
 
 
-def closed_form(law, p, w: float) -> float:
-    """E[(1 + SINR)^-w] for w > 0, or E[log2(1 + SINR)] for w = 0, over a
-    ``log1p_sinr`` law and p: Meijer-G forms for one alpha-mu gain, the
-    bivariate Fox-H and min-gain log-mean difference forms for a pair."""
+def closed_form(law, p, w: float):
+    """E[(1 + SINR)^-w] for w > 0, or E[log2(1 + SINR)] for w = 0, over a ``log1p_sinr``
+    law and p (scalars, or equal-length arrays for an array): Meijer-G forms for one
+    alpha-mu gain, the bivariate Fox-H and min-gain log-mean difference forms for a pair."""
     if isinstance(law, AlphaMuChannel):
         if w:
             return closedform.power_mellin_analytic(law, *p, w)
@@ -168,7 +168,7 @@ def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
     """The one rate path: -log E[(1+SINR)^-(tau*nu)] / (nu ln 2) for the systems
     with nu > 0, and tau*E[log2(1+SINR)] (the common nu -> 0 limit) for those
     with nu = 0, or for all of them when ``ergodic``.  On the quadrature route
-    each group is one engine pass; on the closed-form route, one form per system."""
+    each group is one engine pass; on the closed-form route, one form per exponent tau*nu."""
     _check_user(user)
     if strategy not in ("quadrature", "closed-form"):
         raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
@@ -188,16 +188,19 @@ def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
                 means = laguerre_expectation(law, lambda g, *p: k(g, *p) / LN2, params)
             means = means.tolist()
         else:
-            rtol, means = CONTOUR_RTOL, []
-            for i, p in zip(rows, ps):
+            rtol, ws, means = CONTOUR_RTOL, [tau * nus[i] for i in rows], [None] * len(rows)
+            for w in dict.fromkeys(ws):
+                at = [j for j, x in enumerate(ws) if x == w]
                 try:
-                    mean = closed_form(law, p, tau * nus[i])
+                    mean = closed_form(law, np.array([ps[j] for j in at]).T, w)
                 except ContourError as exc:
+                    first = systems[rows[at[0]]]
                     raise ContourError(
-                        f"closed form cannot evaluate theta = {systems[i].qos.theta:.10g} "
-                        f"(nu = {systems[i].nu:.10g}): {exc}; use strategy = quadrature"
+                        f"closed form cannot evaluate theta = {first.qos.theta:.10g} "
+                        f"(nu = {first.nu:.10g}): {exc}; use strategy = quadrature"
                     ) from exc
-                means.append(math.log(mean) if rated else mean)
+                for j, m in zip(at, mean.tolist()):
+                    means[j] = math.log(m) if rated else m
         for i, m in zip(rows, means):
             if rated:
                 out[i] = RateResult(-m / (nus[i] * LN2), strategy, rtol / (nus[i] * LN2))

@@ -19,7 +19,9 @@ Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
 
 The double contour of ``fox_h2`` is evaluated separably (see
-``_fox_double_integral``).  Every engine refines through ``refine`` and
+``_fox_double_integral``).  Both engines take an array of arguments, and a
+line's height and nodes, which do not depend on z, serve them all (see
+``_trapezoid_lines``).  Every engine refines through ``refine`` and
 raises ConvergenceError instead of returning an unconverged value; the
 contour rules evaluate only the nodes each level adds (``_nested``), from
 ``_NODES`` per line up to ``_MAX_NODES`` until two estimates agree to
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,11 +67,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadValue:
-    """Contour-quadrature result in both linear and log form."""
+    """Contour-quadrature result in both linear and log form: floats for one argument,
+    arrays over the columns of a batch, whose ``error`` is the largest of the batch."""
 
-    value: float
-    log_abs: float
-    sign: float
+    value: float | np.ndarray
+    log_abs: float | np.ndarray
+    sign: float | np.ndarray
     error: float  # estimated relative truncation error
 
 
@@ -196,9 +199,9 @@ def golden_section(a, b, atol, rtol=0.0):
 
     A generator: it yields each point x, is sent f(x) back, and returns the
     midpoint of the final bracket, so a caller can run many searches in
-    lockstep (``golden_minimize`` drives one).  The search stops once the
-    bracket is no wider than max(atol, rtol*|a|), or after 60 steps (a
-    1e-12 shrink).
+    lockstep (``_saddle_search`` and ``snc.dvp_curve`` do).  The search
+    stops once the bracket is no wider than max(atol, rtol*|a|), or after
+    60 steps (a 1e-12 shrink).
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = b - phi * (b - a), a + phi * (b - a)
@@ -216,17 +219,6 @@ def golden_section(a, b, atol, rtol=0.0):
             x2 = a + phi * (b - a)
             f2 = yield x2
     return 0.5 * (a + b)
-
-
-def golden_minimize(f, a, b, atol, rtol=0.0):
-    """Minimize a unimodal f on [a, b]: ``golden_section`` driven by f."""
-    search = golden_section(a, b, atol, rtol)
-    x = next(search)
-    try:
-        while True:
-            x = search.send(f(x))
-    except StopIteration as done:
-        return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +307,11 @@ def loggamma(z):
     return out
 
 
-def _log_integrand_1d(terms, log_z, s):
-    """Sum of signed log-gammas plus s*log(z) over a complex array s, in one loggamma call."""
-    a0, b0, sg = (np.array(col, dtype=float)[:, None] for col in zip(*terms))
-    return s * log_z + (sg * loggamma(a0 + b0 * s)).sum(axis=0)
+def _log_gammas(terms):
+    """s -> sum of the signed log-gammas sg*ln Gamma(a0 + b0*s) of ``terms`` over a complex
+    array s of one or two dimensions, in one loggamma call; the term arrays are built once."""
+    a0, b0, sg = (np.array(col, dtype=float)[:, None, None] for col in zip(*terms))
+    return lambda s: (sg * loggamma(a0 + b0 * s)).sum(axis=0).reshape(np.shape(s))
 
 
 def _real_log_integrand(terms, log_z, c):
@@ -359,101 +352,143 @@ def _first_drop(values, n, drop, peak=None):
 
 
 def _find_height(logf):
-    """Truncation height: the first point past the log-integrand's peak that is _LOG_CUTOFF
-    below it, on 513 points of [0, 64] or up to 12 range-doubling extensions; ``_first_drop``
-    finds the full scan's point when the integrand rises strictly to one peak, not after."""
-    t, peak = np.linspace(0.0, 64.0, 513), None
+    """Per line, the truncation height: the first point past the log-integrand's peak that is
+    _LOG_CUTOFF below it, on 513 points of [0, 64] or up to 12 range-doubling extensions.
+    ``logf`` maps heights, (1, k) or one row per line, to (lines, k); ``_first_drop`` finds
+    the full scan's point when the integrand rises strictly to one peak, not after."""
+    t, peak, height = np.linspace(0.0, 64.0, 513), None, np.nan
     for _ in range(13):
-        i, peak = _first_drop(lambda idx: logf(t[idx.ravel()])[None], t.size, _LOG_CUTOFF, peak)
-        if i[0] < t.size:
-            return t[i[0]]
+        i, peak = _first_drop(lambda idx: logf(t[idx]), t.size, _LOG_CUTOFF, peak)
+        # a line found at an earlier range keeps its height: fmin skips nan
+        height = np.fmin(height, np.where(i < t.size, t[np.minimum(i, t.size - 1)], np.nan))
+        if not np.isnan(height).any():
+            return height
         t = t[-1] + np.linspace(0.0, t[-1], 513)[1:]
     raise ContourError("contour integrand does not decay")
 
 
-def _saddle_offset(terms, log_z, left, right):
-    """Contour offset minimizing the on-axis integrand magnitude.
+def _saddle_search(terms, left, right):
+    """Contour offsets minimizing the on-axis integrand magnitude, as a function of ln z.
 
     The vertical-line peak sits on the real axis, so placing the line at
     the magnitude minimum (the saddle) avoids the cancellation that a
     fixed offset suffers when the result is exponentially smaller than
     the integrand.  The search stays a safe margin inside (left, right);
-    an unbounded side (no pole family) is scanned geometrically.
+    an unbounded side (no pole family) is scanned geometrically.  The scan's
+    log-gammas do not depend on z; the columns' golden sections run in lockstep.
     """
-    g = partial(_real_log_integrand, terms, log_z)
     margin = 0.05 * min(1.0, (right - left) if math.isfinite(left) and math.isfinite(right) else 1.0)
-    lo = left + margin if math.isfinite(left) else None
-    hi = right - margin if math.isfinite(right) else None
-    if lo is None and hi is None:
+    lo, hi = left + margin, right - margin  # infinite on a side with no pole family
+    if not (math.isfinite(lo) or math.isfinite(hi)):
         cand = np.linspace(-64.0, 64.0, 257)
-    elif lo is None:
+    elif not math.isfinite(lo):
         cand = hi - np.geomspace(1e-3, 1 << 20, 513)
-    elif hi is None:
+    elif not math.isfinite(hi):
         cand = lo + np.geomspace(1e-3, 1 << 20, 513)
     else:
         cand = np.linspace(lo, hi, 129)
-    vals = np.array([g(c) for c in cand.tolist()])
-    c0 = float(cand[np.argmin(vals)])
-    # golden-section refinement around the best grid point
+    base = np.array([_real_log_integrand(terms, 0.0, c) for c in cand.tolist()])
     step = np.diff(cand).max()
-    a, b = c0 - step, c0 + step
-    if lo is not None:
-        a = max(a, lo)
-    if hi is not None:
-        b = min(b, hi)
-    return golden_minimize(g, a, b, atol=1e-10, rtol=1e-10)
+
+    def offsets(log_z):
+        searches, points, out = {}, {}, np.empty(log_z.size)
+        # golden-section refinement around each column's best grid point
+        for i, c0 in enumerate(cand[np.argmin(base + cand * log_z[:, None], axis=1)].tolist()):
+            searches[i] = golden_section(max(c0 - step, lo), min(c0 + step, hi), 1e-10, 1e-10)
+            points[i] = next(searches[i])
+        while points:
+            for i, x in list(points.items()):
+                try:
+                    points[i] = searches[i].send(_real_log_integrand(terms, log_z[i], x))
+                except StopIteration as done:
+                    out[i] = done.value
+                    del points[i]
+        return out
+
+    return offsets
 
 
 def _nested(log_f, origin):
-    """``log_f`` at the nodes origin + i*h*k, k = lo..hi, as a function of (h, lo, hi).
+    """``log_f`` at the nodes origin + i*h*k, k = lo..hi, as a function of (h, lo, hi);
+    ``origin`` and ``h`` are scalars, or (lines, 1) for one row of nodes per line.
 
     Under the 2n-1 growth of ``refine`` each level halves the step, so the
     previous level's nodes are the even k of the next one (k*2h and 2k*h
     are the same float): their values are reused and only the new nodes
     are evaluated.
     """
-    last = (math.nan, 0, np.empty(0))  # the previous level's step, first k and values
+    last = (math.nan, 0, np.empty(0))  # the previous level's steps, first k and values
 
     def values(h, lo, hi):
         nonlocal last
-        out = np.empty(hi - lo + 1, dtype=complex)
+        k = np.arange(lo, hi + 1)
+        out = np.empty(np.broadcast_shapes(np.shape(origin), k.shape), dtype=complex)
         even, odd = lo + lo % 2, lo + 1 - lo % 2  # the first even and odd k
         last_h, last_lo, last_values = last
-        if last_h == 2.0 * h and last_lo <= even // 2 <= hi // 2 < last_lo + last_values.size:
-            out[even - lo :: 2] = last_values[even // 2 - last_lo : hi // 2 - last_lo + 1]
-            out[odd - lo :: 2] = log_f(origin + 1j * h * np.arange(odd, hi + 1, 2))
+        covered = last_lo <= even // 2 <= hi // 2 < last_lo + last_values.shape[-1]
+        if np.array_equal(last_h, 2.0 * h) and covered:
+            out[..., even - lo :: 2] = last_values[..., even // 2 - last_lo : hi // 2 - last_lo + 1]
+            out[..., odd - lo :: 2] = log_f(origin + 1j * h * k[odd - lo :: 2])
         else:
-            out[:] = log_f(origin + 1j * h * np.arange(lo, hi + 1))
+            out[...] = log_f(origin + 1j * h * k)
         last = (h, lo, out)
         return out
 
     return values
 
 
-def _trapezoid_line(terms, log_z, offset):
-    """(1/2*pi*i) * integral over Re(s)=offset, exploiting conjugate symmetry.
+def _trapezoid_lines(terms, log_z, offset):
+    """Per column of ``log_z``, (1/2*pi*i) * integral over Re(s) = offset by conjugate
+    symmetry (gamma parameters and z real): (totals, log scales, relative errors).
 
-    Returns a QuadValue.  The integrand must be conjugate-symmetric, i.e.
-    all gamma parameters and z real (z > 0).
+    ``offset`` is one line for every column, or one per column.  On a line
+    Re(s*ln z) = offset*ln z is constant, so the rule refines the z-free
+    log-gammas and each column, in blocks of _COLUMNS, adds its phases t*ln z.
     """
-    log_f = partial(_log_integrand_1d, terms, log_z)
-    height = _find_height(lambda t: log_f(offset + 1j * t).real)
-    nodes = _nested(log_f, offset)
+    offset = np.asarray(offset, dtype=float)[:, None]
+    log_g = _log_gammas(terms)
+    height = _find_height(lambda t: log_g(offset + 1j * t).real)[:, None]
+    nodes = _nested(log_g, offset)
     scale = None
 
-    def estimate(n):
+    def estimate(n, cols):
         nonlocal scale
         h = height / (n - 1)
-        la = nodes(h, 0, n - 1)
+        lg = nodes(h, 0, n - 1)
         if scale is None:
-            scale = la.real.max()
-        return np.trapezoid(np.exp(la - scale).real, dx=h) / math.pi
+            scale = lg.real.max(axis=1, keepdims=True)
+        lg, t = lg - scale, h * np.arange(n)
+        if offset.size > 1:  # one line per column
+            lg, t, h = lg[cols], t[cols], h[cols]
+        lz, out = log_z[cols, None], []
+        for b in range(0, lz.shape[0], _COLUMNS):
+            blk = slice(b, b + _COLUMNS) if offset.size > 1 else slice(None)
+            y = np.exp(lg[blk] + 1j * t[blk] * lz[b : b + _COLUMNS]).real
+            out += (np.trapezoid(y, dx=h[blk], axis=1) / math.pi).tolist()
+        return out
 
-    total, err = refine(estimate, _NODES, _MAX_NODES, CONTOUR_RTOL, "line quadrature")
-    sign = math.copysign(1.0, total) if total != 0 else 1.0
-    log_abs = scale + math.log(max(abs(total), 1e-300))
-    value = sign * math.exp(log_abs) if log_abs < 700 else math.inf * sign
-    return QuadValue(value, log_abs, sign, err)
+    total, err = refine(
+        estimate, _NODES, _MAX_NODES, CONTOUR_RTOL, "line quadrature", width=log_z.size
+    )
+    return np.array(total), scale[:, 0] + offset[:, 0] * log_z, np.array(err)
+
+
+def _arguments(*zs):
+    """The arguments as equal-length 1-D float arrays, and whether they are scalars."""
+    zs, shape = [np.asarray(z, dtype=float) for z in zs], np.shape(zs[0])
+    if len(shape) > 1 or 0 in shape or any(z.shape != shape or not np.all(z > 0) for z in zs):
+        raise ValueError("arguments must be positive scalars or equal-length 1-D arrays")
+    return [z.reshape(-1) for z in zs], zs[0].ndim == 0
+
+
+def _quad_value(total, log_scale, err, scalar):
+    """QuadValue of total*exp(log_scale), the batch's largest error; floats for a scalar."""
+    sign = np.where(total < 0, -1.0, 1.0)
+    log_abs = log_scale + np.log(np.maximum(np.abs(total), 1e-300))
+    with np.errstate(over="ignore"):
+        value = np.where(log_abs < 700, sign * np.exp(log_abs), sign * math.inf)
+    fields = [float(v[0]) if scalar else v for v in (value, log_abs, sign)]
+    return QuadValue(*fields, float(np.max(err, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +514,19 @@ def _meijer_gap(spec: MeijerGSpec) -> tuple[float, float]:
     return left, right
 
 
-def meijer_g(spec: MeijerGSpec, z: float) -> QuadValue:
-    """Evaluate a Meijer G-function at z > 0 by contour quadrature."""
-    if not z > 0:
-        raise ValueError("argument must be positive")
+def meijer_g(spec: MeijerGSpec, z) -> QuadValue:
+    """Evaluate a Meijer G-function at z > 0, a scalar or a 1-D array, by contour quadrature;
+    each z's line sits at its own saddle, and each block of _COLUMNS lines is one rule."""
+    (z,), scalar = _arguments(z)
     delta = spec.m + spec.n - 0.5 * (spec.p + spec.q)
     if delta <= 0:
         raise ContourError("vertical contour integral does not converge (m+n <= (p+q)/2)")
     terms = _meijer_terms(spec)
-    log_z = math.log(z)
-    left, right = _meijer_gap(spec)
-    offset = _saddle_offset(terms, log_z, left, right)
-    return _trapezoid_line(terms, log_z, offset)
+    log_z = np.log(z)
+    offsets = _saddle_search(terms, *_meijer_gap(spec))
+    blocks = [log_z[b : b + _COLUMNS] for b in range(0, z.size, _COLUMNS)]
+    parts = [_trapezoid_lines(terms, lz, offsets(lz)) for lz in blocks]
+    return _quad_value(*(np.concatenate(p) for p in zip(*parts)), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -523,32 +559,34 @@ def _place_fox_contours(spec: FoxH2Spec):
 
 
 def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
-    """Straight-contour part of the double Mellin-Barnes integral.
+    """Straight-contour part of the double Mellin-Barnes integral, per column of the 1-D
+    arrays ln z1 and ln z2: (values, relative errors) arrays.
 
     Both lines share one trapezoid step h, each extent rounded up to whole
     steps, so with s_k = sigma + i(k-K)h and t_j = tau + ijh the integrand
     separates as exp(A_k + B_j + C_{k+j}): A and B hold the four one-variable
     Gamma factors, and the coupled Gamma(c0 + r(s+t)) is needed only on the
     lattice s + t.  Each row sum over k is then one row of a Hankel
-    matrix-vector product, evaluated in blocks of at most _BLOCK entries
-    (one row when a row is longer);
-    every factor is rescaled by its own maximum, fixed at the first estimate.
+    matrix-vector product.  z1^s z2^t is z1^sigma z2^tau times phases, so the
+    heights and log-gammas (each rescaled by its maximum at the first
+    estimate) serve every column, and a block of _COLUMNS columns takes its
+    row sums as one matrix product per block of at most _BLOCK entries.
     """
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
 
-    log_a = partial(_log_integrand_1d, [(x, 1.0, 1), (0.0, -1.0, 1)], log_z1)
-    log_b = partial(_log_integrand_1d, [(-x, 1.0, 1), (0.0, -1.0, 1)], log_z2)
-    log_c = partial(_log_integrand_1d, [(c0, r, 1)], 0.0)
+    log_a = _log_gammas([(x, 1.0, 1), (0.0, -1.0, 1)])
+    log_b = _log_gammas([(-x, 1.0, 1), (0.0, -1.0, 1)])
+    log_c = _log_gammas([(c0, r, 1)])
 
-    hu = 1.3 * _find_height(lambda u: (log_a(sigma + 1j * u) + log_c(sigma + tau + 1j * u)).real)
-    hv = 1.3 * _find_height(lambda v: (log_b(tau + 1j * v) + log_c(sigma + tau + 1j * v)).real)
+    hu = 1.3 * _find_height(lambda u: (log_a(sigma + 1j * u) + log_c(sigma + tau + 1j * u)).real)[0]
+    hv = 1.3 * _find_height(lambda v: (log_b(tau + 1j * v) + log_c(sigma + tau + 1j * v)).real)[0]
     # h halves from level to level and each extent grows from k to 2k-1 or 2k
     # steps, so a level's even nodes were all evaluated at the level before
     a_nodes, b_nodes = _nested(log_a, sigma), _nested(log_b, tau)
     c_nodes = _nested(log_c, sigma + tau)
     scale = None
 
-    def estimate(n):
+    def estimate(n, cols):
         nonlocal scale
         h = max(hu, hv) / (n - 1)
         ku, kv = math.ceil(hu / h - 1e-9), math.ceil(hv / h - 1e-9)  # whole steps
@@ -560,53 +598,56 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
         a = np.exp(la - scale[0])
         a[0] *= 0.5
         a[-1] *= 0.5
-        c = np.exp(lc - scale[2])
-        hankel = sliding_window_view(c, a.size)  # hankel[j, k] = c[j + k]
-        rows = np.empty(kv + 1, dtype=complex)
+        b = np.exp(lb - scale[1])
+        hankel = sliding_window_view(np.exp(lc - scale[2]), a.size)  # hankel[j, k] = c[j + k]
         step = max(1, _BLOCK // a.size)
-        for j0 in range(0, kv + 1, step):
-            rows[j0 : j0 + step] = hankel[j0 : j0 + step] @ a
-        contrib = (np.exp(lb - scale[1]) * rows).real
-        # full plane = v=0 row + twice the v>0 rows, last one at half weight
-        total = contrib[0] + 2.0 * contrib[1:].sum() - contrib[-1]
-        return total * h * h / (4.0 * math.pi**2)
+        u, v = h * np.arange(-ku, ku + 1), h * np.arange(kv + 1)
+        lz1, lz2, out = log_z1[cols, None], log_z2[cols, None], []
+        for c in range(0, lz1.shape[0], _COLUMNS):
+            a_cols = a * np.exp(1j * u * lz1[c : c + _COLUMNS])  # one row per column
+            rows = np.empty((a_cols.shape[0], kv + 1), dtype=complex)
+            for j0 in range(0, kv + 1, step):
+                rows[:, j0 : j0 + step] = a_cols @ hankel[j0 : j0 + step].T
+            contrib = (b * np.exp(1j * v * lz2[c : c + _COLUMNS]) * rows).real
+            # full plane = v=0 row + twice the v>0 rows, last one at half weight
+            total = contrib[:, 0] + 2.0 * contrib[:, 1:].sum(axis=1) - contrib[:, -1]
+            out += (total * h * h / (4.0 * math.pi**2)).tolist()
+        return out
 
     # the u-line carries up to 2n-1 nodes, which the line node budget also bounds
     budget = min((_MAX_NODES + 1) // 2, _DOUBLE_MAX_NODES)
-    total, err = refine(estimate, _NODES, budget, CONTOUR_RTOL, "double contour quadrature")
-    return total * math.exp(sum(scale)), err
+    total, err = refine(
+        estimate, _NODES, budget, CONTOUR_RTOL, "double contour quadrature", width=log_z1.size
+    )
+    return np.array(total) * np.exp(sum(scale) + sigma * log_z1 + tau * log_z2), np.array(err)
 
 
-def fox_h2(spec: FoxH2Spec, z1: float, z2: float) -> QuadValue:
-    """Evaluate the bivariate Fox-H kernel at z1, z2 > 0.
+def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
+    """Evaluate the bivariate Fox-H kernel at z1, z2 > 0, scalars or equal-length 1-D arrays.
 
     The straight double contour (a shared-step trapezoid lattice, see
     ``_fox_double_integral``) is corrected by the residues of the
     positive-power binomial factor Gamma(t-x) at t = x-k for the poles
     lying right of the t-line; each correction is itself a single
     Mellin-Barnes integral sharing the s-contour.  The contour placement
-    is cached per spec.
+    is cached per spec; every line's heights and nodes serve all columns.
     """
-    if not (z1 > 0 and z2 > 0):
-        raise ValueError("arguments must be positive")
+    (z1, z2), scalar = _arguments(z1, z2)
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
     sigma, tau, n_res = _place_fox_contours(spec)
 
-    log_z1 = math.log(z1)
-    log_z2 = math.log(z2)
+    log_z1, log_z2 = np.log(z1), np.log(z2)
     total, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau)
-    err_abs = abs(total) * err
+    err_abs = np.abs(total) * err
 
     for k in range(n_res):
         coeff = (-1.0) ** k / math.factorial(k) * math.gamma(k - x) * z2 ** (x - k)
         terms = [(c0 + r * (x - k), r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
-        line = _trapezoid_line(terms, log_z1, sigma)
-        total += coeff * line.value
-        err_abs += abs(coeff * line.value) * line.error
-
-    denom = max(abs(total), 1e-300)
-    sign = math.copysign(1.0, total) if total != 0 else 1.0
-    return QuadValue(total, math.log(denom), sign, err_abs / denom)
+        line, log_scale, line_err = _trapezoid_lines(terms, log_z1, [sigma])
+        value = coeff * line * np.exp(log_scale)
+        total = total + value
+        err_abs = err_abs + np.abs(value) * line_err
+    return _quad_value(total, 0.0, err_abs / np.maximum(np.abs(total), 1e-300), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +697,10 @@ class _Envelope:
 
     @cached_property
     def grid(self):
-        """The envelope scan's radii r, log densities and gains gscale*r^2."""
-        r = np.geomspace(1e-4, 80.0 ** (1.0 / self.alpha), 2048)
+        """The envelope scan's radii r, log densities and gains gscale*r^2, up to r^alpha =
+        16 times the law's largest shape (80 up to shape 5), past the law's mass."""
+        shape = self.mu + max(len(self.poly) - 1, 0)
+        r = np.geomspace(1e-4, (16.0 * max(shape, 5)) ** (1.0 / self.alpha), 2048)
         return r, self.log_density(r), self.gscale * r**2
 
 

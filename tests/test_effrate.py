@@ -456,6 +456,24 @@ class TestGrids:
         for rate in (er_noma, er_oma, ergodic_rate):
             self.assert_bitwise(rate, systems, "strong", "closed-form")
 
+    def test_closed_form_grid_shares_contours(self, monkeypatch):
+        # a cf-nakagami3-shaped grid: 2 exponents x 3 mixture components are 6 Fox-H
+        # specs, one lattice height pair each, not one per system and component (36)
+        import sys
+
+        from noma_effrate import specfun
+
+        callers, find_height = [], specfun._find_height
+
+        def spy(logf):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return find_height(logf)
+
+        monkeypatch.setattr(specfun, "_find_height", spy)
+        systems = self.grid(2, 3, thetas=(0.5, 1.0), a_s=(0.15, 0.3), rho_db=(5, 15, 25))
+        er_noma(systems, "weak", "closed-form")
+        assert callers.count("_fox_double_integral") == 2 * 6
+
     def test_sum_and_power_search(self):
         systems = self.grid(2, 2, thetas=(0.5,), a_s=(0.1,))
         assert sum_er_noma(systems) == [sum_er_noma(s) for s in systems]

@@ -249,8 +249,8 @@ class TestFoxH2:
                 + loggamma(t - x) + loggamma(-t) + s * log_z1 + t * log_z2
             )
 
-        hu = 1.3 * _find_height(lambda u: log_f(sigma + 1j * u, complex(tau)).real)
-        hv = 1.3 * _find_height(lambda v: log_f(complex(sigma), tau + 1j * v).real)
+        (hu,) = 1.3 * _find_height(lambda u: log_f(sigma + 1j * u, complex(tau)).real)
+        (hv,) = 1.3 * _find_height(lambda v: log_f(complex(sigma), tau + 1j * v).real)
 
         def rows_estimate(n):
             u, v = np.linspace(-hu, hu, 2 * n - 1), np.linspace(0.0, hv, n)
@@ -260,7 +260,9 @@ class TestFoxH2:
 
         want, _ = refine(rows_estimate, 65, 4097, 1e-10, "oracle")
         spec = FoxH2Spec(outer_c=c0, outer_r=r, power=x)
-        got, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau)
+        (got,), (err,) = _fox_double_integral(
+            spec, np.array([log_z1]), np.array([log_z2]), sigma, tau
+        )
         assert err <= 1e-10
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -374,16 +376,67 @@ class TestLogGamma:
     def test_saddle_objective_at_denominator_pole(self):
         # 1/Gamma(s) vanishes at s = 0, the middle grid point of (-0.95, 0.95):
         # math.lgamma raises there, the objective reads -inf
-        from noma_effrate.specfun import _meijer_terms, _real_log_integrand, _saddle_offset
+        from noma_effrate.specfun import _meijer_terms, _real_log_integrand, _saddle_search
 
         spec = MeijerGSpec(a=(0.0,), b=(1.0, 1.0), m=1, n=1)
         terms = _meijer_terms(spec)
         with pytest.raises(ValueError):
             math.lgamma(0.0)
         assert _real_log_integrand(terms, math.log(0.7), 0.0) == -math.inf
-        assert abs(_saddle_offset(terms, math.log(0.7), -1.0, 1.0)) < 1e-9
+        assert abs(_saddle_search(terms, -1.0, 1.0)(np.array([math.log(0.7)]))[0]) < 1e-9
         want = float(mp.meijerg([[0.0], []], [[1.0], [1.0]], 0.7))
         assert meijer_g(spec, 0.7).value == pytest.approx(want, rel=1e-9)
+
+
+class TestBatches:
+    """An array of arguments is one contour evaluation per spec, with each column's value."""
+
+    @pytest.mark.parametrize("alpha,mu", [(2, 1), (2, 3), (4, 3)])
+    def test_closed_forms_equal_one_at_a_time(self, alpha, mu):
+        from noma_effrate.closedform import log_mean_analytic, min_log_mean_difference_analytic
+
+        pair, w = make_pair(alpha, mu), 0.5 / math.log(2.0)
+        grid = itertools.product([0.15, 0.3], 10.0 ** (np.array([5.0, 15.0, 25.0]) / 10.0))
+        a_s, rho = (np.array(col) for col in zip(*grid))
+        forms = [
+            (lambda c: power_mellin_analytic(pair.strong, c, w), (a_s * rho,)),
+            (lambda c: log_mean_analytic(pair.weak, c), (rho,)),
+            (lambda r, a: ratio_mellin_analytic(pair, r, a, w), (rho, a_s)),
+            (lambda r, a: min_log_mean_difference_analytic(pair, r, a), (rho, a_s)),
+        ]
+        for form, args in forms:
+            got = form(*args)
+            assert got.shape == rho.shape
+            np.testing.assert_allclose(got, [form(*p) for p in zip(*args)], rtol=1e-13, atol=0)
+
+    def test_scalar_is_a_batch_of_one(self):
+        spec = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
+        one, batch = fox_h2(spec, 0.8, 0.2), fox_h2(spec, np.array([0.8]), np.array([0.2]))
+        assert isinstance(one.value, float) and isinstance(one.error, float)
+        assert (one.value, one.log_abs, one.sign, one.error) == (
+            batch.value[0], batch.log_abs[0], batch.sign[0], batch.error
+        )
+        with pytest.raises(ValueError):
+            fox_h2(spec, np.array([0.8, 0.1]), np.array([0.2]))
+        with pytest.raises(ValueError):
+            meijer_g(MeijerGSpec(a=(), b=(0.0,), m=1, n=0), np.array([1.0, -1.0]))
+
+    def test_batch_memory_is_bounded(self):
+        # columns go through the lattice in blocks, so the peak does not grow with the batch
+        import tracemalloc
+
+        spec = FoxH2Spec(outer_c=2.0, outer_r=1.0, power=0.7213)
+
+        def peak(n):
+            z1 = np.geomspace(0.05, 900.0, n)
+            tracemalloc.start()
+            try:
+                fox_h2(spec, z1, 0.2 * z1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) <= 2 * peak(64)
 
 
 class TestNestedRule:
@@ -416,16 +469,14 @@ class TestNestedRule:
             finally:
                 scanning[0] = False
 
-        def recorded(estimate, n, *args):
-            if len(args) > 3:  # refine's own column-wise call
-                return refine(estimate, n, *args)
-
-            def wrapped(m):
+        def recorded(estimate, n, *args, width):
+            # a rule of one column, as the one-argument calls below make
+            def wrapped(m, cols):
                 levels.append([m, None, 0])
-                levels[-1][1] = estimate(m)
-                return levels[-1][1]
+                (levels[-1][1],) = estimate(m, cols)
+                return [levels[-1][1]]
 
-            return refine(wrapped, n, *args)
+            return refine(wrapped, n, *args, width=width)
 
         with monkeypatch.context() as patch:
             patch.setattr(specfun, "loggamma", counted)
@@ -440,15 +491,17 @@ class TestNestedRule:
         return levels
 
     def line(self):
-        from noma_effrate.specfun import _meijer_terms, _saddle_offset, _trapezoid_line
+        from noma_effrate.specfun import _meijer_terms, _saddle_search, _trapezoid_lines
 
-        terms, log_z = _meijer_terms(self.MEIJER), math.log(1.7)
-        _trapezoid_line(terms, log_z, _saddle_offset(terms, log_z, -0.5, -0.25))
+        terms, log_z = _meijer_terms(self.MEIJER), np.array([math.log(1.7)])
+        _trapezoid_lines(terms, log_z, _saddle_search(terms, -0.5, -0.25)(log_z))
 
     def lattice(self):
         from noma_effrate.specfun import _fox_double_integral
 
-        _fox_double_integral(self.FOX, math.log(0.8), math.log(0.2), -0.35, -0.4)
+        _fox_double_integral(
+            self.FOX, np.array([math.log(0.8)]), np.array([math.log(0.2)]), -0.35, -0.4
+        )
 
     @pytest.mark.parametrize("rule", ["line", "lattice"])
     def test_estimates_match_fresh_evaluation(self, monkeypatch, rule):
@@ -549,6 +602,23 @@ class TestLaguerreExpectation:
             lambda x: kernel(x) * min_gain_pdf(pair, x), 0, np.inf, limit=300
         )
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "mu, pair",
+        [(30, False), (40, False), (60, False), (20, True), (30, True), (40, True), (60, True)],
+    )
+    def test_large_shape_mean_matches_moment(self, mu, pair):
+        # the envelope scan ends past the mass of the law's largest shape (2 mu - 1 for a
+        # pair), which lies beyond y = r^alpha = 80 for these shapes
+        from noma_effrate.channel import min_gain_moment
+
+        ch = AlphaMuChannel(2, mu, 1.0)
+        if pair:
+            target = ChannelPair(ch, AlphaMuChannel(2, mu, 0.9))
+            want = min_gain_moment(target, 1)
+        else:
+            target, want = ch, gain_moment(ch, 1)
+        assert laguerre_expectation(target, lambda x: x) == pytest.approx(want, rel=1e-12)
 
     def test_log_expectation_matches_linear(self):
         pair = make_pair(2, 2, 1.0, 0.1)
@@ -865,8 +935,11 @@ class TestFirstDrop:
         heights, find_height = [], specfun._find_height
 
         def both(logf):
-            heights.append((find_height(logf), full_height(logf)))
-            return heights[-1][0]
+            # one pair per line: logf gives a row per line
+            got = find_height(logf)
+            for i, h in enumerate(got.tolist()):
+                heights.append((h, full_height(lambda t: logf(t[None])[i])))
+            return got
 
         monkeypatch.setattr(specfun, "_find_height", both)
         meijer_g(MeijerGSpec(a=(), b=(50.0,), m=1, n=0), 50.0)
