@@ -178,7 +178,7 @@ def _validate(cfg: SweepConfig):
             raise ConfigError(f"[system] rho_db: {rho_db:g} dB is not a finite positive linear SNR")
     if not all(0 < lam < math.inf for lam in cfg.lambdas):
         raise ConfigError(f"[snc] lambda: must be positive and finite, got {cfg.lambdas}")
-    for section, key in (("snc", "vartheta_max"), ("sim", "slots")):
+    for section, key in (("snc", "vartheta_max"), ("sim", "seed"), ("sim", "slots")):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"[{section}] {key}: must be nonnegative, got {getattr(cfg, key)}")
     if cfg.strategy not in ("quadrature", "closed-form"):
@@ -244,6 +244,8 @@ def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
     # both simulations first, so a trace too short for vartheta_max fails before any bound
     emps = [None, None]
     if cfg.slots > 0:
+        if cfg.vartheta_max < 1:
+            raise ConfigError("[snc] vartheta_max: the queue simulation needs at least 1 when [sim] slots > 0")
         plan = SimPlan(cfg.seed, cfg.slots, cfg.batches)
         emps = [queue_dvp(snc_cfg, user, plan, cfg.vartheta_max) for user in users]
     rows = []

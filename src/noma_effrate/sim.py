@@ -9,8 +9,9 @@ arrivals through k.  As departures = arrivals - backlog, they wait more
 than d slots exactly when the backlog after slot k+d exceeds d*lam.
 
 The queue is simulated in one pass over blocks of 2^16 slots that carries
-the drift and its running minimum, so it holds one block; the weak user also
-holds the strong link's gains (8 B/slot), drawn first in the stream.  Random
+the drift and its running minimum, so it holds one block for either user.
+The strong link's gains come first in the stream; the weak user's run redraws
+them one block at a time from a second generator on the same seed.  Random
 numbers come from numpy's PCG64 via default_rng; batch streams are spawned
 from one SeedSequence, so results do not depend on execution order.
 """
@@ -29,6 +30,10 @@ from .snc import SncConfig
 from .specfun import ConvergenceError
 
 _BLOCK = 1 << 16  # slots per block of the queue simulation
+# One entry, (seed, slots, strong channel, sampler) -> the generator state where
+# the strong link's gains end, kept by the last strong queue run: a weak run with
+# the same key starts there instead of stepping through the strong draws again.
+_STRONG_END: dict = {}
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,9 @@ def queue_dvp(
     The first 10% of slots are warm-up; bits arriving within max_delay of
     the trace end are excluded so no delay measurement is censored.
     Delays beyond max_delay are counted as exceeding every target.  Memory
-    is one block of slots, plus the weak user's strong-link gains (8 B/slot).
+    is one block of slots for either user.  A strong run leaves the state
+    where its gains end in a one-entry module memo, so a weak run on the same
+    seed, slots and strong channel skips stepping through those draws.
     """
     _check_user(user)
     if max_delay < 1:
@@ -130,14 +137,26 @@ def queue_dvp(
     if last <= warm:
         raise ValueError("trace too short for the requested max_delay and warm-up")
     lam = cfg.arrival_rate
+    strong_ch = cfg.system.pair.strong
+    key = (plan.seed, slots, strong_ch, sample_gain)
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    strong = sample_gain(cfg.system.pair.strong, rng, slots) if user == "weak" else None
+    redraw = None
+    if user == "weak":
+        # the strong gains come first in the stream: ``redraw`` replays them
+        # block by block, and ``rng`` draws the weak gains from where they end
+        redraw = np.random.default_rng(np.random.SeedSequence(plan.seed))
+        if key in _STRONG_END:
+            rng.bit_generator.state = _STRONG_END[key]
+        else:
+            for start in range(0, slots, _BLOCK):
+                sample_gain(strong_ch, rng, min(_BLOCK, slots - start))
     eps = 1e-9 * max(lam, 1.0)
     exceed = [0] * (max_delay + 1)
     mean_service = drift = floor = 0.0
     for start in range(0, slots, _BLOCK):
         stop = min(start + _BLOCK, slots)
-        x = _draw_sinr(cfg.system, user, rng, stop - start, None if strong is None else strong[start:stop])
+        strong = None if redraw is None else sample_gain(strong_ch, redraw, stop - start)
+        x = _draw_sinr(cfg.system, user, rng, stop - start, strong)
         x += 1.0
         np.log2(x, out=x)
         x *= cfg.symbols_per_slot  # the block's service
@@ -154,7 +173,10 @@ def queue_dvp(
         # exceeds the d*lam bits that arrived after them; d reads slots [warm+d, last+d)
         for d in range(max(start - last + 1, 0), min(stop - warm, max_delay + 1)):
             exceed[d] += np.count_nonzero(x[max(warm + d - start, 0) : last + d - start] > d * lam + eps)
-        del x, low  # free the block before the next one is drawn
+        del x, low, strong  # free the block before the next one is drawn
+    if user == "strong":
+        _STRONG_END.clear()
+        _STRONG_END[key] = rng.bit_generator.state
     if lam >= mean_service:
         warnings.warn(
             f"unstable queue: arrival rate {lam} >= mean service {mean_service:.3f}",
@@ -172,7 +194,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLERR_SMALL = np.array(
     [0.0] + [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _LOG_SQRT_2PI for j in range(1, 16)]
 )
-_TAIL_TERMS = 1 << 18  # rows x terms per block of the binomial tail sums
+# rows x terms per block of the binomial tail sums: a block's scratch is a few
+# arrays of this many doubles (about 1.2 MB); a row wider than this gets a block
+# of its own
+_TAIL_TERMS = 1 << 15
 
 
 def _binomial_ci(successes, trials, level):

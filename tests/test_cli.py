@@ -82,13 +82,15 @@ class TestParsing:
             ("[channel]\nalpha = 2\n[channel]\nmu = 1\n", "section 'channel' already exists"),
             ("alpha = 2\n[channel]\nmu = 1\n", "no section headers"),
             ("[sim]\nslots = -5\n", r"\[sim\] slots: must be nonnegative, got -5"),
+            ("[sim]\nseed = -1\n", r"\[sim\] seed: must be nonnegative, got -1"),
             ("[system]\ntheta = 5%\n", r"\[system\] theta: cannot parse '5%'"),
         ],
-        ids=["repeated-key", "repeated-section", "no-section-header", "negative-slots", "percent-sign"],
+        ids=["repeated-key", "repeated-section", "no-section-header", "negative-slots", "negative-seed",
+             "percent-sign"],
     )
     def test_syntax_errors_are_one_line(self, tmp_path, capsys, text, message):
         # a repeated key or section, a missing section header, a negative slot
-        # count and a '%' (values are literal, not interpolated) each give one
+        # count or seed and a '%' (values are literal, not interpolated) each give one
         # error line and exit 2, on every subcommand
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
@@ -523,11 +525,12 @@ class TestMainEntry:
             ("er", "[system]\ntb = inf\n", "block_time_bandwidth"),
             ("er", "[channel]\nomega_s = inf\n", "omega"),
             ("dvp", "[snc]\nlambda = 170\nvartheta_max = -1\n", "[snc] vartheta_max"),
+            ("dvp", "[snc]\nlambda = 170\nvartheta_max = 0\n[sim]\nslots = 1000\n", "[snc] vartheta_max"),
             ("dvp", "[snc]\nlambda = inf\n", "[snc] lambda"),
             ("dvp", "[snc]\nlambda = nan\n", "[snc] lambda"),
         ],
-        ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "lambda-inf",
-             "lambda-nan"],
+        ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
+             "lambda-inf", "lambda-nan"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)

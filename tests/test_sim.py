@@ -221,10 +221,10 @@ class TestQueueDvp:
 
     @pytest.mark.parametrize("user", ["strong", "weak"])
     def test_queue_dvp_peak_memory_per_slot(self, user):
-        # the pass holds two block-sized arrays at a time, so the strong user's
-        # peak does not grow with the trace; the fixed bound also covers the
-        # Clopper-Pearson scratch (about 1.9 MB at 800k slots).  The weak user
-        # adds the strong link's gains, 8 B/slot.
+        # the pass holds a few block-sized arrays at a time, and the weak run
+        # redraws the strong link's gains block by block, so neither user's
+        # peak grows with the trace; the fixed bound also covers the
+        # Clopper-Pearson scratch
         cfg = self.make_cfg(user=user)
         queue_dvp(cfg, user, SimPlan(1, 1000), 30)  # first-call allocations
         bound = 48 * _BLOCK  # 3 MiB
@@ -235,7 +235,26 @@ class TestQueueDvp:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= bound + (8 * slots if user == "weak" else 0), slots
+            assert peak <= bound, slots
+
+    @pytest.mark.parametrize("before", ["cleared", "strong-same-seed", "strong-other-seed"])
+    def test_weak_run_matches_whole_trace_after_any_strong_run(self, monkeypatch, before):
+        # the weak run starts its generator where the strong gains end: from
+        # the state a strong run on the same key left behind, or by stepping
+        # through the strong draws when there is none or it belongs to
+        # another seed; each way the bits are the whole-trace pass's
+        monkeypatch.setattr(sim_module, "_STRONG_END", {})
+        cfg = self.make_cfg(load=0.95, user="weak")
+        plan = SimPlan(41, _SPAN)
+        if before != "cleared":
+            seed = plan.seed if before == "strong-same-seed" else plan.seed + 1
+            queue_dvp(cfg, "strong", SimPlan(seed, plan.draws), 30)
+            assert len(sim_module._STRONG_END) == 1
+        got = queue_dvp(cfg, "weak", plan, 30)
+        p, ci_low, ci_high = _whole_trace_dvp(cfg, "weak", plan, 30)
+        np.testing.assert_array_equal(got.probabilities, p)
+        np.testing.assert_array_equal(got.ci_low, ci_low)
+        np.testing.assert_array_equal(got.ci_high, ci_high)
 
     @pytest.mark.parametrize("user", ["strong", "weak"])
     @pytest.mark.parametrize("load", [0.7, 0.95, 1.2, 10.0])
@@ -388,6 +407,20 @@ class TestBinomialCi:
             assert k <= 30 and n >= 900_000, (k, n, rel[i])
             assert _root_within(k, n, low[i], high[i], 1e-12)
             assert not _root_within(k, n, ref_low[i], ref_high[i], 1e-12)
+
+    @pytest.mark.parametrize("n", [10**6, 10**7])
+    def test_peak_memory_bounded_in_trials(self, n):
+        # the tail sums run in blocks of at most _TAIL_TERMS terms, so the
+        # scratch stays small however large n and the counts get
+        ks = np.unique(np.round(np.geomspace(1, 0.45 * n, 31)).astype(np.int64))
+        sim_module._binomial_ci(ks, n, 0.99)  # first-call allocations
+        tracemalloc.start()
+        try:
+            sim_module._binomial_ci(ks, n, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @given(
         st.integers(1, 10**7).flatmap(
