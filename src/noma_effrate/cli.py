@@ -178,7 +178,7 @@ def _validate(cfg: SweepConfig):
             raise ConfigError(f"[system] rho_db: {rho_db:g} dB is not a finite positive linear SNR")
     if not all(0 < lam < math.inf for lam in cfg.lambdas):
         raise ConfigError(f"[snc] lambda: must be positive and finite, got {cfg.lambdas}")
-    for section, key in (("snc", "vartheta_max"), ("sim", "seed"), ("sim", "slots")):
+    for section, key in (("snc", "vartheta_max"), ("sim", "slots")):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"[{section}] {key}: must be nonnegative, got {getattr(cfg, key)}")
     if cfg.strategy not in ("quadrature", "closed-form"):
@@ -412,6 +412,9 @@ def main(argv=None) -> int:
         for name, value in flags.items():
             if value is not None:
                 setattr(cfg, name, value)
+        if cfg.seed < 0:  # checked once the --seed override is in
+            source = "[sim] seed" if args.seed is None else "--seed"
+            raise ConfigError(f"{source}: must be nonnegative, got {cfg.seed}")
         with warnings.catch_warnings():
             # a warning (such as an unstable queue) is one line, like an error
             warnings.showwarning = lambda message, *_: print(

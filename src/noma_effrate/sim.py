@@ -30,10 +30,6 @@ from .snc import SncConfig
 from .specfun import ConvergenceError
 
 _BLOCK = 1 << 16  # slots per block of the queue simulation
-# One entry, (seed, slots, strong channel, sampler) -> the generator state where
-# the strong link's gains end, kept by the last strong queue run: a weak run with
-# the same key starts there instead of stepping through the strong draws again.
-_STRONG_END: dict = {}
 
 
 @dataclass(frozen=True)
@@ -124,9 +120,7 @@ def queue_dvp(
     The first 10% of slots are warm-up; bits arriving within max_delay of
     the trace end are excluded so no delay measurement is censored.
     Delays beyond max_delay are counted as exceeding every target.  Memory
-    is one block of slots for either user.  A strong run leaves the state
-    where its gains end in a one-entry module memo, so a weak run on the same
-    seed, slots and strong channel skips stepping through those draws.
+    is one block of slots for either user.
     """
     _check_user(user)
     if max_delay < 1:
@@ -138,18 +132,15 @@ def queue_dvp(
         raise ValueError("trace too short for the requested max_delay and warm-up")
     lam = cfg.arrival_rate
     strong_ch = cfg.system.pair.strong
-    key = (plan.seed, slots, strong_ch, sample_gain)
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
     redraw = None
     if user == "weak":
-        # the strong gains come first in the stream: ``redraw`` replays them
-        # block by block, and ``rng`` draws the weak gains from where they end
+        # the strong gains come first in the stream: ``rng`` steps through them
+        # to draw the weak gains from where they end, and ``redraw`` replays them
+        # block by block
         redraw = np.random.default_rng(np.random.SeedSequence(plan.seed))
-        if key in _STRONG_END:
-            rng.bit_generator.state = _STRONG_END[key]
-        else:
-            for start in range(0, slots, _BLOCK):
-                sample_gain(strong_ch, rng, min(_BLOCK, slots - start))
+        for start in range(0, slots, _BLOCK):
+            sample_gain(strong_ch, rng, min(_BLOCK, slots - start))
     eps = 1e-9 * max(lam, 1.0)
     exceed = [0] * (max_delay + 1)
     mean_service = drift = floor = 0.0
@@ -174,9 +165,6 @@ def queue_dvp(
         for d in range(max(start - last + 1, 0), min(stop - warm, max_delay + 1)):
             exceed[d] += np.count_nonzero(x[max(warm + d - start, 0) : last + d - start] > d * lam + eps)
         del x, low, strong  # free the block before the next one is drawn
-    if user == "strong":
-        _STRONG_END.clear()
-        _STRONG_END[key] = rng.bit_generator.state
     if lam >= mean_service:
         warnings.warn(
             f"unstable queue: arrival rate {lam} >= mean service {mean_service:.3f}",

@@ -82,15 +82,13 @@ class TestParsing:
             ("[channel]\nalpha = 2\n[channel]\nmu = 1\n", "section 'channel' already exists"),
             ("alpha = 2\n[channel]\nmu = 1\n", "no section headers"),
             ("[sim]\nslots = -5\n", r"\[sim\] slots: must be nonnegative, got -5"),
-            ("[sim]\nseed = -1\n", r"\[sim\] seed: must be nonnegative, got -1"),
             ("[system]\ntheta = 5%\n", r"\[system\] theta: cannot parse '5%'"),
         ],
-        ids=["repeated-key", "repeated-section", "no-section-header", "negative-slots", "negative-seed",
-             "percent-sign"],
+        ids=["repeated-key", "repeated-section", "no-section-header", "negative-slots", "percent-sign"],
     )
     def test_syntax_errors_are_one_line(self, tmp_path, capsys, text, message):
         # a repeated key or section, a missing section header, a negative slot
-        # count or seed and a '%' (values are literal, not interpolated) each give one
+        # count and a '%' (values are literal, not interpolated) each give one
         # error line and exit 2, on every subcommand
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
@@ -528,13 +526,16 @@ class TestMainEntry:
             ("dvp", "[snc]\nlambda = 170\nvartheta_max = 0\n[sim]\nslots = 1000\n", "[snc] vartheta_max"),
             ("dvp", "[snc]\nlambda = inf\n", "[snc] lambda"),
             ("dvp", "[snc]\nlambda = nan\n", "[snc] lambda"),
+            ("er", "[sim]\nseed = -1\n", "[sim] seed: must be nonnegative, got -1"),
+            ("dvp", "[sim]\nseed = -1\nslots = 1000\n", "[sim] seed: must be nonnegative, got -1"),
+            ("dvp --seed -1", "[sim]\nslots = 1000\n", "--seed: must be nonnegative, got -1"),
         ],
         ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
-             "lambda-inf", "lambda-nan"],
+             "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)
-        assert main([command, "--config", path]) == 2
+        assert main([*command.split(), "--config", path]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]

@@ -237,25 +237,6 @@ class TestQueueDvp:
                 tracemalloc.stop()
             assert peak <= bound, slots
 
-    @pytest.mark.parametrize("before", ["cleared", "strong-same-seed", "strong-other-seed"])
-    def test_weak_run_matches_whole_trace_after_any_strong_run(self, monkeypatch, before):
-        # the weak run starts its generator where the strong gains end: from
-        # the state a strong run on the same key left behind, or by stepping
-        # through the strong draws when there is none or it belongs to
-        # another seed; each way the bits are the whole-trace pass's
-        monkeypatch.setattr(sim_module, "_STRONG_END", {})
-        cfg = self.make_cfg(load=0.95, user="weak")
-        plan = SimPlan(41, _SPAN)
-        if before != "cleared":
-            seed = plan.seed if before == "strong-same-seed" else plan.seed + 1
-            queue_dvp(cfg, "strong", SimPlan(seed, plan.draws), 30)
-            assert len(sim_module._STRONG_END) == 1
-        got = queue_dvp(cfg, "weak", plan, 30)
-        p, ci_low, ci_high = _whole_trace_dvp(cfg, "weak", plan, 30)
-        np.testing.assert_array_equal(got.probabilities, p)
-        np.testing.assert_array_equal(got.ci_low, ci_low)
-        np.testing.assert_array_equal(got.ci_high, ci_high)
-
     @pytest.mark.parametrize("user", ["strong", "weak"])
     @pytest.mark.parametrize("load", [0.7, 0.95, 1.2, 10.0])
     @pytest.mark.parametrize(
