@@ -6,12 +6,12 @@ import os
 
 # One BLAS thread per process.  OpenBLAS starts its thread pool when numpy
 # loads, which every CLI invocation pays: on a 2-vCPU Xeon, `import
-# noma_effrate.cli` took 0.24 s with one thread and 0.32 s with the default
-# two (medians of 15 runs), while the library's LAPACK work (the
-# eigen-solve in numpy's `leggauss` behind its Gauss-Legendre tables) gained
-# nothing from the second thread (`dvp` on the README config 0.875 s against
-# 0.881 s).  Takes effect only while numpy is not loaded yet; a value
-# already in the environment wins.
+# noma_effrate.cli` took 0.16 s with one thread and 0.22 s with the default
+# two (medians of 40 alternating runs), and the library's only sizeable BLAS
+# work, the Fox-H lattice's matrix products, lost from the second thread (the
+# benchmark's `closed-form` invocations 0.89 s against 1.21 s, medians of 6).
+# Takes effect only while numpy is not loaded yet; a value already in the
+# environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .channel import (

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import AlphaMuChannel, ChannelPair
+from .closedform import MAX_MU
 from .effrate import (
     DelayQos,
     NomaSystem,
@@ -183,6 +184,11 @@ def _validate(cfg: SweepConfig):
             raise ConfigError(f"[{section}] {key}: must be nonnegative, got {getattr(cfg, key)}")
     if cfg.strategy not in ("quadrature", "closed-form"):
         raise ConfigError(f"[system] strategy: {cfg.strategy!r} not supported")
+    if cfg.strategy == "closed-form" and cfg.mu > MAX_MU:
+        raise ConfigError(
+            f"[channel] mu: the closed form holds up to mu = {MAX_MU}, got {cfg.mu}; "
+            "use strategy = quadrature"
+        )
     if cfg.out_format not in ("csv", "svg"):
         raise ConfigError(f"[output] format: must be csv or svg, got {cfg.out_format!r}")
     try:

@@ -22,6 +22,11 @@ from .channel import AlphaMuChannel, ChannelPair
 from .specfun import FoxH2Spec, MeijerGSpec, fox_h2, meijer_g
 
 LN2 = math.log(2.0)
+# The largest mu the closed forms are checked at: at mu = 81 every er row on
+# alpha in {1, 2, 3, 4, 6}, theta in {0.5, 1, 2}, rho from -10 to 30 dB and a_s
+# in {0.05, 0.24, 0.45} agrees with quadrature to 1e-8 relative; at mu = 82 one
+# on alpha = 6 is off by 1.2e-8, and at mu = 83 the Fox-H kernel overflows.
+MAX_MU = 81
 
 
 def _delta(x: int, y: float) -> tuple[float, ...]:
@@ -70,7 +75,7 @@ def ratio_mellin_analytic(pair: ChannelPair, rho, a_s, w: float):
     for weight, c in channel.min_gain_mixture(pair):
         z1 = rho * (c.omega**c.alpha / c.mu) ** r
         h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1)
-        total += weight * h.value / math.gamma(c.mu)
+        total += weight * h.sign * np.exp(h.log_abs - math.lgamma(c.mu))
     # 1 / (Gamma(w) Gamma(-w)) by reflection, finite at every non-integer w
     return total * -w * math.sin(math.pi * w) / math.pi
 

@@ -192,7 +192,11 @@ def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
             for w in dict.fromkeys(ws):
                 at = [j for j, x in enumerate(ws) if x == w]
                 try:
-                    mean = closed_form(law, np.array([ps[j] for j in at]).T, w)
+                    # an overflowing contour sum is caught below, not warned about
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        mean = closed_form(law, np.array([ps[j] for j in at]).T, w)
+                    if not np.all(np.isfinite(mean)):
+                        raise ContourError("the contour sum overflows")
                 except ContourError as exc:
                     first = systems[rows[at[0]]]
                     raise ContourError(

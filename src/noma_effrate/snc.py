@@ -125,7 +125,8 @@ def _log_brackets(cfg: SncConfig, user: User, s):
     tail = []
     for x, lm in zip(points.tolist(), log_m.tolist()):
         log_k = cfg.arrival_rate * x + lm
-        tail.append(-math.inf if log_k >= 0.0 else math.log1p(-math.exp(log_k)))
+        # -expm1, not 1 - exp: exp(log_k) rounds to 1 once |log_k| is below about 1e-16
+        tail.append(-math.inf if log_k >= 0.0 else math.log(-math.expm1(log_k)))
     log_m, tail = log_m[index], np.array(tail)[index]
     return lambda d: d * log_m - tail
 

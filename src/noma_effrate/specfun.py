@@ -1,13 +1,13 @@
 """Special-function kernels: Mellin-Barnes contour quadrature and
-Gauss quadrature against the alpha-mu gain law.
+quadrature against the alpha-mu gain law.
 
 Two independent evaluation routes are provided for every expectation the
 library needs:
 
-* ``laguerre_log_expectation`` integrates directly against the gain law in
-  its envelope variable, where an alpha-mu gain and the minimum gain of a
-  pair (its finite alpha-mu mixture, summed into one density) both have a
-  Gamma-type density, with one adaptive Gauss-Legendre engine in log space;
+* ``laguerre_log_expectation`` integrates directly against the gain law,
+  where an alpha-mu gain and the minimum gain of a pair (its finite
+  alpha-mu mixture, summed into one density) both have a Gamma-type
+  density, with the trapezoid rule in the log-envelope ln r;
   ``laguerre_expectation`` is its linear view (the names, from an earlier
   Gauss-Laguerre rule, stay because the benchmark's layer spans patch them);
 * ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
@@ -19,23 +19,22 @@ Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
 
 The double contour of ``fox_h2`` is evaluated separably (see
-``_fox_double_integral``).  Both engines take an array of arguments, and a
-line's height and nodes, which do not depend on z, serve them all (see
-``_trapezoid_lines``).  Every engine refines through ``refine`` and
-raises ConvergenceError instead of returning an unconverged value; the
-contour rules evaluate only the nodes each level adds (``_nested``), from
-``_NODES`` per line up to ``_MAX_NODES`` until two estimates agree to
-``CONTOUR_RTOL``.  All integrands are computed in log space and rescaled by
-the maximum exponent before summation, so Gamma factors with arguments into
-the hundreds and kernels such as (1 + SINR)^-w with w in the thousands
-neither overflow nor underflow.
+``_fox_double_integral``).  Both contour engines take an array of
+arguments, and a line's height and nodes, which do not depend on z, serve
+them all (see ``_trapezoid_lines``).  All three engines are doubling
+trapezoid rules: each refines through ``refine``, evaluates only the nodes
+a level adds (``_nested``) and raises ConvergenceError instead of returning
+an unconverged value.  All integrands are computed in log space and
+rescaled by the maximum exponent before summation, so Gamma factors with
+arguments into the hundreds and kernels such as (1 + SINR)^-w with w in
+the thousands neither overflow nor underflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -155,25 +154,18 @@ class FoxH2Spec:
 # refinement and line-search drivers shared by every engine
 
 
-def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1, width=None):
-    """Refine a rule until two successive estimates agree to ``rtol`` relative.
+def refine(estimate, n, limit, rtol, what, width):
+    """Refine a rule of ``width`` columns until each column's two successive estimates
+    agree to ``rtol`` relative.
 
-    ``estimate(n)`` evaluates the rule at size ``n``; the size starts at
-    ``n`` and grows by ``grow`` while it stays within ``limit``.  Returns
-    (last estimate, relative change of the last step); raises
-    ConvergenceError carrying the last two estimates when the budget runs
-    out first.
-
-    A rule with ``width`` columns refines each column on its own:
-    ``estimate(n, cols)`` returns the estimates of the columns ``cols`` (an
-    index array, or a full slice while every column is open) that have not
-    agreed yet, every column stops at its first agreement, and the result
-    is a pair of lists.  When the budget runs out the error carries the
-    first open column's estimates.
+    ``estimate(n, cols)`` evaluates the rule at size ``n`` for the columns
+    ``cols`` (an index array, or a full slice while every column is open)
+    that have not agreed yet; the size starts at ``n`` and grows to 2n-1,
+    which halves a trapezoid step, while it stays within ``limit``.  Every
+    column stops at its first agreement.  Returns lists of (last estimates,
+    relative changes of the last step); raises ConvergenceError carrying the
+    first open column's last two estimates when the budget runs out first.
     """
-    if width is None:
-        last, err = refine(lambda n, cols: [estimate(n)], n, limit, rtol, what, grow, 1)
-        return last[0], err[0]
     open_ = list(range(width))
     prev, last, err = [None] * width, [None] * width, [math.inf] * width
     while True:
@@ -186,12 +178,12 @@ def refine(estimate, n, limit, rtol, what, grow=lambda n: 2 * n - 1, width=None)
         open_ = [i for i in open_ if not err[i] <= rtol]
         if not open_:
             return last, err
-        if grow(n) > limit:
+        if 2 * n - 1 > limit:
             raise ConvergenceError(
                 f"{what} did not reach relative tolerance {rtol:g} by size {n}",
                 estimates=(prev[open_[0]], last[open_[0]]),
             )
-        n = grow(n)
+        n = 2 * n - 1
 
 
 def golden_section(a, b, atol, rtol=0.0):
@@ -352,19 +344,20 @@ def _first_drop(values, n, drop, peak=None):
 
 
 def _find_height(logf):
-    """Per line, the truncation height: the first point past the log-integrand's peak that is
+    """Per row, the truncation height: the first point past the log-integrand's peak that is
     _LOG_CUTOFF below it, on 513 points of [0, 64] or up to 12 range-doubling extensions.
-    ``logf`` maps heights, (1, k) or one row per line, to (lines, k); ``_first_drop`` finds
-    the full scan's point when the integrand rises strictly to one peak, not after."""
+    ``logf`` maps heights, (1, k) or one row each, to (rows, k); a row is a contour line or
+    a side of a gain-rule window.  ``_first_drop`` finds the full scan's point when the
+    integrand rises strictly to one peak, not after."""
     t, peak, height = np.linspace(0.0, 64.0, 513), None, np.nan
     for _ in range(13):
         i, peak = _first_drop(lambda idx: logf(t[idx]), t.size, _LOG_CUTOFF, peak)
-        # a line found at an earlier range keeps its height: fmin skips nan
+        # a row found at an earlier range keeps its height: fmin skips nan
         height = np.fmin(height, np.where(i < t.size, t[np.minimum(i, t.size - 1)], np.nan))
         if not np.isnan(height).any():
             return height
         t = t[-1] + np.linspace(0.0, t[-1], 513)[1:]
-    raise ContourError("contour integrand does not decay")
+    raise ContourError("integrand does not decay")
 
 
 def _saddle_search(terms, left, right):
@@ -408,9 +401,11 @@ def _saddle_search(terms, left, right):
     return offsets
 
 
-def _nested(log_f, origin):
-    """``log_f`` at the nodes origin + i*h*k, k = lo..hi, as a function of (h, lo, hi);
-    ``origin`` and ``h`` are scalars, or (lines, 1) for one row of nodes per line.
+def _nested(log_f, origin, unit=1j):
+    """``log_f`` at the nodes origin + unit*h*k, k = lo..hi, as a function of (h, lo, hi):
+    on a vertical line for the contour rules (``unit`` i), on the real axis for the
+    gain rule (``unit`` 1).  ``origin`` and ``h`` are scalars, or (lines, 1) for one
+    row of nodes per line.
 
     Under the 2n-1 growth of ``refine`` each level halves the step, so the
     previous level's nodes are the even k of the next one (k*2h and 2k*h
@@ -422,15 +417,16 @@ def _nested(log_f, origin):
     def values(h, lo, hi):
         nonlocal last
         k = np.arange(lo, hi + 1)
-        out = np.empty(np.broadcast_shapes(np.shape(origin), k.shape), dtype=complex)
         even, odd = lo + lo % 2, lo + 1 - lo % 2  # the first even and odd k
         last_h, last_lo, last_values = last
         covered = last_lo <= even // 2 <= hi // 2 < last_lo + last_values.shape[-1]
         if np.array_equal(last_h, 2.0 * h) and covered:
+            new = log_f(origin + unit * h * k[odd - lo :: 2])
+            out = np.empty(new.shape[:-1] + k.shape, dtype=new.dtype)
             out[..., even - lo :: 2] = last_values[..., even // 2 - last_lo : hi // 2 - last_lo + 1]
-            out[..., odd - lo :: 2] = log_f(origin + 1j * h * k[odd - lo :: 2])
+            out[..., odd - lo :: 2] = new
         else:
-            out[...] = log_f(origin + 1j * h * k)
+            out = log_f(origin + unit * h * k)
         last = (h, lo, out)
         return out
 
@@ -651,96 +647,66 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
 
 
 # ---------------------------------------------------------------------------
-# Gauss quadrature expectations against the alpha-mu gain law
+# expectations against the alpha-mu gain law
 #
-# The exact substitution y = mu * g^(alpha/2) / omega^alpha maps the gain
-# law to the unit Gamma(mu) weight, and r = y^(1/alpha) to the envelope
-# variable, where the integrand r^(alpha*mu-1) exp(-r^alpha) kernel(gscale * r^2)
-# is analytic for every alpha (in y it has a y^(2/alpha) branch point at the
-# origin for alpha >= 3).  The minimum-gain mixture's components (shapes mu+k)
-# share one gscale, so a pair's law is one such density too (``_Envelope``).
-# One rule serves every gain law: Gauss-Legendre in r on the support truncated
-# where an envelope scan (``_first_drop``, about 280 of 2048 points) finds the
-# integrand negligible, its order doubling from _START_ORDER up to _MAX_ORDER.
+# The exact substitution y = mu * g^(alpha/2) / omega^alpha maps the gain law
+# to the unit Gamma(mu) weight, and v = ln(y) / alpha = ln r to the log-envelope,
+# where g = gscale * e^(2v).  The minimum-gain mixture's components (shapes
+# mu+k) share one gscale, so a pair's law is one such density too
+# (``_envelope``).  One rule serves every gain law: the trapezoid rule in v.
+# The log-integrand alpha*mu*v - e^(alpha*v) + c*k(g) is analytic in a strip
+# about the real axis and falls off on both sides, so the rule converges
+# geometrically in its step (Trefethen & Weideman, "The exponentially
+# convergent trapezoidal rule", SIAM Review 2014), and a kernel's knee, near
+# g = 1/c at a high SNR or a large exponent, has a fixed width in v wherever
+# it sits: the node count does not grow with either.  The error about squares
+# from level to level, so a column that needs several levels stops with a last
+# change anywhere from about 1e-18 to the 1e-9 tolerance.  From 161 nodes the
+# first comparison settles nearly every column (all of them on the benchmark's
+# sweep and delay inputs), with a change far below the tolerance.
 
-_START_ORDER = 32
-_MAX_ORDER = 8192  # Gauss-Legendre order budget
-_RTOL = 1e-9  # relative agreement of two successive Gauss estimates
-_COLUMNS = 64  # columns per engine pass; bounds the columns x order arrays of a rule
-
-
-@lru_cache(maxsize=None)
-def _legendre_table(order: int):
-    """Gauss-Legendre nodes and log-weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), np.log(0.5 * w)
-
-
-@dataclass(frozen=True)
-class _Envelope:
-    """A gain law as g = gscale * r^2, r having the density alpha / Gamma(mu) r^(alpha*mu-1)
-    exp(-r^alpha) P(r^alpha): P = 1, or ``poly``, whose coefficients are positive."""
-
-    alpha: int
-    mu: int
-    gscale: float
-    poly: tuple[float, ...] = ()  # highest power first
-
-    def log_density(self, r):
-        """ln of the density at r."""
-        y = r**self.alpha
-        out = (self.alpha * self.mu - 1.0) * np.log(r) - y
-        out += math.log(self.alpha) - math.lgamma(self.mu)
-        if self.poly:
-            out += np.log(np.polyval(self.poly, y))
-        return out
-
-    @cached_property
-    def grid(self):
-        """The envelope scan's radii r, log densities and gains gscale*r^2, up to r^alpha =
-        16 times the law's largest shape (80 up to shape 5), past the law's mass."""
-        shape = self.mu + max(len(self.poly) - 1, 0)
-        r = np.geomspace(1e-4, (16.0 * max(shape, 5)) ** (1.0 / self.alpha), 2048)
-        return r, self.log_density(r), self.gscale * r**2
+_GAIN_NODES = 161
+_GAIN_MAX_NODES = 5121  # gain-rule node budget: dvp's exponents at s_max = 1e300 reach it
+_RTOL = 1e-9  # relative agreement of two successive estimates
+_COLUMNS = 64  # columns per engine pass; bounds the columns x nodes arrays of a rule
 
 
 @lru_cache(maxsize=64)
-def _envelope(target) -> _Envelope:
-    """The envelope of an alpha-mu gain or of a pair's minimum gain, where the
-    component of weight w and shape mu+k adds w Gamma(mu) / Gamma(mu+k) y^k to P."""
+def _envelope(target):
+    """An alpha-mu gain or a pair's minimum gain as g = gscale * e^(2v), v having the
+    density alpha / Gamma(mu) exp(alpha*mu*v - e^(alpha*v)) P(e^(alpha*v)): v -> (ln
+    density, nan or -inf where e^(alpha*v) overflows, and g).  P = 1 for one gain; for a
+    pair, the component of weight w and shape mu+k adds the positive term w Gamma(mu) /
+    Gamma(mu+k) y^k to P."""
     al, mu = target.alpha, target.mu
     if isinstance(target, channel.AlphaMuChannel):
-        return _Envelope(al, mu, (target.omega**al / mu) ** (2.0 / al))
-    mixture = channel.min_gain_mixture(target)[::-1]
-    poly = tuple(w * math.exp(math.lgamma(mu) - math.lgamma(c.mu)) for w, c in mixture)
-    return _Envelope(al, mu, (target.omega_tilde / mu) ** (2.0 / al), poly)
+        scale, poly = target.omega**al, ()
+    else:
+        mixture = channel.min_gain_mixture(target)[::-1]  # highest power first
+        scale = target.omega_tilde
+        poly = [w * math.exp(math.lgamma(mu) - math.lgamma(c.mu)) for w, c in mixture]
+    const, gscale = math.log(al) - math.lgamma(mu), (scale / mu) ** (2.0 / al)
 
+    def density_and_gain(v):
+        y = np.exp(al * v)
+        out = al * mu * v - y
+        out += const
+        if poly:
+            out += np.log(np.polyval(poly, y))
+        return out, gscale * (y if al == 2 else np.exp(2.0 * v))  # alpha = 2 shares the exp
 
-def _envelope_cutoff(target, k, c):
-    """Per column, the first scan radius after the envelope-space integrand's peak
-    where it is 55 below it (non-finite values count as -inf), or the last one.
-
-    ``k(g, cols)`` is the kernel over the gains ``g``, one row or one per column.
-    ``_first_drop`` reads 280 of the 2048 points, in _COLUMNS x 257 arrays at most:
-    the full scan's radius for an integrand rising strictly to one peak and not after."""
-    r, log_density, g = _envelope(target).grid
-
-    def values(idx):
-        li = log_density[idx] + c[:, None] * k(g[idx], slice(None))
-        return np.where(np.isfinite(li), li, -np.inf)
-
-    return r[np.minimum(_first_drop(values, r.size, 55.0)[0], r.size - 1)]
+    return density_and_gain
 
 
 def _refine_log_sum(terms, width):
     """Per column, log sum(d exp(x)) for the log-weights ln d and exponents x of
-    ``terms(n, cols)``, doubling n from _START_ORDER up to _MAX_ORDER.
+    ``terms(n, cols)``, refining n from _GAIN_NODES up to _GAIN_MAX_NODES.
 
     Every column's estimates are taken relative to the largest term of its
     first one, so sums spanning thousands of decades neither overflow nor
     underflow; a finer estimate that overflows is inf, which does not
     converge.  A column whose exponents all lie in [-1, 1] at the first
-    order is near one: the log-sum would bury its deviation from one under
+    size is near one: the log-sum would bury its deviation from one under
     the rounding of O(1) terms, so it converges on eps = sum(d expm1(x)) /
     sum(d) instead and returns log1p(eps), the log of the rule's own
     normalised mean.  Returns lists of (log sums, relative errors of the
@@ -765,9 +731,7 @@ def _refine_log_sum(terms, width):
         return out.tolist()
 
     with np.errstate(over="ignore"):
-        total, err = refine(
-            estimate, _START_ORDER, _MAX_ORDER, _RTOL, "gain expectation", lambda n: 2 * n, width
-        )
+        total, err = refine(estimate, _GAIN_NODES, _GAIN_MAX_NODES, _RTOL, "gain expectation", width)
     log_sum = [
         math.log1p(t) if m else a + math.log(t) for a, t, m in zip(scale.tolist(), total, near)
     ]
@@ -779,18 +743,21 @@ def _refine_log_sum(terms, width):
 def laguerre_log_expectation(target, k, c=1.0, params=()):
     """log E[exp(c*k(g, *params))] for an alpha-mu gain or a minimum-gain pair.
 
-    Adaptive Gauss quadrature in log space against the target's envelope
-    density (``_envelope``), stable for kernels spanning many decades (the
-    delay bound's Mellin exponent reaches the thousands).  The order doubles
-    until two successive estimates agree to 1e-9 relative; ConvergenceError
-    when the order budget runs out first.  Where every exponent c*k is at
-    most 1 in magnitude the expectation is built from its deviation from one
-    (see ``_refine_log_sum``), so a log expectation of 1e-9 keeps its
-    relative accuracy and c = 0 gives 0.0.
+    The trapezoid rule in v = ln r against the target's density
+    (``_envelope``), summed in log space, so kernels spanning many decades
+    (the delay bound's Mellin exponent reaches the thousands) neither
+    overflow nor underflow.  Each column's nodes span a window holding
+    every point where its log-integrand lies within _LOG_CUTOFF of its
+    peak, so its negligible ends take the step as weight like every other
+    node.  The step halves until two successive estimates agree to 1e-9
+    relative; ConvergenceError when the node budget runs out first.  Where
+    every exponent c*k is at most 1 in magnitude the expectation is built
+    from its deviation from one (see ``_refine_log_sum``), so a log
+    expectation of 1e-9 keeps its relative accuracy and c = 0 gives 0.0.
 
     ``c`` and the kernel parameters ``params`` broadcast to a grid of
-    columns, evaluated in one pass per rule order and block of _COLUMNS:
-    every column follows the orders and stopping rule it would follow
+    columns, evaluated in one pass per step and block of _COLUMNS: every
+    column follows the window, steps and stopping rule it would follow
     alone, to the same bits, and drops out once it has converged;
     ConvergenceError if any column exhausts the budget.  Returns (log
     expectation, relative error of the expectation), floats when ``c`` and
@@ -799,24 +766,40 @@ def laguerre_log_expectation(target, k, c=1.0, params=()):
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c, *params)))
     scalar = arrays[0].ndim == 0
     cs, *ps = (a.reshape(-1) for a in arrays)
-    env = _envelope(target)
+    density_and_gain = _envelope(target)
+    mode = math.log(target.mu) / target.alpha  # where the density with P = 1 peaks
     log_e, err = [], []
     for block in range(0, cs.size, _COLUMNS):
-        c = cs[block : block + _COLUMNS]
-        block_ps = [p[block : block + _COLUMNS] for p in ps]
+        c = cs[block : block + _COLUMNS, None]
+        block_ps = [p[block : block + _COLUMNS, None] for p in ps]
 
-        def kernel(g, cols):
-            return k(g, *(p[cols, None] for p in block_ps))
+        def log_terms(v, c=c, ps=block_ps):
+            """The log density and the exponent c*k at the nodes v, stacked."""
+            out = np.empty((2, *np.broadcast_shapes(v.shape, c.shape)))
+            out[0], g = density_and_gain(v)
+            out[1] = c * k(g, *ps)
+            return out
 
-        rmax = _envelope_cutoff(target, kernel, c)
+        # the window: per column, the heights left of the mode (first rows) and right of
+        # it (last rows) where the log-integrand has fallen _LOG_CUTOFF below that side's peak
+        sides = np.repeat([-1.0, 1.0], c.size)[:, None]
+        c2, *ps2 = (np.concatenate([a, a]) for a in (c, *block_ps))
 
-        def legendre(n, cols):
-            u, log_w = _legendre_table(n)
-            r = rmax[cols, None] * u  # the rule on [0, rmax] weighs by rmax
-            log_d = log_w + np.log(rmax[cols, None]) + env.log_density(r)
-            return log_d, c[cols, None] * kernel(env.gscale * r**2, cols)
+        def log_f(t):
+            with np.errstate(over="ignore", invalid="ignore"):
+                li = log_terms(mode + sides * t, c2, ps2).sum(axis=0)
+            return np.where(np.isfinite(li), li, -np.inf)  # non-finite values count as -inf
 
-        block_e, block_err = _refine_log_sum(legendre, c.size)
+        height = _find_height(log_f)[:, None]
+        lo, width = mode - height[: c.size], height[: c.size] + height[c.size :]
+        nodes = _nested(log_terms, lo, 1.0)
+
+        def trapezoid(n, cols):
+            h = width / (n - 1)
+            log_d, x = nodes(h, 0, n - 1)[:, cols]
+            return np.log(h[cols]) + log_d, x
+
+        block_e, block_err = _refine_log_sum(trapezoid, c.size)
         log_e += block_e
         err += block_err
     return (log_e[0], err[0]) if scalar else (np.array(log_e), np.array(err))

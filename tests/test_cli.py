@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_cli
 from noma_effrate.cli import (
+    DVP_HEADER,
     ConfigError,
     SweepConfig,
     cmd_approx,
@@ -127,6 +129,24 @@ class TestErCommand:
             gaps.append(rows[0][10])
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 3), (4, 3)])
+    def test_high_snr_rows_match_closed_form(self, tmp_path, alpha, mu):
+        # the kernel's knee sits far below the gain law's scale at these SNRs; the
+        # quadrature rows come within seconds and agree with the contour route
+        text = ER_CONFIG.replace("alpha = 2", f"alpha = {alpha}").replace("mu = 1", f"mu = {mu}")
+        text = text.replace("0:20:10", "80, 100, 120").replace("theta = 0.5, 1", "theta = 0.5")
+        rows = {}
+        for strategy in ("quadrature", "closed-form"):
+            path = write_config(tmp_path, f"{text}strategy = {strategy}\n", f"{strategy}.ini")
+            code, out, err = run_cli(["er", "--config", path])
+            assert code == 0 and err == "", (strategy, code, err)
+            rows[strategy] = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows["quadrature"]) == 3
+        for quad, closed in zip(rows["quadrature"], rows["closed-form"]):
+            assert quad[:6] == closed[:6]
+            for q, c in zip(quad[6:11], closed[6:11]):  # R_s, R_w, R_sum, R_sum_oma, gap
+                assert math.isclose(float(q), float(c), rel_tol=1e-9), (quad, closed)
+
 
 class TestDvpCommand:
     DVP = """
@@ -240,6 +260,24 @@ slots = 100000
             log_bounds = np.log([r[2] for r in strong])
             slopes[alpha] = np.polyfit([r[1] for r in strong], log_bounds, 1)[0]
         assert slopes[2] > slopes[3] > slopes[4]  # steeper (more negative) decay
+
+    def test_tiny_s_min_gives_rows(self, tmp_path, capsys):
+        # the README system: at s = 1e-300, exp(lambda s) M(s) rounds to 1 below it
+        path = write_config(tmp_path, "[snc]\nlambda = 170\ns_min = 1e-300\n")
+        assert main(["dvp", "--config", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == DVP_HEADER and len(out) == 1 + 2 * 31
+
+    def test_huge_s_max_answers_quickly(self, tmp_path):
+        # exponents up to N s_max / ln 2 ~ 2.4e32 put the kernel's knee near g = 1e-33
+        path = write_config(tmp_path, "[snc]\nlambda = 170\ns_max = 1e30\n")
+        code, out, err = run_cli(["dvp", "--config", path], seconds=5.0)
+        assert code is not None, "no answer within 5 s"
+        if code == 0:
+            assert out.splitlines()[0] == DVP_HEADER and len(out.splitlines()) == 1 + 2 * 31
+        else:
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestApproxCommand:
@@ -529,9 +567,10 @@ class TestMainEntry:
             ("er", "[sim]\nseed = -1\n", "[sim] seed: must be nonnegative, got -1"),
             ("dvp", "[sim]\nseed = -1\nslots = 1000\n", "[sim] seed: must be nonnegative, got -1"),
             ("dvp --seed -1", "[sim]\nslots = 1000\n", "--seed: must be nonnegative, got -1"),
+            ("er", "[channel]\nmu = 100\n[system]\nstrategy = closed-form\n", "[channel] mu"),
         ],
         ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
-             "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag"],
+             "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)

@@ -432,16 +432,17 @@ class TestGrids:
     def test_grid_equals_one_at_a_time(self, alpha, mu, thetas, rate, user, monkeypatch):
         from noma_effrate import specfun
 
-        widths, cutoff = [], specfun._envelope_cutoff
+        scans, find_height = [], specfun._find_height
 
-        def spy_cutoff(target, k, c):
-            widths.append(c.size)
-            return cutoff(target, k, c)
+        def spy_height(logf):
+            heights = find_height(logf)
+            scans.append(heights.size)
+            return heights
 
-        monkeypatch.setattr(specfun, "_envelope_cutoff", spy_cutoff)
+        monkeypatch.setattr(specfun, "_find_height", spy_height)
         systems = self.grid(alpha, mu, thetas)
         self.assert_bitwise(rate, systems, user)
-        assert widths  # every grid takes the envelope rule
+        assert scans  # every grid takes the gain rule's window scan
 
     def test_grid_wider_than_a_column_block(self):
         from noma_effrate.specfun import _COLUMNS

@@ -175,7 +175,7 @@ class TestDvpBound:
             log_k = cfg.arrival_rate * s + cache[s]
             if log_k >= 0.0:
                 return math.inf
-            return d * cache[s] - math.log1p(-math.exp(log_k))
+            return d * cache[s] - math.log(-math.expm1(log_k))
 
         def sequential(d):
             grid = np.geomspace(cfg.s_min, cfg.s_max, 200)

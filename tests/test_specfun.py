@@ -9,6 +9,8 @@ closed forms they evaluate.
 import itertools
 import math
 import time
+import tracemalloc
+from contextlib import contextmanager
 
 import mpmath as mp
 import numpy as np
@@ -258,7 +260,7 @@ class TestFoxH2:
             # rows at -v are the conjugates of rows at v
             return 2.0 * np.trapezoid(np.real(rows), v) / (4.0 * math.pi**2)
 
-        want, _ = refine(rows_estimate, 65, 4097, 1e-10, "oracle")
+        (want,), _ = refine(lambda n, cols: [rows_estimate(n)], 65, 4097, 1e-10, "oracle", 1)
         spec = FoxH2Spec(outer_c=c0, outer_r=r, power=x)
         (got,), (err,) = _fox_double_integral(
             spec, np.array([log_z1]), np.array([log_z2]), sigma, tau
@@ -551,15 +553,15 @@ class TestNestedRule:
 
 
 class TestLaguerreTable:
-    # the class and case ids are those of the Gauss-Laguerre table this rule replaced
-    @pytest.mark.parametrize("order", [32, 64, 128, 256])
+    # the class and case ids are those of the Gauss-Laguerre table an earlier rule used
+    @pytest.mark.parametrize("intervals", [32, 64, 128, 256])
     @pytest.mark.parametrize("mu", range(1, 9))
-    def test_monomials_exact(self, order, mu, monkeypatch):
-        # started at `order`, the envelope Gauss-Legendre rule gives the moments
+    def test_monomials_exact(self, intervals, mu, monkeypatch):
+        # started at `intervals` steps, the trapezoid rule in ln r gives the moments
         # E[y^j] = Gamma(mu + j) / Gamma(mu) of y = mu g^(alpha/2) ~ Gamma(mu)
         from noma_effrate import specfun
 
-        monkeypatch.setattr(specfun, "_START_ORDER", order)
+        monkeypatch.setattr(specfun, "_GAIN_NODES", intervals + 1)
         j = np.arange(12.0)
         want = np.exp(loggamma(mu + j) - loggamma(mu))
         for alpha in (1, 2):
@@ -640,8 +642,8 @@ class TestLaguerreExpectation:
             lambda x: np.exp(-w * np.log1p(2.4 * x)) * np.exp(-x), 0, np.inf, limit=300
         )
         assert got == pytest.approx(math.log(want), rel=1e-5)
-        # alpha = 4 takes the Gauss-Legendre envelope rule; the integrand
-        # peaks near g = 2e-3, so the reference splits its range there
+        # alpha = 4: the integrand peaks near g = 2e-3, so the reference
+        # splits its range there
         pair = make_pair(4, 3, 1.0, 0.1)
         got, err = laguerre_log_expectation(pair, log_kernel)
         f = lambda x: math.exp(log_kernel(x)) * min_gain_pdf(pair, x)
@@ -652,14 +654,12 @@ class TestLaguerreExpectation:
         assert got == pytest.approx(math.log(want), rel=1e-9)
         assert err < 1e-9
 
-    def test_exhausted_order_budget_raises(self, monkeypatch):
-        # a step kernel defeats both rules; the budget runs out at 512
-        from noma_effrate import specfun
+    def test_exhausted_order_budget_raises(self):
+        # a step kernel defeats the rule: its budget runs out, quickly and in little memory
         from noma_effrate.specfun import ConvergenceError
 
-        monkeypatch.setattr(specfun, "_MAX_ORDER", 512)
         ch = AlphaMuChannel(2, 1, 1.0)
-        with pytest.raises(ConvergenceError) as exc:
+        with bounded(seconds=5.0, megabytes=100), pytest.raises(ConvergenceError) as exc:
             laguerre_log_expectation(ch, lambda g: np.where(g < 0.3, 0.0, -5.0))
         assert len(exc.value.estimates) == 2
         assert all(math.isfinite(e) for e in exc.value.estimates)
@@ -678,46 +678,31 @@ class TestLaguerreExpectation:
         from noma_effrate import specfun
 
         c = -168.0 * np.geomspace(1e-6, s_max, 40) / math.log(2.0)
-        widths, orders = [], []  # exponents per envelope scan, Legendre orders
-        cutoff, table = specfun._envelope_cutoff, specfun._legendre_table
-
-        def spy_cutoff(target, k, c):
-            widths.append(c.size)
-            return cutoff(target, k, c)
-
-        def spy_table(n):
-            orders.append(n)
-            return table(n)
-
-        monkeypatch.setattr(specfun, "_envelope_cutoff", spy_cutoff)
-        monkeypatch.setattr(specfun, "_legendre_table", spy_table)
+        scans, blocks = spy_gain_rule(monkeypatch)
         got, err = laguerre_log_expectation(target, k, c)
         monkeypatch.undo()
-        # one route for every gain law: each scan sees every column, from order 32
-        assert widths and all(w == c.size for w in widths)
-        assert min(orders) == 32
+        # one route for every gain law: one window scan sees every column on both
+        # sides of the mode, and the rule starts at _GAIN_NODES
+        assert scans == [2 * c.size]
+        assert len(blocks) == 1 and blocks[0][0] == specfun._GAIN_NODES
         one = [laguerre_log_expectation(target, k, x) for x in c]
         assert all(type(v) is float for pair in one for v in pair)
         assert got.tolist() == [v for v, _ in one]
         assert err.tolist() == [e for _, e in one]
 
     def test_pair_is_one_rule_per_column_block(self, monkeypatch):
-        # a mu = 3 pair is one density: one envelope scan and one doubling sequence
-        # of orders per block of columns, not one per mixture component
+        # a mu = 3 pair is one density: one window scan and one sequence of
+        # node counts per block of columns, not one per mixture component
         from noma_effrate import specfun
 
-        scans, orders = [], []
-        cutoff, table = specfun._envelope_cutoff, specfun._legendre_table
-        monkeypatch.setattr(specfun, "_envelope_cutoff", lambda *a: scans.append(a[-1].size) or cutoff(*a))
-        monkeypatch.setattr(specfun, "_legendre_table", lambda n: orders.append(n) or table(n))
+        scans, blocks = spy_gain_rule(monkeypatch)
         c = -168.0 * np.geomspace(1e-6, 5.0, specfun._COLUMNS + 36) / math.log(2.0)
         k = lambda g: np.log1p(31.6 * g) - np.log1p(7.6 * g)  # noqa: E731
         laguerre_log_expectation(make_pair(2, 3), k, c)
-        assert scans == [specfun._COLUMNS, 36]
-        starts = [i for i, n in enumerate(orders) if n == 32]
-        assert starts[0] == 0 and len(starts) == 2
-        for a, b in zip(starts, starts[1:] + [len(orders)]):
-            assert orders[a:b] == [32 << j for j in range(b - a)]
+        assert scans == [2 * specfun._COLUMNS, 2 * 36]
+        assert len(blocks) == 2
+        for levels in blocks:
+            assert levels == [((specfun._GAIN_NODES - 1) << j) + 1 for j in range(len(levels))]
 
     @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 2), (2, 3), (4, 3), (1, 2), (3, 4), (2, 6)])
     def test_pair_matches_per_component_oracle(self, alpha, mu):
@@ -753,36 +738,64 @@ class TestLaguerreExpectation:
     def test_zero_exponent_gives_exactly_zero(self, target):
         assert laguerre_log_expectation(target, lambda g: np.log1p(7.6 * g), 0.0)[0] == 0.0
 
-    def test_batch_with_one_unconverged_column_raises(self, monkeypatch):
-        # c = 0 converges at once; the step kernel defeats both rules at c = 1
-        from noma_effrate import specfun
+    def test_batch_with_one_unconverged_column_raises(self):
+        # c = 0 converges at once; the step kernel defeats the rule at c = 1
         from noma_effrate.specfun import ConvergenceError
 
-        monkeypatch.setattr(specfun, "_MAX_ORDER", 512)
         ch = AlphaMuChannel(2, 1, 1.0)
         step = lambda g: np.where(g < 0.3, 0.0, -5.0)
         assert laguerre_log_expectation(ch, step, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ConvergenceError) as exc:
+        with bounded(seconds=5.0, megabytes=100), pytest.raises(ConvergenceError) as exc:
             laguerre_log_expectation(ch, step, np.array([0.0, 1.0, 0.0]))
         assert len(exc.value.estimates) == 2
         assert all(math.isfinite(e) for e in exc.value.estimates)
 
 
-def full_cutoff(target, k, c):
-    """The envelope cutoff as a scan of all 2048 points, 8 columns at a time: the oracle."""
-    from noma_effrate.specfun import _envelope
+def spy_gain_rule(monkeypatch):
+    """Record the rows of every window scan and, per rule (one per column block), the
+    node count of every level."""
+    from noma_effrate import specfun
 
-    r, log_density, g = _envelope(target).grid
-    rmax = np.empty(c.size)
-    for i in range(0, c.size, 8):
-        rows = slice(i, i + 8)
-        li = log_density + c[rows, None] * k(g, rows)
-        li = np.where(np.isfinite(li), li, -np.inf)
-        peak = np.argmax(li, axis=1)
-        top = li[np.arange(li.shape[0]), peak]
-        below = (li < top[:, None] - 55.0) & (np.arange(r.size) > peak[:, None])
-        rmax[rows] = np.where(below.any(axis=1), r[np.argmax(below, axis=1)], r[-1])
-    return rmax
+    scans, blocks = [], []
+    find_height, nested = specfun._find_height, specfun._nested
+
+    def spy_height(logf):
+        heights = find_height(logf)
+        scans.append(heights.size)
+        return heights
+
+    def spy_nested(log_f, origin, unit=1j):
+        values, levels = nested(log_f, origin, unit), []
+        blocks.append(levels)
+
+        def recorded(h, lo, hi):
+            levels.append(hi - lo + 1)
+            return values(h, lo, hi)
+
+        return recorded
+
+    monkeypatch.setattr(specfun, "_find_height", spy_height)
+    monkeypatch.setattr(specfun, "_nested", spy_nested)
+    return scans, blocks
+
+
+@contextmanager
+def bounded(seconds, megabytes):
+    """Fail unless the block takes less wall time and allocates at its peak less memory
+    (traced numpy and Python allocations) than given."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < seconds and peak < megabytes * 1e6, (elapsed, peak)
+
+
+def full_cutoff(logf, rows):
+    """The gain rule's window heights as full scans of every range, row by row: the oracle."""
+    return np.array([full_height(lambda t, i=i: logf(t[None])[i]) for i in range(rows)])
 
 
 def full_height(logf):
@@ -799,7 +812,7 @@ def full_height(logf):
             return t[below[0]]
         k += 1
         if k > 12:
-            raise ContourError("contour integrand does not decay")
+            raise ContourError("integrand does not decay")
         t = t[-1] + np.linspace(0.0, t[-1], 513)[1:]
         la = logf(t)
         peak = max(peak, la.max())
@@ -920,12 +933,23 @@ class TestFirstDrop:
         rho = 10.0 ** rng.uniform(-3.0, 6.0, n)
         params = (rho, rng.uniform(0.05, 0.5, n)) if ratio else (rho,)
 
-        def kernel(g, cols):
-            x, *a_s = (p[cols, None] for p in params)
+        def kernel(g, x, *a_s):
             return np.log1p(x * g) - np.log1p(a_s[0] * x * g) if a_s else np.log1p(x * g)
 
-        got = specfun._envelope_cutoff(target, kernel, c)
-        assert got.tolist() == full_cutoff(target, kernel, c).tolist()
+        class Scanned(Exception):
+            pass
+
+        find_height = specfun._find_height
+
+        def check(logf):  # the window scan of the first block, then stop the engine
+            got = find_height(logf)
+            assert got.tolist() == full_cutoff(logf, got.size).tolist()
+            raise Scanned
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_find_height", check)
+            with pytest.raises(Scanned):
+                laguerre_log_expectation(target, kernel, c, params)
 
     def test_contour_heights(self, monkeypatch):
         # every height the Meijer-G and Fox-H engines ask for; G^{1,0}_{0,1}(50 | 50)
