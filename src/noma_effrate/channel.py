@@ -38,7 +38,7 @@ class AlphaMuChannel:
     """One alpha-mu fading link.
 
     alpha and mu must be positive integers; omega is the alpha-root-mean
-    of the gain and must be finite and positive.
+    of the gain, and omega, omega^alpha and omega^-alpha must be finite and positive.
     """
 
     alpha: int
@@ -55,6 +55,9 @@ class AlphaMuChannel:
         object.__setattr__(self, "alpha", int(self.alpha))
         object.__setattr__(self, "mu", int(self.mu))
         object.__setattr__(self, "omega", float(self.omega))
+        # below ln of the largest double, 709.78271, neither omega^alpha nor omega^-alpha overflows
+        if not abs(self.alpha * math.log(self.omega)) < 709.78:
+            raise ValueError(f"omega^(+-alpha) overflows: omega = {self.omega!r}, alpha = {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,15 @@ def _validate(cfg: SweepConfig):
             raise ConfigError(f"[system] rho_db: {rho_db:g} dB is not a finite positive linear SNR")
     if not all(0 < lam < math.inf for lam in cfg.lambdas):
         raise ConfigError(f"[snc] lambda: must be positive and finite, got {cfg.lambdas}")
-    for section, key in (("snc", "vartheta_max"), ("sim", "slots")):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"[{section}] {key}: must be nonnegative, got {getattr(cfg, key)}")
+    sim = int(cfg.slots > 0)  # a queue simulation needs a delay to measure and 10 batches for error bars
+    for sec, key, least in (("snc", "vartheta_max", sim), ("sim", "slots", 0), ("sim", "batches", 10 * sim)):
+        if getattr(cfg, key) < least:
+            need = f"at least {least} when [sim] slots > 0" if least else "nonnegative"
+            raise ConfigError(f"[{sec}] {key}: must be {need}, got {getattr(cfg, key)}")
+    if not math.isfinite(cfg.symbols_per_slot * cfg.s_max / math.log(2.0)):
+        raise ConfigError(f"[snc] s_max: symbols_per_slot*s_max/ln 2 must be finite, got {cfg.s_max!r}")
+    if not 0 < cfg.s_min < cfg.s_max:
+        raise ConfigError(f"[snc] s_min: need 0 < s_min < s_max, got {cfg.s_min!r} and {cfg.s_max!r}")
     if cfg.strategy not in ("quadrature", "closed-form"):
         raise ConfigError(f"[system] strategy: {cfg.strategy!r} not supported")
     if cfg.strategy == "closed-form" and cfg.mu > MAX_MU:
@@ -250,8 +256,6 @@ def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
     # both simulations first, so a trace too short for vartheta_max fails before any bound
     emps = [None, None]
     if cfg.slots > 0:
-        if cfg.vartheta_max < 1:
-            raise ConfigError("[snc] vartheta_max: the queue simulation needs at least 1 when [sim] slots > 0")
         plan = SimPlan(cfg.seed, cfg.slots, cfg.batches)
         emps = [queue_dvp(snc_cfg, user, plan, cfg.vartheta_max) for user in users]
     rows = []

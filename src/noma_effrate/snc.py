@@ -138,8 +138,9 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
     the result to [0, 1] (a bound above one is vacuous but still valid).
     Integer target delays match the slotted queue; fractional values
     interpolate the same expression.  The scan is one batch of Mellin
-    transforms, minimised in blocks of delays, and the delays' golden sections
-    run in lockstep, one batch per round, with the same bits as one at a time.
+    transforms, minimised in blocks of delays; the golden sections of all delays
+    are one search over many brackets, one batch of exponents per round, with the
+    same bits as one delay at a time.
     """
     _check_user(user)
     delays = np.array([float(d) for d in target_delays])
@@ -151,29 +152,19 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
         vals = bracket(delays[i : i + _DELAY_BLOCK, None])
         best_k += np.argmin(vals, axis=1).tolist()
         coarse += vals.min(axis=1).tolist()
-    searches = {}
-    for i, k in enumerate(best_k):
-        if math.isfinite(coarse[i]):
-            lo = grid[max(k - 1, 0)]
-            hi = grid[min(k + 1, len(grid) - 1)]
-            searches[i] = golden_section(math.log(lo), math.log(hi), atol=_S_TOL)
-    points = {i: next(search) for i, search in searches.items()}
-    log_s = {}
-    while points:
-        live = list(points)
-        f = _log_brackets(cfg, user, [math.exp(points[i]) for i in live])(delays[live])
-        points = {}
-        for i, fi in zip(live, f.tolist()):
-            try:
-                points[i] = searches[i].send(fi)
-            except StopIteration as done:
-                log_s[i] = done.value
+    live = np.flatnonzero(np.isfinite(coarse))  # the delays with a stable exponent
+    log_s = golden_section(
+        lambda x, idx: _log_brackets(cfg, user, [math.exp(v) for v in x])(delays[live[idx]]).tolist(),
+        [math.log(grid[max(best_k[i] - 1, 0)]) for i in live],
+        [math.log(grid[min(best_k[i] + 1, len(grid) - 1)]) for i in live],
+        atol=_S_TOL,
+    )
     out = [DvpBound(d, 1.0, None, False, 0.0) for d in delays.tolist()]
     if not log_s:  # no delay has a stable exponent
         return out
-    s_star = {i: math.exp(x) for i, x in log_s.items()}
-    log_b = _log_brackets(cfg, user, list(s_star.values()))(delays[list(s_star)])
-    for (i, s), lb in zip(s_star.items(), log_b.tolist()):
+    s_star = [math.exp(x) for x in log_s]
+    log_b = _log_brackets(cfg, user, s_star)(delays[live])
+    for i, s, lb in zip(live.tolist(), s_star, log_b.tolist()):
         best = min(lb, coarse[i])
         if math.isfinite(best):
             log_bound = min(best, 0.0)

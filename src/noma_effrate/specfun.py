@@ -186,31 +186,39 @@ def refine(estimate, n, limit, rtol, what, width):
         n = 2 * n - 1
 
 
-def golden_section(a, b, atol, rtol=0.0):
-    """Golden-section search for the minimum of a unimodal f on [a, b].
+def golden_section(f, a, b, atol, rtol=0.0):
+    """Golden-section searches for the minima of unimodal functions, one per bracket [a[i], b[i]].
 
-    A generator: it yields each point x, is sent f(x) back, and returns the
-    midpoint of the final bracket, so a caller can run many searches in
-    lockstep (``_saddle_search`` and ``snc.dvp_curve`` do).  The search
-    stops once the bracket is no wider than max(atol, rtol*|a|), or after
-    60 steps (a 1e-12 shrink).
+    ``f(points, idx)`` returns the values at ``points`` of the functions of the
+    searches ``idx`` (one index per point), and is called once per round: the
+    first round evaluates both interior points of every search, each later one
+    the new point of every search still open.  A search stops once its bracket
+    is no wider than max(atol, rtol*|a|), or after 60 steps (a 1e-12 shrink).
+    Returns the final brackets' midpoints; no brackets make no call.
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1 = yield x1
-    f2 = yield x2
+    a, b, idx = list(a), list(b), list(range(len(a)))
+    x1 = [hi - phi * (hi - lo) for lo, hi in zip(a, b)]
+    x2 = [lo + phi * (hi - lo) for lo, hi in zip(a, b)]
+    both = list(f(x1 + x2, idx + idx)) if idx else []
+    f1, f2 = both[: len(idx)], both[len(idx) :]
     for _ in range(60):
-        if b - a <= max(atol, rtol * abs(a)):
+        idx = [i for i in idx if not b[i] - a[i] <= max(atol, rtol * abs(a[i]))]
+        if not idx:
             break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = yield x1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = yield x2
-    return 0.5 * (a + b)
+        left = [f1[i] < f2[i] for i in idx]  # the minimum lies in [a, x2]: a new x1
+        for i, new_x1 in zip(idx, left):
+            if new_x1:
+                b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
+                x1[i] = b[i] - phi * (b[i] - a[i])
+            else:
+                a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+                x2[i] = a[i] + phi * (b[i] - a[i])
+        # plain lists throughout: a tuple per search and round would be garbage-collector work
+        points = [x1[i] if new_x1 else x2[i] for i, new_x1 in zip(idx, left)]
+        for i, new_x1, v in zip(idx, left, f(points, idx)):
+            (f1 if new_x1 else f2)[i] = v
+    return [0.5 * (lo + hi) for lo, hi in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +376,8 @@ def _saddle_search(terms, left, right):
     fixed offset suffers when the result is exponentially smaller than
     the integrand.  The search stays a safe margin inside (left, right);
     an unbounded side (no pole family) is scanned geometrically.  The scan's
-    log-gammas do not depend on z; the columns' golden sections run in lockstep.
+    log-gammas do not depend on z; each column then refines its best scan point
+    in one ``golden_section`` call over all columns' brackets.
     """
     margin = 0.05 * min(1.0, (right - left) if math.isfinite(left) and math.isfinite(right) else 1.0)
     lo, hi = left + margin, right - margin  # infinite on a side with no pole family
@@ -381,22 +390,15 @@ def _saddle_search(terms, left, right):
     else:
         cand = np.linspace(lo, hi, 129)
     base = np.array([_real_log_integrand(terms, 0.0, c) for c in cand.tolist()])
-    step = np.diff(cand).max()
+    step = float(np.diff(cand).max())
 
     def offsets(log_z):
-        searches, points, out = {}, {}, np.empty(log_z.size)
-        # golden-section refinement around each column's best grid point
-        for i, c0 in enumerate(cand[np.argmin(base + cand * log_z[:, None], axis=1)].tolist()):
-            searches[i] = golden_section(max(c0 - step, lo), min(c0 + step, hi), 1e-10, 1e-10)
-            points[i] = next(searches[i])
-        while points:
-            for i, x in list(points.items()):
-                try:
-                    points[i] = searches[i].send(_real_log_integrand(terms, log_z[i], x))
-                except StopIteration as done:
-                    out[i] = done.value
-                    del points[i]
-        return out
+        # refine each column's best grid point in Python floats: numpy scalars' bits, but faster
+        best = cand[np.argmin(base + cand * log_z[:, None], axis=1)].tolist()
+        return np.array(golden_section(
+            lambda x, idx: [_real_log_integrand(terms, float(log_z[i]), c) for c, i in zip(x, idx)],
+            [max(c - step, lo) for c in best], [min(c + step, hi) for c in best], 1e-10, 1e-10,
+        ))
 
     return offsets
 

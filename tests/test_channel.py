@@ -55,6 +55,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="omega must be finite"):
             AlphaMuChannel(2, 1, omega)
 
+    @pytest.mark.parametrize("alpha, omega", [(617, math.sqrt(0.1)), (2, 1e200), (2, 1e-170)])
+    def test_rejects_omega_power_that_overflows(self, alpha, omega):
+        # omega^alpha or omega^-alpha is not a finite positive double
+        with pytest.raises(ValueError, match="overflows"):
+            AlphaMuChannel(alpha, 1, omega)
+
+    def test_accepts_omega_powers_near_the_double_range(self):
+        ch = AlphaMuChannel(616, 1, math.sqrt(0.1))
+        assert 0 < ch.omega**ch.alpha and ch.omega**-ch.alpha < math.inf
+
     def test_rejects_unordered_pair(self):
         with pytest.raises(ValueError):
             ChannelPair(AlphaMuChannel(2, 1, 1.0), AlphaMuChannel(2, 1, 1.0))

@@ -568,9 +568,17 @@ class TestMainEntry:
             ("dvp", "[sim]\nseed = -1\nslots = 1000\n", "[sim] seed: must be nonnegative, got -1"),
             ("dvp --seed -1", "[sim]\nslots = 1000\n", "--seed: must be nonnegative, got -1"),
             ("er", "[channel]\nmu = 100\n[system]\nstrategy = closed-form\n", "[channel] mu"),
+            ("er", "[channel]\nalpha = 700\n", "[channel] omega"),
+            ("er", "[channel]\nomega_s = 1e200\n", "[channel] omega"),
+            ("er", "[channel]\nomega_w = 1e-170\n", "[channel] omega"),
+            ("dvp", "[snc]\nlambda = 170\ns_max = 1e306\n", "[snc] s_max"),
+            ("dvp", "[snc]\nlambda = 170\ns_min = 2\ns_max = 1\n", "[snc] s_min"),
+            ("dvp", "[snc]\nlambda = 170\n[sim]\nslots = 1000\nbatches = 5\n", "[sim] batches"),
         ],
         ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
-             "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form"],
+             "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form",
+             "alpha-overflows-omega", "omega_s-overflows", "omega_w-overflows", "s_max-overflows-varpi",
+             "s_min-not-below-s_max", "batches-with-slots"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)

@@ -213,7 +213,7 @@ class TestDvpBound:
         # the coarse scan keeps each delay's argmin and minimum, not a row of 200
         # brackets: 20,000 delays x 200 doubles alone would take 30.5 MiB.  The README
         # system's weak user is unstable at every exponent, so its curve is the scan
-        # alone (a strong curve also holds a golden section per delay, 15 MiB in all)
+        # alone (a strong curve also holds the brackets of its golden sections)
         import tracemalloc
 
         cfg = SncConfig(make_system(), 168, 170.0)
@@ -225,6 +225,21 @@ class TestDvpBound:
             tracemalloc.stop()
         assert len(curve) == 20000 and not any(b.feasible for b in curve)
         assert peak < 30 * 2**20
+
+    def test_long_feasible_curve_keeps_no_search_state_per_delay(self):
+        # the golden sections of 20,000 delays are one search over lists of brackets,
+        # with no generator per delay (those held 15.4 MiB at the peak)
+        import tracemalloc
+
+        cfg = SncConfig(make_system(), 168, 170.0)
+        tracemalloc.start()
+        try:
+            curve = dvp_curve(cfg, "strong", range(20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == 20000 and all(b.feasible for b in curve)
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("user", ["strong", "weak"])
     def test_engine_calls_never_repeat_an_exponent(self, monkeypatch, user):
@@ -240,9 +255,14 @@ class TestDvpBound:
         monkeypatch.setattr(snc, "laguerre_log_expectation", spy)
         curve = dvp_curve(make_cfg(load=0.7, user_for_load="weak"), user, range(31))
         assert all(b.feasible for b in curve)
-        assert len(batches) > 2  # the scan, the golden-section rounds, the minimizers
+        # the scan, the golden-section rounds (both first points in one), the minimizers
+        assert 2 < len(batches) <= 29
         for batch in batches:
             assert len(set(batch)) == len(batch)
+        # a user unstable at every exponent makes the scan's call alone
+        batches.clear()
+        curve = dvp_curve(SncConfig(make_system(), 168, 170.0), "weak", range(31))
+        assert not any(b.feasible for b in curve) and len(batches) == 1
 
 
 class TestSncConfig:
