@@ -64,7 +64,8 @@ class AlphaMuChannel:
 class ChannelPair:
     """Strong/weak link pair with shared alpha, mu and ordered gains.
 
-    The constructor requires weak.omega^alpha < strong.omega^alpha.
+    The constructor requires weak.omega^alpha < strong.omega^alpha and a finite
+    positive omega_tilde.
     """
 
     strong: AlphaMuChannel
@@ -79,6 +80,9 @@ class ChannelPair:
                 f"omega_w^alpha={self.weak.omega**self.alpha} >= "
                 f"omega_s^alpha={self.strong.omega**self.alpha}"
             )
+        if not 0 < self.omega_tilde < math.inf:  # omega_s^-alpha + omega_w^-alpha overflows
+            raise ValueError(f"omega_tilde = 1/(omega_s^-alpha + omega_w^-alpha) is {self.omega_tilde!r}, "
+                             "not a finite positive double")
 
     @property
     def alpha(self) -> int:

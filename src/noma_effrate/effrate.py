@@ -78,8 +78,8 @@ class NomaSystem:
             raise ValueError(
                 f"strong-user power coefficient must lie in (0, 1/2), got {self.a_s}"
             )
-        if not self.rho > 0:
-            raise ValueError("rho (linear SNR) must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho (linear SNR) must be positive and finite, got {self.rho}")
 
     @property
     def a_w(self) -> float:
@@ -197,6 +197,8 @@ def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
                         mean = closed_form(law, np.array([ps[j] for j in at]).T, w)
                     if not np.all(np.isfinite(mean)):
                         raise ContourError("the contour sum overflows")
+                    if rated and not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
+                        raise ContourError("the mean is not a positive double")
                 except ContourError as exc:
                     first = systems[rows[at[0]]]
                     raise ContourError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effrate import LN2, NomaSystem, Route, User, _check_user, closed_form, log1p_sinr
-from .specfun import CONTOUR_RTOL, golden_section, laguerre_log_expectation
+from .specfun import CONTOUR_RTOL, ContourError, golden_section, laguerre_log_expectation
 
 _S_TOL = 1e-6  # golden-section width on log s at the minimizer
 _COARSE_POINTS = 200  # log-spaced scan of [s_min, s_max] before the golden section
@@ -45,6 +45,8 @@ class SncConfig:
             raise ValueError("arrival rate must be positive and finite")
         if not 0 < self.s_min < self.s_max < math.inf:
             raise ValueError("need 0 < s_min < s_max < inf")
+        if not math.isfinite(self.varpi(self.s_max)):
+            raise ValueError(f"symbols_per_slot*s_max/ln 2 must be finite, got s_max = {self.s_max!r}")
 
     def varpi(self, s: float) -> float:
         return self.symbols_per_slot * s / LN2
@@ -96,7 +98,11 @@ def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValu
         log_m, err = _log_mellin(cfg, user, s)
     elif strategy == "closed-form":
         law, _, params, _ = log1p_sinr(cfg.system, user)
-        log_m, err = math.log(closed_form(law, params, w)), CONTOUR_RTOL
+        m = closed_form(law, params, w)
+        if not 0 < m < math.inf:  # e.g. a mean below 1e-308 underflows to 0
+            raise ContourError(f"closed form cannot evaluate varpi = {w:.10g}: the mean is not a "
+                               "positive double; use strategy = quadrature")
+        log_m, err = math.log(m), CONTOUR_RTOL
     else:
         raise ValueError(f"unsupported strategy {strategy!r}")
     return MellinValue(math.exp(log_m), log_m, s, w, strategy, err)

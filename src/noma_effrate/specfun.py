@@ -151,7 +151,7 @@ class FoxH2Spec:
 
 
 # ---------------------------------------------------------------------------
-# refinement and line-search drivers shared by every engine
+# the refinement loop shared by every engine, and the delay bound's golden-section search
 
 
 def refine(estimate, n, limit, rtol, what, width):
@@ -186,15 +186,15 @@ def refine(estimate, n, limit, rtol, what, width):
         n = 2 * n - 1
 
 
-def golden_section(f, a, b, atol, rtol=0.0):
+def golden_section(f, a, b, atol):
     """Golden-section searches for the minima of unimodal functions, one per bracket [a[i], b[i]].
 
     ``f(points, idx)`` returns the values at ``points`` of the functions of the
     searches ``idx`` (one index per point), and is called once per round: the
     first round evaluates both interior points of every search, each later one
     the new point of every search still open.  A search stops once its bracket
-    is no wider than max(atol, rtol*|a|), or after 60 steps (a 1e-12 shrink).
-    Returns the final brackets' midpoints; no brackets make no call.
+    is no wider than ``atol``, or after 60 steps (a 1e-12 shrink).  Returns the
+    final brackets' midpoints; no brackets make no call.
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b, idx = list(a), list(b), list(range(len(a)))
@@ -203,7 +203,7 @@ def golden_section(f, a, b, atol, rtol=0.0):
     both = list(f(x1 + x2, idx + idx)) if idx else []
     f1, f2 = both[: len(idx)], both[len(idx) :]
     for _ in range(60):
-        idx = [i for i in idx if not b[i] - a[i] <= max(atol, rtol * abs(a[i]))]
+        idx = [i for i in idx if not b[i] - a[i] <= atol]
         if not idx:
             break
         left = [f1[i] < f2[i] for i in idx]  # the minimum lies in [a, x2]: a new x1
@@ -309,24 +309,13 @@ def loggamma(z):
 
 def _log_gammas(terms):
     """s -> sum of the signed log-gammas sg*ln Gamma(a0 + b0*s) of ``terms`` over a complex
-    array s of one or two dimensions, in one loggamma call; the term arrays are built once."""
+    array s of one or two dimensions, in one loggamma call; the term arrays are built once.
+    At a denominator Gamma's pole the real part is -inf (the integrand vanishes) and the
+    phase nan, from the zero imaginary part of sg times an infinite ln Gamma: not a warning."""
     a0, b0, sg = (np.array(col, dtype=float)[:, None, None] for col in zip(*terms))
-    return lambda s: (sg * loggamma(a0 + b0 * s)).sum(axis=0).reshape(np.shape(s))
-
-
-def _real_log_integrand(terms, log_z, c):
-    """ln|integrand| at a real s = c, with ln|Gamma| from math.lgamma.
-
-    A pole of a denominator Gamma (where math.lgamma raises) gives -inf: the
-    integrand vanishes there.
-    """
-    acc = c * log_z
-    for a0, b0, sg in terms:
-        try:
-            acc += sg * math.lgamma(a0 + b0 * c)
-        except ValueError:
-            acc += sg * math.inf
-    return acc
+    return np.errstate(invalid="ignore")(
+        lambda s: (sg * loggamma(a0 + b0 * s)).sum(axis=0).reshape(np.shape(s))
+    )
 
 
 def _first_drop(values, n, drop, peak=None):
@@ -368,16 +357,16 @@ def _find_height(logf):
     raise ContourError("integrand does not decay")
 
 
-def _saddle_search(terms, left, right):
-    """Contour offsets minimizing the on-axis integrand magnitude, as a function of ln z.
+def _saddle_search(terms, left, right, log_z):
+    """Per entry of the array ``log_z``, the scan point minimizing the on-axis integrand magnitude.
 
     The vertical-line peak sits on the real axis, so placing the line at
     the magnitude minimum (the saddle) avoids the cancellation that a
     fixed offset suffers when the result is exponentially smaller than
-    the integrand.  The search stays a safe margin inside (left, right);
-    an unbounded side (no pole family) is scanned geometrically.  The scan's
-    log-gammas do not depend on z; each column then refines its best scan point
-    in one ``golden_section`` call over all columns' brackets.
+    the integrand; the line's position does not change the integral, so a
+    scan point next to the saddle serves as well.  The scan stays a safe margin
+    inside (left, right); an unbounded side (no pole family) is scanned
+    geometrically.  Its log-gammas do not depend on z: one loggamma call.
     """
     margin = 0.05 * min(1.0, (right - left) if math.isfinite(left) and math.isfinite(right) else 1.0)
     lo, hi = left + margin, right - margin  # infinite on a side with no pole family
@@ -389,18 +378,8 @@ def _saddle_search(terms, left, right):
         cand = lo + np.geomspace(1e-3, 1 << 20, 513)
     else:
         cand = np.linspace(lo, hi, 129)
-    base = np.array([_real_log_integrand(terms, 0.0, c) for c in cand.tolist()])
-    step = float(np.diff(cand).max())
-
-    def offsets(log_z):
-        # refine each column's best grid point in Python floats: numpy scalars' bits, but faster
-        best = cand[np.argmin(base + cand * log_z[:, None], axis=1)].tolist()
-        return np.array(golden_section(
-            lambda x, idx: [_real_log_integrand(terms, float(log_z[i]), c) for c, i in zip(x, idx)],
-            [max(c - step, lo) for c in best], [min(c + step, hi) for c in best], 1e-10, 1e-10,
-        ))
-
-    return offsets
+    base = _log_gammas(terms)(cand + 0j).real
+    return cand[np.argmin(base + cand * log_z[:, None], axis=1)]
 
 
 def _nested(log_f, origin, unit=1j):
@@ -521,9 +500,9 @@ def meijer_g(spec: MeijerGSpec, z) -> QuadValue:
         raise ContourError("vertical contour integral does not converge (m+n <= (p+q)/2)")
     terms = _meijer_terms(spec)
     log_z = np.log(z)
-    offsets = _saddle_search(terms, *_meijer_gap(spec))
-    blocks = [log_z[b : b + _COLUMNS] for b in range(0, z.size, _COLUMNS)]
-    parts = [_trapezoid_lines(terms, lz, offsets(lz)) for lz in blocks]
+    offsets = _saddle_search(terms, *_meijer_gap(spec), log_z)
+    blocks = [slice(b, b + _COLUMNS) for b in range(0, z.size, _COLUMNS)]
+    parts = [_trapezoid_lines(terms, log_z[blk], offsets[blk]) for blk in blocks]
     return _quad_value(*(np.concatenate(p) for p in zip(*parts)), scalar)
 
 

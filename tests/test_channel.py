@@ -81,6 +81,13 @@ class TestConstruction:
         pair = make_pair(2, 1, 1.0, 0.1)
         assert pair.omega_tilde == pytest.approx(1.0 / 11.0, rel=1e-14)
 
+    def test_rejects_omega_tilde_that_underflows(self):
+        # omega_s^-2 = 1e308 and omega_w^-2 = 1.23e308 are finite, their sum is not: omega_tilde = 0
+        strong, weak = AlphaMuChannel(2, 1, 1e-154), AlphaMuChannel(2, 1, 0.9e-154)
+        with pytest.raises(ValueError, match="omega_tilde"):
+            ChannelPair(strong, weak)
+        assert ChannelPair(AlphaMuChannel(2, 1, 1e-153), weak).omega_tilde > 0
+
 
 class TestGainPdf:
     def test_rayleigh_at_one(self):

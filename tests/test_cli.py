@@ -574,11 +574,15 @@ class TestMainEntry:
             ("dvp", "[snc]\nlambda = 170\ns_max = 1e306\n", "[snc] s_max"),
             ("dvp", "[snc]\nlambda = 170\ns_min = 2\ns_max = 1\n", "[snc] s_min"),
             ("dvp", "[snc]\nlambda = 170\n[sim]\nslots = 1000\nbatches = 5\n", "[sim] batches"),
+            ("er", "[channel]\nomega_s = 1e-154\nomega_w = 0.9e-154\n", "[channel] omega_tilde"),
+            ("er", "[channel]\nmu = 40\n[system]\ntheta = 28\nrho_db = 120\nstrategy = closed-form\n",
+             "closed form cannot evaluate theta = 28"),
         ],
         ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
              "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form",
              "alpha-overflows-omega", "omega_s-overflows", "omega_w-overflows", "s_max-overflows-varpi",
-             "s_min-not-below-s_max", "batches-with-slots"],
+             "s_min-not-below-s_max", "batches-with-slots", "omega_tilde-underflows",
+             "closed-form-mean-underflows"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)

@@ -63,6 +63,11 @@ class TestTypes:
     def test_a_w_complement(self):
         assert make_system(a_s=0.24).a_w == pytest.approx(0.76)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_rho_not_finite_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            NomaSystem(make_pair(), 0.24, rho, DelayQos(0.5))
+
     @pytest.mark.parametrize(
         "theta, tb, field",
         [(math.nan, 1.0, "theta"), (math.inf, 1.0, "theta"), (-1.0, 1.0, "theta"),

@@ -76,6 +76,16 @@ class TestMellinStrong:
         with pytest.raises(ValueError, match="cannot exceed 1"):
             mellin_strong(cfg, 0.01)
 
+    def test_closed_form_mean_that_underflows_raises(self):
+        # E[(1 + a_s rho g)^-varpi] is about e^-1184 at mu = 40, 120 dB and s = 5: zero as a
+        # linear double, so the closed form names the exponent instead of taking log(0)
+        from noma_effrate.specfun import ContourError
+
+        cfg = SncConfig(make_system(mu=40, rho_db=120.0), 168, 170.0)
+        assert mellin_strong(cfg, 5.0, "quadrature").log_value == pytest.approx(-1183.91, rel=1e-5)
+        with pytest.raises(ContourError, match="varpi = 1211.86.*use strategy = quadrature"):
+            mellin_strong(cfg, 5.0, "closed-form")
+
 
 class TestMellinWeak:
     def test_tends_to_one_at_small_exponent(self):
@@ -283,3 +293,9 @@ class TestSncConfig:
     def test_rejects_bad_symbol_count(self):
         with pytest.raises(ValueError):
             SncConfig(make_system(), 0, 1.0)
+
+    def test_rejects_s_max_whose_exponent_overflows(self):
+        # 168 * 1e306 / ln 2 is not a finite double; 5e305 still is
+        with pytest.raises(ValueError, match="s_max"):
+            SncConfig(make_system(), 168, 170.0, s_max=1e306)
+        assert math.isfinite(SncConfig(make_system(), 168, 170.0, s_max=5e305).varpi(5e305))
