@@ -40,7 +40,7 @@ from .effrate import (
     sum_er_noma,
     wideband_slope,
 )
-from .sim import SimPlan, queue_dvp
+from .sim import SimPlan, min_slots, queue_dvp
 from .snc import SncConfig, dvp_curve
 from .specfun import ContourError, ConvergenceError
 
@@ -253,17 +253,21 @@ def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
         sysm, cfg.symbols_per_slot, lam, s_min=cfg.s_min, s_max=cfg.s_max
     )
     users = ("strong", "weak")
-    # both simulations first, so a trace too short for vartheta_max fails before any bound
-    emps = [None, None]
+    # the simulation first, so a trace too short for vartheta_max fails before any bound
+    emp = None
     if cfg.slots > 0:
-        plan = SimPlan(cfg.seed, cfg.slots, cfg.batches)
-        emps = [queue_dvp(snc_cfg, user, plan, cfg.vartheta_max) for user in users]
+        if cfg.slots < min_slots(cfg.vartheta_max):
+            raise ConfigError(
+                f"[sim] slots: trace too short for [snc] vartheta_max = {cfg.vartheta_max} after "
+                f"the 10% warm-up; need at least {min_slots(cfg.vartheta_max)} slots, got {cfg.slots}"
+            )
+        emp = queue_dvp(snc_cfg, users, SimPlan(cfg.seed, cfg.slots, cfg.batches), cfg.vartheta_max)
     rows = []
-    for user, emp in zip(users, emps):
+    for i, user in enumerate(users):
         curve = dvp_curve(snc_cfg, user, range(cfg.vartheta_max + 1))
         for d, b in enumerate(curve):
             empirical = (None,) * 3 if emp is None else (
-                emp.probabilities[d], emp.ci_low[d], emp.ci_high[d]
+                emp.probabilities[i, d], emp.ci_low[i, d], emp.ci_high[i, d]
             )
             rows.append((user, d, b.bound, b.minimizer_s, b.feasible) + empirical)
     return DVP_HEADER, rows

@@ -9,11 +9,13 @@ arrivals through k.  As departures = arrivals - backlog, they wait more
 than d slots exactly when the backlog after slot k+d exceeds d*lam.
 
 The queue is simulated in one pass over blocks of 2^16 slots that carries
-the drift and its running minimum, so it holds one block for either user.
-The strong link's gains come first in the stream; the weak user's run redraws
-them one block at a time from a second generator on the same seed.  Random
-numbers come from numpy's PCG64 via default_rng; batch streams are spawned
-from one SeedSequence, so results do not depend on execution order.
+the drift and its running minimum, for one user or both on the same trace,
+so it holds one block per link.  The strong link's gains come first in the
+stream: one generator draws them block by block for both users, and a
+second on the same seed steps past them with bare gamma draws, then draws
+the weak link's gains.  Random numbers come from numpy's PCG64 via
+default_rng; batch streams are spawned from one SeedSequence, so results do
+not depend on execution order.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class DelayCcdf:
     trial; ``_binomial_ci`` computes them with Loader's binomial probabilities.
 
     ``observations`` is the number of per-slot bit batches the estimate is
-    built from; ``bits_observed`` the corresponding bit volume.
+    built from; ``bits_observed`` the corresponding bit volume.  The arrays
+    are indexed by d; a simulation of several users on one trace gives them
+    a leading user axis, and the counts are the same for every user.
     """
 
     probabilities: np.ndarray
@@ -74,15 +78,24 @@ class DelayCcdf:
             raise ValueError("delay CCDF must be nonincreasing")
 
 
-def _draw_sinr(sys: NomaSystem, user: User, rng: np.random.Generator, n: int, strong=None):
-    # built in place, over ``strong`` when the strong link's n gains are drawn already
-    g = sample_gain(sys.pair.strong, rng, n) if strong is None else strong
+def _draw_sinr(sys: NomaSystem, user: User, rng: np.random.Generator, n: int):
+    # the strong link's n gains first, then the weak link's; built in place
+    g = sample_gain(sys.pair.strong, rng, n)
     if user == "strong":
         g *= sys.a_s * sys.rho
         return g
-    # a_w rho g / (a_s rho g + 1) over g = min(g_s, g_w)
-    np.minimum(g, sample_gain(sys.pair.weak, rng, n), out=g)
-    den = sys.a_s * sys.rho * g + 1.0
+    return _weak_sinr(sys, g, sample_gain(sys.pair.weak, rng, n))
+
+
+def _weak_sinr(sys: NomaSystem, g_s: np.ndarray, g_w: np.ndarray, den=None) -> np.ndarray:
+    """a_w rho g / (a_s rho g + 1) over g = min(g_s, g_w), built over ``g_w``.
+
+    ``g_s`` is left as it is; ``den``, when given, is the scratch array of
+    the denominator.
+    """
+    g = np.minimum(g_s, g_w, out=g_w)
+    den = np.multiply(g, sys.a_s * sys.rho, out=den)
+    den += 1.0
     g *= sys.a_w * sys.rho
     g /= den
     return g
@@ -109,71 +122,116 @@ def mc_effective_rate(sys: NomaSystem, user: User, plan: SimPlan) -> RateResult:
     return RateResult(overall, "monte-carlo", se)
 
 
+def min_slots(max_delay: int) -> int:
+    """The shortest trace that observes a bit after the 10% warm-up.
+
+    A trace of ``slots`` observes the bits of slots [slots // 10,
+    slots - max_delay); this is the least ``slots`` leaving that range
+    nonempty.
+    """
+    return max_delay + 1 + max_delay // 9
+
+
 def queue_dvp(
     cfg: SncConfig,
-    user: User,
+    users: User | tuple[User, ...],
     plan: SimPlan,
     max_delay: int,
 ) -> DelayCcdf:
     """Empirical delay-violation probabilities from a fluid-queue trace.
 
-    The first 10% of slots are warm-up; bits arriving within max_delay of
-    the trace end are excluded so no delay measurement is censored.
-    Delays beyond max_delay are counted as exceeding every target.  Memory
-    is one block of slots for either user.
+    ``users`` is "strong", "weak" or a tuple of distinct users, simulated
+    in one pass on the same trace: for a tuple, the result's arrays get a
+    leading user axis in that order, and each row is bit for bit what a
+    call for that user alone gives.  The first 10% of slots are warm-up;
+    bits arriving within max_delay of the trace end are excluded so no
+    delay measurement is censored.  Delays beyond max_delay are counted as
+    exceeding every target.  Memory is a few blocks of slots at any trace
+    length: one per link drawn, and one of scratch.
     """
-    _check_user(user)
+    names = (users,) if isinstance(users, str) else tuple(users)
+    for user in names:
+        _check_user(user)
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"users must be one user or a tuple of distinct users, got {users!r}")
     if max_delay < 1:
         raise ValueError("max_delay must be positive")
     slots = plan.draws
+    if slots < min_slots(max_delay):
+        raise ValueError(
+            f"trace too short for the requested max_delay and warm-up: max_delay {max_delay} "
+            f"needs at least {min_slots(max_delay)} slots, got {slots}"
+        )
     warm = slots // 10
     last = slots - max_delay
-    if last <= warm:
-        raise ValueError("trace too short for the requested max_delay and warm-up")
+    sys = cfg.system
     lam = cfg.arrival_rate
-    strong_ch = cfg.system.pair.strong
-    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    redraw = None
-    if user == "weak":
-        # the strong gains come first in the stream: ``rng`` steps through them
-        # to draw the weak gains from where they end, and ``redraw`` replays them
-        # block by block
-        redraw = np.random.default_rng(np.random.SeedSequence(plan.seed))
+    work = np.empty(min(_BLOCK, slots))  # the weak denominator, then each backlog's running minimum
+    strong_rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
+    weak_rng = None
+    if "weak" in names:
+        # the strong gains come first in the stream: ``weak_rng`` steps past
+        # them with the bare gamma draws, without the gain transform, to draw
+        # the weak gains from where they end
+        weak_rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
         for start in range(0, slots, _BLOCK):
-            sample_gain(strong_ch, rng, min(_BLOCK, slots - start))
+            weak_rng.standard_gamma(sys.pair.strong.mu, out=work[: min(_BLOCK, slots - start)])
     eps = 1e-9 * max(lam, 1.0)
-    exceed = [0] * (max_delay + 1)
-    mean_service = drift = floor = 0.0
+    exceed = [[0] * (max_delay + 1) for _ in names]
+    mean_service = [0.0] * len(names)
+    drift = [0.0] * len(names)
+    floor = [0.0] * len(names)
     for start in range(0, slots, _BLOCK):
         stop = min(start + _BLOCK, slots)
-        strong = None if redraw is None else sample_gain(strong_ch, redraw, stop - start)
-        x = _draw_sinr(cfg.system, user, rng, stop - start, strong)
-        x += 1.0
-        np.log2(x, out=x)
-        x *= cfg.symbols_per_slot  # the block's service
-        mean_service += float(x.sum()) / slots
-        np.subtract(lam, x, out=x)
-        # backlog = drift - its running minimum, both carried over from earlier blocks
-        x[0] += drift
-        np.cumsum(x, out=x)
-        low = np.minimum.accumulate(x)
-        np.minimum(low, floor, out=low)
-        drift, floor = x[-1], low[-1]
-        x -= low  # x[i] is the backlog after slot start + i
-        # bits of slot k wait more than d slots iff the backlog after slot k+d still
-        # exceeds the d*lam bits that arrived after them; d reads slots [warm+d, last+d)
-        for d in range(max(start - last + 1, 0), min(stop - warm, max_delay + 1)):
-            exceed[d] += np.count_nonzero(x[max(warm + d - start, 0) : last + d - start] > d * lam + eps)
-        del x, low, strong  # free the block before the next one is drawn
-    if lam >= mean_service:
-        warnings.warn(
-            f"unstable queue: arrival rate {lam} >= mean service {mean_service:.3f}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        n = stop - start
+        sinr = {}
+        g_s = sample_gain(sys.pair.strong, strong_rng, n)
+        if weak_rng is not None:
+            sinr["weak"] = _weak_sinr(sys, g_s, sample_gain(sys.pair.weak, weak_rng, n), work[:n])
+        if "strong" in names:
+            g_s *= sys.a_s * sys.rho
+            sinr["strong"] = g_s
+        for i, user in enumerate(names):
+            x = sinr[user]
+            x += 1.0
+            np.log2(x, out=x)
+            x *= cfg.symbols_per_slot  # the block's service
+            mean_service[i] += float(x.sum()) / slots
+            np.subtract(lam, x, out=x)
+            # backlog = drift - its running minimum, both carried over from earlier blocks
+            x[0] += drift[i]
+            np.cumsum(x, out=x)
+            low = np.minimum.accumulate(x, out=work[:n])
+            np.minimum(low, floor[i], out=low)
+            drift[i], floor[i] = x[-1], low[-1]
+            x -= low  # x[j] is the backlog after slot start + j
+            bottom, top = x.min(), x.max()
+            # bits of slot k wait more than d slots iff the backlog after slot k+d still
+            # exceeds the d*lam bits that arrived after them; d reads slots [warm+d, last+d)
+            for d in range(max(start - last + 1, 0), min(stop - warm, max_delay + 1)):
+                threshold = d * lam + eps
+                if threshold >= top:  # no backlog of the block exceeds it, nor a later target's
+                    break
+                lo, hi = max(warm + d - start, 0), min(last + d - start, n)
+                # every backlog of the block exceeds a threshold below its least one
+                exceed[i][d] += hi - lo if threshold < bottom else np.count_nonzero(x[lo:hi] > threshold)
+        del sinr, g_s, x  # free the block before the next one is drawn
+    del work, low  # and the scratch block before the interval solver's own
+    for ms in mean_service:
+        if lam >= ms:
+            warnings.warn(
+                f"unstable queue: arrival rate {lam} >= mean service {ms:.3f}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     n_obs = last - warm
     p = np.array(exceed) / n_obs
-    ci_low, ci_high = _binomial_ci(exceed, n_obs, 0.99)
+    # one user at a time: a block of Newton solves stops with its slowest row, so
+    # solving each user's rows on their own gives the bits of a one-user call
+    ci = [_binomial_ci(row, n_obs, 0.99) for row in exceed]
+    ci_low, ci_high = (np.array(ends) for ends in zip(*ci))
+    if isinstance(users, str):
+        p, ci_low, ci_high = p[0], ci_low[0], ci_high[0]
     return DelayCcdf(p, ci_low, ci_high, slots, n_obs, float(n_obs * lam))
 
 

@@ -205,6 +205,14 @@ slots = 100000
         assert main(["dvp", "--config", path]) == 2
         assert "trace too short" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:unstable queue")
+    def test_least_slot_count_gives_rows(self, tmp_path):
+        # the slot count the too-short error asks for is enough
+        text = self.DVP.replace("vartheta_max = 8", "vartheta_max = 30")
+        cfg = load_config(write_config(tmp_path, text.replace("slots = 100000", "slots = 34")))
+        _, rows = cmd_dvp(cfg, lambda_scale=1.0)
+        assert len(rows) == 2 * 31 and all(r[5] is not None for r in rows)
+
     def test_quiet_when_laguerre_overflows(self, tmp_path):
         # Nakagami-3 at 20 dB under a large arrival rate: the delay bound's
         # Mellin exponents reach the thousands, and its gain quadrature must
@@ -574,6 +582,9 @@ class TestMainEntry:
             ("dvp", "[snc]\nlambda = 170\ns_max = 1e306\n", "[snc] s_max"),
             ("dvp", "[snc]\nlambda = 170\ns_min = 2\ns_max = 1\n", "[snc] s_min"),
             ("dvp", "[snc]\nlambda = 170\n[sim]\nslots = 1000\nbatches = 5\n", "[sim] batches"),
+            ("dvp", "[snc]\nlambda = 170\nvartheta_max = 30\n[sim]\nslots = 33\n",
+             "[sim] slots: trace too short for [snc] vartheta_max = 30 after the 10% warm-up; "
+             "need at least 34 slots, got 33"),
             ("er", "[channel]\nomega_s = 1e-154\nomega_w = 0.9e-154\n", "[channel] omega_tilde"),
             ("er", "[channel]\nmu = 40\n[system]\ntheta = 28\nrho_db = 120\nstrategy = closed-form\n",
              "closed form cannot evaluate theta = 28"),
@@ -581,7 +592,7 @@ class TestMainEntry:
         ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
              "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form",
              "alpha-overflows-omega", "omega_s-overflows", "omega_w-overflows", "s_max-overflows-varpi",
-             "s_min-not-below-s_max", "batches-with-slots", "omega_tilde-underflows",
+             "s_min-not-below-s_max", "batches-with-slots", "slots-too-short", "omega_tilde-underflows",
              "closed-form-mean-underflows"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):

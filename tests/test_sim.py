@@ -14,13 +14,14 @@ from scipy.special import betaincinv
 from scipy.stats import kstest
 
 from noma_effrate import sim as sim_module
-from noma_effrate.channel import AlphaMuChannel, ChannelPair, gain_cdf
+from noma_effrate.channel import AlphaMuChannel, ChannelPair, gain_cdf, sample_gain
 from noma_effrate.effrate import DelayQos, NomaSystem, er_noma, ergodic_rate
 from noma_effrate.sim import (
     DelayCcdf,
     SimPlan,
     empirical_decay_slope,
     mc_effective_rate,
+    min_slots,
     queue_dvp,
 )
 from noma_effrate.snc import SncConfig, dvp_curve
@@ -219,13 +220,13 @@ class TestQueueDvp:
         got = queue_dvp(cfg, "strong", SimPlan(1, 4000), 4)
         np.testing.assert_array_equal(got.probabilities, [0.5, 0, 0, 0, 0])
 
-    @pytest.mark.parametrize("user", ["strong", "weak"])
+    @pytest.mark.parametrize("user", ["strong", "weak", ("strong", "weak")])
     def test_queue_dvp_peak_memory_per_slot(self, user):
-        # the pass holds a few block-sized arrays at a time, and the weak run
-        # redraws the strong link's gains block by block, so neither user's
-        # peak grows with the trace; the fixed bound also covers the
+        # the pass holds a few block-sized arrays per link at a time, and a
+        # weak run draws the strong link's gains block by block, so no
+        # run's peak grows with the trace; the fixed bound also covers the
         # Clopper-Pearson scratch
-        cfg = self.make_cfg(user=user)
+        cfg = self.make_cfg(user=user if isinstance(user, str) else "weak")
         queue_dvp(cfg, user, SimPlan(1, 1000), 30)  # first-call allocations
         bound = 48 * _BLOCK  # 3 MiB
         for slots in (200_000, 800_000):
@@ -259,6 +260,71 @@ class TestQueueDvp:
         np.testing.assert_array_equal(got.probabilities, p)
         np.testing.assert_array_equal(got.ci_low, ci_low)
         np.testing.assert_array_equal(got.ci_high, ci_high)
+
+    @pytest.mark.parametrize("rate_user", ["strong", "weak"])
+    @pytest.mark.parametrize("load", [0.7, 0.95, 1.2, 10.0])
+    @pytest.mark.parametrize(
+        "slots, max_delay",
+        [(slots, d) for slots in (_BLOCK - 1, _BLOCK, _BLOCK + 1, _SPAN) for d in (1, 30)]
+        + [(_SPAN, _SPAN - _SPAN // 10 - 1000)],
+    )
+    def test_two_user_pass_keeps_whole_trace_bits(self, rate_user, load, slots, max_delay):
+        # one pass for both users draws the strong link once and gives each
+        # user's row exactly the whole-trace pass of that user alone; the
+        # load is relative to ``rate_user``'s service, so each user meets
+        # each load
+        cfg = self.make_cfg(load=load, user=rate_user)
+        plan = SimPlan(41, slots)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = queue_dvp(cfg, ("strong", "weak"), plan, max_delay)
+        assert got.probabilities.shape == (2, max_delay + 1)
+        for i, user in enumerate(("strong", "weak")):
+            p, ci_low, ci_high = _whole_trace_dvp(cfg, user, plan, max_delay)
+            np.testing.assert_array_equal(got.probabilities[i], p)
+            np.testing.assert_array_equal(got.ci_low[i], ci_low)
+            np.testing.assert_array_equal(got.ci_high[i], ci_high)
+
+    def test_user_axis_follows_the_tuple(self):
+        cfg = self.make_cfg(load=0.95, user="weak")
+        plan = SimPlan(8, 30_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            both = queue_dvp(cfg, ("weak", "strong"), plan, 12)
+            alone = [queue_dvp(cfg, user, plan, 12) for user in ("weak", "strong")]
+            weak_only = queue_dvp(cfg, ("weak",), plan, 12)
+        for i, one in enumerate(alone):
+            assert one.probabilities.shape == (13,)
+            np.testing.assert_array_equal(both.probabilities[i], one.probabilities)
+            np.testing.assert_array_equal(both.ci_high[i], one.ci_high)
+        np.testing.assert_array_equal(weak_only.probabilities, alone[0].probabilities[None])
+        assert (both.slots, both.observations, both.bits_observed) == (
+            alone[0].slots, alone[0].observations, alone[0].bits_observed
+        )
+
+    @pytest.mark.parametrize("users", [(), ("strong", "strong"), ("strong", "both")])
+    def test_rejects_bad_user_tuple(self, users):
+        with pytest.raises(ValueError):
+            queue_dvp(self.make_cfg(), users, SimPlan(1, 1000), 5)
+
+    @pytest.mark.parametrize(
+        "users, links",
+        [("strong", ["strong"]), ("weak", ["strong", "weak"]), (("strong", "weak"), ["strong", "weak"])],
+    )
+    def test_one_gain_draw_per_link_and_block(self, monkeypatch, users, links):
+        # the strong link is drawn once per block for both users; the weak
+        # generator steps past the strong gains without the gain transform
+        cfg = self.make_cfg(user="weak")
+        seen = []
+
+        def spy(ch, rng, n):
+            seen.append(("strong" if ch is cfg.system.pair.strong else "weak", n))
+            return sample_gain(ch, rng, n)
+
+        monkeypatch.setattr(sim_module, "sample_gain", spy)
+        queue_dvp(cfg, users, SimPlan(5, _SPAN), 30)
+        sizes = [_BLOCK] * 3 + [_SPAN - 3 * _BLOCK]
+        assert seen == [(link, n) for n in sizes for link in links]
 
     def test_higher_arrival_rate_shifts_curve_up(self):
         sys = make_system()
@@ -298,7 +364,7 @@ class TestQueueDvp:
         with pytest.raises(ValueError, match="too short"):
             queue_dvp(cfg, "strong", SimPlan(1, 100), 95)
 
-    @pytest.mark.parametrize("user", ["strong", "weak"])
+    @pytest.mark.parametrize("user", ["strong", "weak", ("strong", "weak")])
     def test_short_trace_rejected_before_any_draw(self, monkeypatch, user):
         from noma_effrate import sim
 
@@ -308,6 +374,17 @@ class TestQueueDvp:
         monkeypatch.setattr(sim, "sample_gain", no_draw)
         with pytest.raises(ValueError, match="too short"):
             queue_dvp(self.make_cfg(), user, SimPlan(1, 100), 95)
+
+    @pytest.mark.parametrize("max_delay", [1, 8, 9, 30, 95, 1000])
+    def test_min_slots_is_the_shortest_usable_trace(self, max_delay):
+        least = min_slots(max_delay)
+        # bits of slots [slots // 10, slots - max_delay) are observed
+        assert least - max_delay > least // 10
+        assert (least - 1) - max_delay <= (least - 1) // 10
+        cfg = self.make_cfg()
+        assert queue_dvp(cfg, "strong", SimPlan(1, least), max_delay).observations >= 1
+        with pytest.raises(ValueError, match=f"at least {least} slots"):
+            queue_dvp(cfg, "strong", SimPlan(1, least - 1), max_delay)
 
     def test_decay_slope_fit(self):
         cfg = self.make_cfg()
@@ -421,8 +498,6 @@ class TestSamplerDistribution:
     def test_simulated_gains_match_cdf(self):
         ch = AlphaMuChannel(3, 2, 0.9)
         rng = np.random.default_rng(41)
-        from noma_effrate.channel import sample_gain
-
         draws = sample_gain(ch, rng, 100_000)
         stat = kstest(draws, lambda x: gain_cdf(ch, x)).statistic
         assert stat < 1.6276 / math.sqrt(draws.size)
