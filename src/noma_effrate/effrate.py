@@ -167,52 +167,49 @@ def _gridwise(fn):
 def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
     """The one rate path: -log E[(1+SINR)^-(tau*nu)] / (nu ln 2) for the systems
     with nu > 0, and tau*E[log2(1+SINR)] (the common nu -> 0 limit) for those
-    with nu = 0, or for all of them when ``ergodic``.  On the quadrature route
-    each group is one engine pass; on the closed-form route, one form per exponent tau*nu."""
+    with nu = 0, or for all of them when ``ergodic``.  Each distinct column (tau*nu,
+    parameters) is evaluated once, as OMA rates repeat over a_s: in one engine pass
+    per sign of nu, or in one closed form per exponent."""
     _check_user(user)
     if strategy not in ("quadrature", "closed-form"):
         raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
     law, k, _, tau = log1p_sinr(systems[0], user, access)
     nus = [0.0 if ergodic else s.nu for s in systems]
-    out = [None] * len(systems)
-    for rated in (True, False):
-        rows = [i for i, nu in enumerate(nus) if (nu > 0) is rated]
-        if not rows:
-            continue
-        ps = [log1p_sinr(systems[i], user, access)[2] for i in rows]
+    cols = [(tau * nu, *log1p_sinr(s, user, access)[2]) for s, nu in zip(systems, nus)]
+    groups = {}  # the distinct columns of one engine pass (by w > 0) or one form (by w)
+    for c in dict.fromkeys(cols):
+        groups.setdefault(c[0] > 0 if strategy == "quadrature" else c[0], []).append(c)
+    rtol = 1e-9 if strategy == "quadrature" else CONTOUR_RTOL
+    means = {}  # per column: log E[(1+SINR)^-w] for w > 0, E[log2(1+SINR)] for w = 0
+    for at in sorted(groups.values(), key=lambda at: at[0][0] == 0):  # w > 0 first, in row order
+        w, params = at[0][0], np.array([c[1:] for c in at]).T
         if strategy == "quadrature":
-            rtol, params = 1e-9, np.array(ps).T
-            if rated:
-                means = laguerre_log_expectation(law, k, [-tau * nus[i] for i in rows], params)[0]
+            if w:
+                vals = laguerre_log_expectation(law, k, [-c[0] for c in at], params)[0]
             else:
-                means = laguerre_expectation(law, lambda g, *p: k(g, *p) / LN2, params)
-            means = means.tolist()
-        else:
-            rtol, ws, means = CONTOUR_RTOL, [tau * nus[i] for i in rows], [None] * len(rows)
-            for w in dict.fromkeys(ws):
-                at = [j for j, x in enumerate(ws) if x == w]
-                try:
-                    # an overflowing contour sum is caught below, not warned about
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        mean = closed_form(law, np.array([ps[j] for j in at]).T, w)
-                    if not np.all(np.isfinite(mean)):
-                        raise ContourError("the contour sum overflows")
-                    if rated and not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
-                        raise ContourError("the mean is not a positive double")
-                except ContourError as exc:
-                    first = systems[rows[at[0]]]
-                    raise ContourError(
-                        f"closed form cannot evaluate theta = {first.qos.theta:.10g} "
-                        f"(nu = {first.nu:.10g}): {exc}; use strategy = quadrature"
-                    ) from exc
-                for j, m in zip(at, mean.tolist()):
-                    means[j] = math.log(m) if rated else m
-        for i, m in zip(rows, means):
-            if rated:
-                out[i] = RateResult(-m / (nus[i] * LN2), strategy, rtol / (nus[i] * LN2))
-            else:
-                out[i] = RateResult(tau * m, strategy, rtol * abs(tau * m))
-    return out
+                vals = laguerre_expectation(law, lambda g, *p: k(g, *p) / LN2, params)
+            means.update(zip(at, vals.tolist()))
+            continue
+        try:
+            # an overflowing contour sum is caught below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = closed_form(law, params, w)
+            if not np.all(np.isfinite(mean)):
+                raise ContourError("the contour sum overflows")
+            if w and not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
+                raise ContourError("the mean is not a positive double")
+        except ContourError as exc:
+            first = systems[cols.index(at[0])]
+            raise ContourError(
+                f"closed form cannot evaluate theta = {first.qos.theta:.10g} "
+                f"(nu = {first.nu:.10g}): {exc}; use strategy = quadrature"
+            ) from exc
+        means.update((c, math.log(m) if w else m) for c, m in zip(at, mean.tolist()))
+    return [
+        RateResult(-means[c] / (nu * LN2), strategy, rtol / (nu * LN2)) if c[0] > 0
+        else RateResult(tau * means[c], strategy, rtol * abs(tau * means[c]))
+        for c, nu in zip(cols, nus)
+    ]
 
 
 @_gridwise

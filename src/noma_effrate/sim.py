@@ -217,10 +217,10 @@ def queue_dvp(
                 exceed[i][d] += hi - lo if threshold < bottom else np.count_nonzero(x[lo:hi] > threshold)
         del sinr, g_s, x  # free the block before the next one is drawn
     del work, low  # and the scratch block before the interval solver's own
-    for ms in mean_service:
+    for user, ms in zip(names, mean_service):
         if lam >= ms:
             warnings.warn(
-                f"unstable queue: arrival rate {lam} >= mean service {ms:.3f}",
+                f"unstable queue: arrival rate {lam} >= mean service {ms:.3f} of the {user} user",
                 RuntimeWarning,
                 stacklevel=2,
             )

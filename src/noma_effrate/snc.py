@@ -1,16 +1,16 @@
 """Delay-violation-probability bounds via service-process Mellin transforms.
 
-With N symbols per slot the per-slot service of a user with SINR gamma is
-N*log2(1+gamma) bits.  For a constant arrival rate of ``lam`` bits per
-slot, the queue's delay tail obeys
+With N symbols per slot a user with SINR gamma serves N*log2(1+gamma) bits
+per slot.  For a constant arrival rate of ``lam`` bits per slot, the queue's
+delay tail obeys
 
     Pr(delay > d) <= inf_{S>0}  M(S)^d / (1 - exp(lam*S) * M(S))
 
-where M(S) = E[(1+gamma)^(-N*S/ln 2)] is the Mellin transform of the
-service process at 1-S, and the bracket is evaluated only where the
-stability kernel exp(lam*S)*M(S) stays below one.  All kernels are
-evaluated in log space: the exponent N*S/ln 2 reaches the thousands
-across the search range.
+where M(S) = E[(1+gamma)^(-N*S/ln 2)] is the Mellin transform of the service
+process at 1-S, and S is stable where exp(lam*S)*M(S) stays below one.  The
+log of the bracket is convex in S, so ``dvp_curve`` solves for the point where
+its derivative vanishes.  All kernels are evaluated in log space: the
+exponent N*S/ln 2 reaches the thousands across the search range.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effrate import LN2, NomaSystem, Route, User, _check_user, closed_form, log1p_sinr
-from .specfun import CONTOUR_RTOL, ContourError, golden_section, laguerre_log_expectation
+from .specfun import CONTOUR_RTOL, ContourError, laguerre_log_expectation
 
-_S_TOL = 1e-6  # golden-section width on log s at the minimizer
-_COARSE_POINTS = 200  # log-spaced scan of [s_min, s_max] before the golden section
-_DELAY_BLOCK = 1024  # delays per block of the scan's delays x _COARSE_POINTS brackets
+_COARSE_POINTS = 200  # log-spaced scan of [s_min, s_max] that brackets each minimiser
+_DELAY_BLOCK = 1024  # delays per block: of the scan's delays x _COARSE_POINTS brackets, and of a search
+_MAX_ROUNDS = 64  # a safety cap on a search's rounds: 4 settle the benchmark's and tests' curves
+_STEP_RTOL = 1e-9  # a delay's search stops once its next step, or its bracket, is below this share of s
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,18 @@ class DvpBound:
             raise ValueError("bound must lie in [0, 1]")
 
 
-def _log_mellin(cfg: SncConfig, user: User, s):
-    """(log M(s), relative error) for one user via the gain-quadrature route;
-    an array of exponents s is one engine call, sharing one kernel row."""
+def _log_mellin(cfg: SncConfig, user: User, s, tilted=False):
+    """(log M(s), relative error) via gain quadrature, one engine call for an array of s;
+    with ``tilted``, of E[k e^(-varpi k)], k = ln(1 + SINR), through the kernel c*k + ln k
+    instead: d log M/ds = -(N/ln 2) E[k e^(-varpi k)] / M."""
     target, f, params, _ = log1p_sinr(cfg.system, user)
-    return laguerre_log_expectation(target, lambda g: f(g, *params), -cfg.varpi(s))
+
+    def kernel(g, c):
+        k = f(g, *params)
+        with np.errstate(divide="ignore"):  # k may underflow to 0 at the least gains
+            return c * k + np.log(k) if tilted else c * k
+
+    return laguerre_log_expectation(target, kernel, 1.0, (-cfg.varpi(s),))
 
 
 def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValue:
@@ -123,58 +131,87 @@ def mellin_weak(cfg: SncConfig, s: float, strategy: Route = "quadrature") -> Mel
     return _mellin(cfg, "weak", s, strategy)
 
 
-def _log_brackets(cfg: SncConfig, user: User, s):
-    """d -> log[M(s)^d / (1 - exp(lam*s)*M(s))] over a list of s, broadcast against d,
-    inf where exp(lam*s)*M(s) >= 1: one engine call over the distinct exponents."""
-    points, index = np.unique(s, return_inverse=True)
-    log_m = _log_mellin(cfg, user, points)[0]
-    tail = []
-    for x, lm in zip(points.tolist(), log_m.tolist()):
-        log_k = cfg.arrival_rate * x + lm
-        # -expm1, not 1 - exp: exp(log_k) rounds to 1 once |log_k| is below about 1e-16
-        tail.append(-math.inf if log_k >= 0.0 else math.log(-math.expm1(log_k)))
-    log_m, tail = log_m[index], np.array(tail)[index]
-    return lambda d: d * log_m - tail
+def _log_brackets(cfg: SncConfig, s, log_m, d):
+    """log[M(s)^d / (1 - exp(lam*s)*M(s))] from log M(s), against d; inf where unstable.
+    -expm1, not 1 - exp: exp(h) rounds to 1 once |h| is below about 1e-16."""
+    h = cfg.arrival_rate * s + log_m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d * log_m - np.where(h < 0.0, np.log(-np.expm1(np.minimum(h, 0.0))), -np.inf)
+
+
+def _minimise(cfg: SncConfig, user: User, grid, log_m, d, k, best):
+    """(exponent, log bracket) of the minimum of f_d per delay d, at most ``best`` at the
+    scan's best grid point k.  With L = log M and h = lam*s + L, f_d' = d*L' + h'e^h/(1 -
+    e^h) vanishes with G_d = h + log1p(h'/(-d*L')) (h' at d = 0), which has the sign of
+    f_d' where s is stable, is positive beyond the edge, where f_d' is not finite, and is
+    nearly linear near its root.  The root in log s between grid points k - 1 and k + 1
+    comes from inverse quadratic interpolation through the three, then secant steps
+    through the last two points, bisecting where a step leaves the bracket; without a
+    root the minimum is the grid point, at an end of the range."""
+    def stationarity(s, lm, log_km, d):
+        slope = -cfg.symbols_per_slot / LN2 * np.exp(log_km - lm)  # L' = d log M/ds
+        dh = cfg.arrival_rate + slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(d > 0, cfg.arrival_rate * s + lm + np.log1p(dh / (-d * slope)), dh)
+        return np.where(np.isnan(g), -np.inf, g)  # nan where h' <= d*L' < 0, so f_d' < 0
+
+    ends = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, grid.size - 1)])
+    at, log_km = sorted(set(ends.ravel().tolist())), np.zeros(grid.size)
+    log_km[at] = _log_mellin(cfg, user, grid[at], tilted=True)[0]
+    xa, xk, xb = np.log(grid[ends])  # the search runs in log s, as the scan does
+    ga, gk, gb = (stationarity(grid[e], log_m[e], log_km[e], d) for e in ends)
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan where two grid points coincide
+        first = (xa * gk * gb / ((ga - gk) * (ga - gb)) + xk * ga * gb / ((gk - ga) * (gk - gb))
+                 + xb * ga * gk / ((gb - ga) * (gb - gk)))
+    lo, hi = np.where(gk < 0, xk, xa), np.where(gk < 0, xb, xk)  # the half holding the root
+    x0, g0, x1, g1 = xa.copy(), ga, xk.copy(), gk
+    open_, best_s = (ga < 0) & (gb > 0), grid[k]
+    for r in range(_MAX_ROUNDS):
+        i = np.flatnonzero(open_)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = first[i] if r == 0 else x1[i] - g1[i] * (x1[i] - x0[i]) / (g1[i] - g0[i])
+        x = np.where((x > lo[i]) & (x < hi[i]) & np.isfinite(g0[i]), x, 0.5 * (lo[i] + hi[i]))
+        open_[i] = (np.abs(x - x1[i]) > _STEP_RTOL) & (hi[i] - lo[i] > _STEP_RTOL)
+        i, x = i[open_[i]], x[open_[i]]
+        if not i.size:
+            break
+        s = np.exp(x)
+        points, index = np.unique(s, return_inverse=True)  # one column per distinct exponent
+        lm, log_km = (_log_mellin(cfg, user, points, tilted)[0][index] for tilted in (False, True))
+        log_b, g = _log_brackets(cfg, s, lm, d[i]), stationarity(s, lm, log_km, d[i])
+        better = log_b < best[i]
+        best_s[i], best[i] = np.where(better, s, best_s[i]), np.where(better, log_b, best[i])
+        lo[i], hi[i] = np.where(g < 0, x, lo[i]), np.where(g < 0, hi[i], x)
+        x0[i], g0[i], x1[i], g1[i] = x1[i], g1[i], x, g
+    return best_s, best
 
 
 def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
-    """Infimum of the delay-bound bracket over the exponent search range, per delay.
+    """Infimum of the delay-bound bracket f_d(s) over [s_min, s_max], per delay d.
 
-    Coarse log-spaced scan followed by golden-section refinement; clamps
-    the result to [0, 1] (a bound above one is vacuous but still valid).
-    Integer target delays match the slotted queue; fractional values
-    interpolate the same expression.  The scan is one batch of Mellin
-    transforms, minimised in blocks of delays; the golden sections of all delays
-    are one search over many brackets, one batch of exponents per round, with the
-    same bits as one delay at a time.
-    """
+    A log-spaced scan (one engine call) brackets each minimiser of the convex f_d.  Per
+    block of delays, ``_minimise`` takes the tilted means at the brackets' grid points
+    (one call), then rounds of log M and tilted mean (two calls each) until every step
+    is below _STEP_RTOL, 4 rounds on the benchmark's curves.  The least bracket seen is
+    the bound, clamped to [0, 1] (one above 1 is vacuous but valid).  Integer delays
+    match the slotted queue; fractional ones interpolate the same expression."""
     _check_user(user)
     delays = np.array([float(d) for d in target_delays])
     if np.any(delays < 0):
         raise ValueError("target delay must be nonnegative")
     grid = np.geomspace(cfg.s_min, cfg.s_max, _COARSE_POINTS)
-    bracket, best_k, coarse = _log_brackets(cfg, user, grid), [], []
+    log_m = _log_mellin(cfg, user, grid)[0]
+    out = []
     for i in range(0, delays.size, _DELAY_BLOCK):
-        vals = bracket(delays[i : i + _DELAY_BLOCK, None])
-        best_k += np.argmin(vals, axis=1).tolist()
-        coarse += vals.min(axis=1).tolist()
-    live = np.flatnonzero(np.isfinite(coarse))  # the delays with a stable exponent
-    log_s = golden_section(
-        lambda x, idx: _log_brackets(cfg, user, [math.exp(v) for v in x])(delays[live[idx]]).tolist(),
-        [math.log(grid[max(best_k[i] - 1, 0)]) for i in live],
-        [math.log(grid[min(best_k[i] + 1, len(grid) - 1)]) for i in live],
-        atol=_S_TOL,
-    )
-    out = [DvpBound(d, 1.0, None, False, 0.0) for d in delays.tolist()]
-    if not log_s:  # no delay has a stable exponent
-        return out
-    s_star = [math.exp(x) for x in log_s]
-    log_b = _log_brackets(cfg, user, s_star)(delays[live])
-    for i, s, lb in zip(live.tolist(), s_star, log_b.tolist()):
-        best = min(lb, coarse[i])
-        if math.isfinite(best):
-            log_bound = min(best, 0.0)
-            out[i] = DvpBound(out[i].target_delay, math.exp(log_bound), s, True, log_bound)
+        d = delays[i : i + _DELAY_BLOCK]
+        vals = _log_brackets(cfg, grid, log_m, d[:, None])
+        k, best = vals.argmin(axis=1), vals.min(axis=1)
+        best_s, live = grid[k], np.isfinite(best)  # the delays with a stable exponent
+        if live.any():
+            best_s[live], best[live] = _minimise(cfg, user, grid, log_m, d[live], k[live], best[live])
+        log_b = np.minimum(best, 0.0).tolist()
+        out += [DvpBound(t, math.exp(lb), s, True, lb) if ok else DvpBound(t, 1.0, None, False, 0.0)
+                for t, s, lb, ok in zip(d.tolist(), best_s.tolist(), log_b, live.tolist())]
     return out
 
 

@@ -151,7 +151,7 @@ class FoxH2Spec:
 
 
 # ---------------------------------------------------------------------------
-# the refinement loop shared by every engine, and the delay bound's golden-section search
+# the refinement loop shared by every engine
 
 
 def refine(estimate, n, limit, rtol, what, width):
@@ -184,41 +184,6 @@ def refine(estimate, n, limit, rtol, what, width):
                 estimates=(prev[open_[0]], last[open_[0]]),
             )
         n = 2 * n - 1
-
-
-def golden_section(f, a, b, atol):
-    """Golden-section searches for the minima of unimodal functions, one per bracket [a[i], b[i]].
-
-    ``f(points, idx)`` returns the values at ``points`` of the functions of the
-    searches ``idx`` (one index per point), and is called once per round: the
-    first round evaluates both interior points of every search, each later one
-    the new point of every search still open.  A search stops once its bracket
-    is no wider than ``atol``, or after 60 steps (a 1e-12 shrink).  Returns the
-    final brackets' midpoints; no brackets make no call.
-    """
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b, idx = list(a), list(b), list(range(len(a)))
-    x1 = [hi - phi * (hi - lo) for lo, hi in zip(a, b)]
-    x2 = [lo + phi * (hi - lo) for lo, hi in zip(a, b)]
-    both = list(f(x1 + x2, idx + idx)) if idx else []
-    f1, f2 = both[: len(idx)], both[len(idx) :]
-    for _ in range(60):
-        idx = [i for i in idx if not b[i] - a[i] <= atol]
-        if not idx:
-            break
-        left = [f1[i] < f2[i] for i in idx]  # the minimum lies in [a, x2]: a new x1
-        for i, new_x1 in zip(idx, left):
-            if new_x1:
-                b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
-                x1[i] = b[i] - phi * (b[i] - a[i])
-            else:
-                a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
-                x2[i] = a[i] + phi * (b[i] - a[i])
-        # plain lists throughout: a tuple per search and round would be garbage-collector work
-        points = [x1[i] if new_x1 else x2[i] for i, new_x1 in zip(idx, left)]
-        for i, new_x1, v in zip(idx, left, f(points, idx)):
-            (f1 if new_x1 else f2)[i] = v
-    return [0.5 * (lo + hi) for lo, hi in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,7 @@ class TestMainEntry:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("warning: unstable queue: arrival rate 170.0 >= mean service")
+        assert lines[0].endswith("of the weak user")
         assert len(out.read_text().splitlines()) == 1 + 2 * 9
 
     def test_repeat_run_identical(self, tmp_path):

@@ -99,8 +99,10 @@ def test_queue_note_takes_the_cli_call(tmp_path, monkeypatch):
 @pytest.mark.parametrize("variant", range(4))
 def test_tiny_delay_matches_stored_references(tmp_path, variant):
     # the benchmark's delay check: shape, then every column but minimizer_s
-    # equal to the stored reference at zero absolute tolerance
+    # equal to the stored reference at zero absolute tolerance, and the bracket
+    # at each reported minimizer_s reproducing the bound (the check's _minimizer)
     workloads, checks = _load("workloads"), _load("checks")
+    checker = checks.Checker(noma_effrate, PERFBENCH / "refs", "tiny", variant, seed=0)
     for inv in workloads.delay(variant, tiny=True):
         config, out = tmp_path / f"{inv.name}.ini", tmp_path / f"{inv.name}.csv"
         config.write_text(inv.config)
@@ -109,3 +111,4 @@ def test_tiny_delay_matches_stored_references(tmp_path, variant):
         ref = checks.read_ref(checks.ref_path(PERFBENCH / "refs", "tiny", variant, inv.name))
         assert checks.delay_shape(inv, rows) is None, inv.name
         assert checks.compare_rows(header, rows, ref, atol=0.0, skip=("minimizer_s",)) is None, inv.name
+        assert checker._minimizer(inv, rows) is None, inv.name

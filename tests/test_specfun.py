@@ -478,7 +478,7 @@ class TestSaddlePlacement:
         from noma_effrate import specfun
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("meijer_g placed a line by a golden section or math.lgamma")
+            raise AssertionError("meijer_g placed a line by math.lgamma")
 
         loggamma_, lines = specfun.loggamma, specfun._trapezoid_lines
         calls, in_rule = {"all": 0, "rules": 0}, [False]
@@ -495,7 +495,6 @@ class TestSaddlePlacement:
             finally:
                 in_rule[0] = False
 
-        monkeypatch.setattr(specfun, "golden_section", unreachable)
         monkeypatch.setattr(math, "lgamma", unreachable)
         monkeypatch.setattr(specfun, "loggamma", counted)
         monkeypatch.setattr(specfun, "_trapezoid_lines", rule)
@@ -1045,66 +1044,3 @@ class TestFirstDrop:
         assert len(heights) >= 8
         assert max(h for h, _ in heights) > 64.0
         assert [h for h, _ in heights] == [h for _, h in heights]
-
-
-class TestGoldenSection:
-    """One golden-section search over many brackets against a scalar search per bracket."""
-
-    @staticmethod
-    def one_search(f, a, b, atol):
-        """The search on one bracket: (final midpoint, the points evaluated, in order)."""
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1, x2 = b - phi * (b - a), a + phi * (b - a)
-        f1, f2, points = f(x1), f(x2), [x1, x2]
-        for _ in range(60):
-            if b - a <= atol:
-                break
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = f(x1)
-                points.append(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = f(x2)
-                points.append(x2)
-        return 0.5 * (a + b), points
-
-    def test_equals_one_search_at_a_time(self):
-        # widths from 1e-9 to 1e6: the searches stop in different rounds, the widest after 60 steps
-        from noma_effrate.specfun import golden_section
-
-        a = [0.0, -1.0, 2.0, 10.0, 0.5, -3.0, 0.0]
-        b = [1.0, 3.0, 2.001, 40.0, 0.5 + 1e-9, 5.0, 1e6]
-        funcs = [lambda x, c=c: (x - c) ** 2 for c in (0.3, 2.9, 2.0004, 11.0, 0.5, 7.0, 1e5)]
-        funcs[1] = lambda x: abs(x - 2.9)  # not smooth at its minimum
-        funcs[5] = lambda x: -x  # the minimum sits on the bracket's right end
-        calls, seen = [], [[] for _ in a]
-
-        def f(points, idx):
-            calls.append(list(idx))
-            for x, i in zip(points, idx):
-                seen[i].append(x)
-            return [funcs[i](x) for x, i in zip(points, idx)]
-
-        got = golden_section(f, a, b, 1e-9)
-        want = [self.one_search(g, lo, hi, 1e-9) for g, lo, hi in zip(funcs, a, b)]
-        assert got == [mid for mid, _ in want]
-        assert seen == [points for _, points in want]
-        # the first call takes both interior points of every search, each later one the
-        # new point of every search still open: search i is open in calls 1..len(points)-2
-        last = [len(points) - 2 for _, points in want]
-        assert len(set(last)) >= 5
-        assert calls[0] == list(range(len(a))) * 2
-        assert len(calls) == 1 + max(last)
-        for r, idx in enumerate(calls[1:], 1):
-            assert idx == [i for i, n in enumerate(last) if n >= r]
-
-    def test_no_brackets_make_no_call(self):
-        from noma_effrate.specfun import golden_section
-
-        def f(points, idx):
-            raise AssertionError("f called without a bracket")
-
-        assert golden_section(f, [], [], 1e-6) == []
