@@ -94,8 +94,6 @@ class SweepConfig:
     strategy: str = "quadrature"
     symbols_per_slot: int = 168
     lambdas: list[float] = field(default_factory=list)
-    s_min: float = 1e-6
-    s_max: float = 5.0
     vartheta_max: int = 30
     seed: int = 12345
     slots: int = 0
@@ -124,8 +122,7 @@ CONFIG_KEYS = {
     "channel": {"alpha": int, "mu": int, "omega_s": float, "omega_w": float},
     "system": {"a_s": parse_values, "a_s_grid": parse_values, "rho_db": parse_values,
                "theta": parse_values, "tb": float, "strategy": str.strip},
-    "snc": {"symbols_per_slot": int, "lambda": parse_values, "s_min": float,
-            "s_max": float, "vartheta_max": int},
+    "snc": {"symbols_per_slot": int, "lambda": parse_values, "vartheta_max": int},
     "sim": {"seed": int, "slots": int, "batches": int},
     "output": {"path": str, "format": str.strip},
 }
@@ -184,10 +181,6 @@ def _validate(cfg: SweepConfig):
         if getattr(cfg, key) < least:
             need = f"at least {least} when [sim] slots > 0" if least else "nonnegative"
             raise ConfigError(f"[{sec}] {key}: must be {need}, got {getattr(cfg, key)}")
-    if not math.isfinite(cfg.symbols_per_slot * cfg.s_max / math.log(2.0)):
-        raise ConfigError(f"[snc] s_max: symbols_per_slot*s_max/ln 2 must be finite, got {cfg.s_max!r}")
-    if not 0 < cfg.s_min < cfg.s_max:
-        raise ConfigError(f"[snc] s_min: need 0 < s_min < s_max, got {cfg.s_min!r} and {cfg.s_max!r}")
     if cfg.strategy not in ("quadrature", "closed-form"):
         raise ConfigError(f"[system] strategy: {cfg.strategy!r} not supported")
     if cfg.strategy == "closed-form" and cfg.mu > MAX_MU:
@@ -249,9 +242,7 @@ def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
             f"arrival rate {lam!r}; it must be positive and finite"
         )
     sysm = cfg.grid(cfg.a_s_values)[0]
-    snc_cfg = SncConfig(
-        sysm, cfg.symbols_per_slot, lam, s_min=cfg.s_min, s_max=cfg.s_max
-    )
+    snc_cfg = SncConfig(sysm, cfg.symbols_per_slot, lam)
     users = ("strong", "weak")
     # the simulation first, so a trace too short for vartheta_max fails before any bound
     emp = None

@@ -9,8 +9,8 @@ delay tail obeys
 where M(S) = E[(1+gamma)^(-N*S/ln 2)] is the Mellin transform of the service
 process at 1-S, and S is stable where exp(lam*S)*M(S) stays below one.  The
 log of the bracket is convex in S, so ``dvp_curve`` solves for the point where
-its derivative vanishes.  All kernels are evaluated in log space: the
-exponent N*S/ln 2 reaches the thousands across the search range.
+its derivative vanishes, below the stability edge it finds first.  All kernels
+are evaluated in log space: the exponent N*S/ln 2 reaches 2^42 in that search.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from .effrate import LN2, NomaSystem, Route, User, _check_user, closed_form, log1p_sinr
 from .specfun import CONTOUR_RTOL, ContourError, laguerre_log_expectation
 
-_COARSE_POINTS = 200  # log-spaced scan of [s_min, s_max] that brackets each minimiser
+_OCTAVES = 2.0 ** np.arange(-30, 43, 3)  # exponents varpi of the stability scan, 8 apart
+_COARSE_POINTS = 200  # log-spaced scan of [s_hi * 2^-26, s_hi] that brackets each minimiser
 _DELAY_BLOCK = 1024  # delays per block: of the scan's delays x _COARSE_POINTS brackets, and of a search
 _MAX_ROUNDS = 64  # a safety cap on a search's rounds: 4 settle the benchmark's and tests' curves
 _STEP_RTOL = 1e-9  # a delay's search stops once its next step, or its bracket, is below this share of s
@@ -36,18 +37,12 @@ class SncConfig:
     system: NomaSystem
     symbols_per_slot: int
     arrival_rate: float  # bits per slot
-    s_min: float = 1e-6
-    s_max: float = 5.0
 
     def __post_init__(self):
         if self.symbols_per_slot < 1:
             raise ValueError("symbols_per_slot must be a positive integer")
         if not 0 < self.arrival_rate < math.inf:
             raise ValueError("arrival rate must be positive and finite")
-        if not 0 < self.s_min < self.s_max < math.inf:
-            raise ValueError("need 0 < s_min < s_max < inf")
-        if not math.isfinite(self.varpi(self.s_max)):
-            raise ValueError(f"symbols_per_slot*s_max/ln 2 must be finite, got s_max = {self.s_max!r}")
 
     def varpi(self, s: float) -> float:
         return self.symbols_per_slot * s / LN2
@@ -86,16 +81,19 @@ class DvpBound:
 
 def _log_mellin(cfg: SncConfig, user: User, s, tilted=False):
     """(log M(s), relative error) via gain quadrature, one engine call for an array of s;
-    with ``tilted``, of E[k e^(-varpi k)], k = ln(1 + SINR), through the kernel c*k + ln k
-    instead: d log M/ds = -(N/ln 2) E[k e^(-varpi k)] / M."""
+    in the columns where ``tilted`` (broadcast against s) is true, of E[k e^(-varpi k)], k =
+    ln(1 + SINR), through the kernel c*k + ln k instead: d log M/ds = -(N/ln 2) E[k e^(-varpi k)] / M."""
     target, f, params, _ = log1p_sinr(cfg.system, user)
 
-    def kernel(g, c):
+    def kernel(g, c, t):
         k = f(g, *params)
-        with np.errstate(divide="ignore"):  # k may underflow to 0 at the least gains
-            return c * k + np.log(k) if tilted else c * k
+        out = c * k
+        if t.any():  # out += t * ln k, where 0 * -inf would be nan
+            with np.errstate(divide="ignore"):  # k may underflow to 0 at the least gains
+                out += np.log(k, out=np.zeros(out.shape), where=t > 0)
+        return out
 
-    return laguerre_log_expectation(target, kernel, 1.0, (-cfg.varpi(s),))
+    return laguerre_log_expectation(target, kernel, 1.0, (-cfg.varpi(s), tilted))
 
 
 def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValue:
@@ -177,7 +175,7 @@ def _minimise(cfg: SncConfig, user: User, grid, log_m, d, k, best):
             break
         s = np.exp(x)
         points, index = np.unique(s, return_inverse=True)  # one column per distinct exponent
-        lm, log_km = (_log_mellin(cfg, user, points, tilted)[0][index] for tilted in (False, True))
+        lm, log_km = _log_mellin(cfg, user, points, [[False], [True]])[0].reshape(2, -1)[:, index]
         log_b, g = _log_brackets(cfg, s, lm, d[i]), stationarity(s, lm, log_km, d[i])
         better = log_b < best[i]
         best_s[i], best[i] = np.where(better, s, best_s[i]), np.where(better, log_b, best[i])
@@ -187,19 +185,26 @@ def _minimise(cfg: SncConfig, user: User, grid, log_m, d, k, best):
 
 
 def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
-    """Infimum of the delay-bound bracket f_d(s) over [s_min, s_max], per delay d.
+    """Infimum of the delay-bound bracket f_d(s) over s > 0, per delay d.
 
-    A log-spaced scan (one engine call) brackets each minimiser of the convex f_d.  Per
-    block of delays, ``_minimise`` takes the tilted means at the brackets' grid points
-    (one call), then rounds of log M and tilted mean (two calls each) until every step
-    is below _STEP_RTOL, 4 rounds on the benchmark's curves.  The least bracket seen is
-    the bound, clamped to [0, 1] (one above 1 is vacuous but valid).  Integer delays
+    Every minimiser lies below the stability edge, the root of lam*s + log M(s).  One
+    engine call at varpi = 2^-30, 2^-27, ..., 2^42 finds s_hi, the first exponent past
+    the last stable one (with none, every delay is infeasible), and a log-spaced scan of
+    [s_hi * 2^-26, s_hi] (one call) brackets each minimiser of the convex f_d.  Per block
+    of delays, ``_minimise`` takes the tilted means at the brackets' grid points (one
+    call), then rounds of log M with tilted mean (one call each).  The least bracket seen
+    is the bound, clamped to [0, 1] (one above 1 is vacuous but valid).  Integer delays
     match the slotted queue; fractional ones interpolate the same expression."""
     _check_user(user)
     delays = np.array([float(d) for d in target_delays])
     if np.any(delays < 0):
         raise ValueError("target delay must be nonnegative")
-    grid = np.geomspace(cfg.s_min, cfg.s_max, _COARSE_POINTS)
+    s = _OCTAVES * LN2 / cfg.symbols_per_slot
+    stable = np.flatnonzero(cfg.arrival_rate * s + _log_mellin(cfg, user, s)[0] < 0.0)
+    if not stable.size:
+        return [DvpBound(t, 1.0, None, False, 0.0) for t in delays.tolist()]
+    s_hi = s[min(stable[-1] + 1, s.size - 1)]  # the last exponent if all are stable
+    grid = np.geomspace(s_hi * 2.0**-26, s_hi, _COARSE_POINTS)
     log_m = _log_mellin(cfg, user, grid)[0]
     out = []
     for i in range(0, delays.size, _DELAY_BLOCK):

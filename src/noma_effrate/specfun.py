@@ -285,12 +285,12 @@ def _log_gammas(terms):
 
 def _first_drop(values, n, drop, peak=None):
     """Per row of ``values(idx)`` (the rows at grid indices ``idx``: one index row for
-    all, or one each), the first index after the row's first maximum that is ``drop``
-    below max(peak, maximum), or n, and that max.  It reads every 8th point and the
-    last, the 15 around the coarse maximum and the 8 up to the first coarse point under
-    the threshold: the full scan's index whenever the first maximum lies within 7
-    points of the coarse one and the row does not climb back to the threshold once
-    under it, as when it rises strictly to its maximum and does not rise after it."""
+    all, or one each), the first index ``drop`` below max(peak, maximum) past the row's
+    first maximum and its last coarse point (every 8th, and the last) at or above that
+    threshold, or n, and that max.  It reads the coarse points, the 15 around the coarse
+    maximum and the 8 up to the next coarse point under the threshold: the full scan's
+    index whenever the first maximum lies within 7 points of the coarse one and every
+    later run at or above the threshold holds a coarse point, as when the row has one mode."""
     coarse = np.append(np.arange(0, n - 1, 8), n - 1)
     lc = values(coarse[None])
     start = np.minimum(np.maximum(coarse[np.argmax(lc, axis=1)] - 7, 0), n - 15)
@@ -299,18 +299,21 @@ def _first_drop(values, n, drop, peak=None):
     at = np.argmax(lw, axis=1)
     top, first = lw[rows, at], win[rows, at]
     top = top if peak is None else np.where(top > peak, top, peak)  # Python's max(peak, top)
-    under = (lc < (top - drop)[:, None]) & (coarse > first[:, None])
+    cut = (top - drop)[:, None]
+    under = lc < cut
+    after = np.maximum(first, np.where(under, -1, coarse).max(axis=1))[:, None]
+    under &= coarse > after
     fine = np.maximum(coarse[np.argmax(under, axis=1), None] + np.arange(-7, 1), 0)
-    fine_under = (values(fine) < (top - drop)[:, None]) & (fine > first[:, None])
+    fine_under = (values(fine) < cut) & (fine > after)
     return np.where(under.any(axis=1), fine[rows, np.argmax(fine_under, axis=1)], n), top
 
 
 def _find_height(logf):
-    """Per row, the truncation height: the first point past the log-integrand's peak that is
-    _LOG_CUTOFF below it, on 513 points of [0, 64] or up to 12 range-doubling extensions.
-    ``logf`` maps heights, (1, k) or one row each, to (rows, k); a row is a contour line or
-    a side of a gain-rule window.  ``_first_drop`` finds the full scan's point when the
-    integrand rises strictly to one peak, not after."""
+    """Per row, the truncation height: the first point _LOG_CUTOFF below the log-integrand's
+    peak past the peak and any later mode (``_first_drop``), on 513 points of [0, 64] or up
+    to 12 range-doubling extensions.  ``logf`` maps heights, (1, k) or one row each, to
+    (rows, k); a row is a contour line or a side of a gain-rule window, where a weak-user
+    kernel's low-gain tail forms a second mode at a high SNR."""
     t, peak, height = np.linspace(0.0, 64.0, 513), None, np.nan
     for _ in range(13):
         i, peak = _first_drop(lambda idx: logf(t[idx]), t.size, _LOG_CUTOFF, peak)
@@ -612,7 +615,7 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
 # sweep and delay inputs), with a change far below the tolerance.
 
 _GAIN_NODES = 161
-_GAIN_MAX_NODES = 5121  # gain-rule node budget: dvp's exponents at s_max = 1e300 reach it
+_GAIN_MAX_NODES = 5121  # gain-rule node budget: dvp's exponents up to 2^42 take at most 1281
 _RTOL = 1e-9  # relative agreement of two successive estimates
 _COLUMNS = 64  # columns per engine pass; bounds the columns x nodes arrays of a rule
 

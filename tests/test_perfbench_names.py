@@ -1,11 +1,12 @@
 """The library names the benchmark in ``perfbench/`` reaches for must exist,
-and the benchmark's ``delay`` gate must pass.
+and the benchmark's ``sweep`` and ``delay`` gates must pass.
 
 ``perfbench/spans.py`` swaps wrappers into the namespaces its PATCHES list,
 and ``perfbench/checks.py`` calls the library through the package object;
 a rename in the library would otherwise only show as a broken benchmark.
 The ``delay`` outputs are held to their stored references bit for bit, so
-a change to the queue simulator's random stream fails here first.
+a change to the queue simulator's random stream fails here first; the tiny
+``sweep`` outputs go through the benchmark's own check, as a timed run does.
 """
 
 import importlib.util
@@ -112,3 +113,20 @@ def test_tiny_delay_matches_stored_references(tmp_path, variant):
         assert checks.delay_shape(inv, rows) is None, inv.name
         assert checks.compare_rows(header, rows, ref, atol=0.0, skip=("minimizer_s",)) is None, inv.name
         assert checker._minimizer(inv, rows) is None, inv.name
+
+
+@pytest.mark.parametrize("variant", range(4))
+def test_tiny_sweep_passes_the_benchmark_check(tmp_path, variant):
+    # every tiny sweep invocation through checks.Checker.check: the stored
+    # references, and the --jobs 2 run byte for byte against its --jobs 1 twin
+    workloads, checks = _load("workloads"), _load("checks")
+    checker = checks.Checker(noma_effrate, PERFBENCH / "refs", "tiny", variant, seed=0)
+    outputs = {}
+    for inv in workloads.sweep(variant, tiny=True):
+        config, out = tmp_path / f"{inv.name}.ini", tmp_path / f"{inv.name}.csv"
+        config.write_text(inv.config)
+        argv = [inv.command, "--config", str(config), "--out", str(out), "--jobs", str(inv.jobs)]
+        assert noma_effrate.cli.main(argv) == 0
+        err, rows = checker.check(inv, out, outputs)
+        assert err is None and rows > 0, (inv.name, err)
+        outputs[inv.name] = out

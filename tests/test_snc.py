@@ -35,6 +35,89 @@ def make_cfg(load=0.7, user_for_load="strong", **kw):
     return SncConfig(sys, 168, load * service)
 
 
+def log_bracket_of(cfg, user):
+    """s, d -> log[M(s)^d / (1 - exp(lam*s) M(s))] on the scalar Mellin transforms, inf
+    where s is unstable, and s -> lam*s + log M(s); M is cached per exponent."""
+    mellin = {"strong": mellin_strong, "weak": mellin_weak}[user]
+    cache = {}
+
+    def h(s):
+        if s not in cache:
+            cache[s] = mellin(cfg, s).log_value
+        return cfg.arrival_rate * s + cache[s]
+
+    def log_bracket(s, d):
+        log_k = h(s)
+        if log_k >= 0.0:
+            return math.inf
+        return d * cache[s] - math.log(-math.expm1(log_k))
+
+    return log_bracket, h
+
+
+def stability_edge(h):
+    """The root s0 of h, bisected in log s to 1e-12 (its unstable end), or None where h is
+    not negative at s = 1e-12."""
+    lo, hi = 1e-12, 1e-12
+    while h(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    if hi == lo:
+        return None
+    while math.log(hi / lo) > 1e-12:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if h(mid) < 0.0 else (lo, mid)
+    return hi
+
+
+def golden_bound(log_bracket, d, s_lo, s_hi):
+    """The delay bound of one delay by a 200-point log-spaced scan of [s_lo, s_hi] and a
+    golden section, narrowing log s to 1e-9, between the neighbours of its best point."""
+    grid = np.geomspace(s_lo, s_hi, 200)
+    vals = np.array([log_bracket(s, d) for s in grid])
+    if not np.any(np.isfinite(vals)):
+        return DvpBound(d, 1.0, None, False, 0.0)
+    k = int(np.argmin(vals))
+    a, b = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, len(grid) - 1)])
+    f = lambda x: log_bracket(math.exp(x), d)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        if b - a <= 1e-9:
+            break
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = f(x2)
+    s_star = math.exp(0.5 * (a + b))
+    best = min(log_bracket(s_star, d), float(vals[k]))
+    log_bound = min(best, 0.0)
+    return DvpBound(d, math.exp(log_bound), s_star, True, log_bound)
+
+
+def dense_log_mellin_weak(cfg, s):
+    """log M(s) of the weak user by a dense trapezoid rule in ln g against the minimum
+    gain's density: an integrator independent of the gain engine."""
+    from scipy.special import gammaincc, gammaln, logsumexp
+
+    u = np.linspace(-120.0, 12.0, 20001)
+    g = np.exp(u)
+    log_p, log_sf = [], []
+    for link in (cfg.system.pair.strong, cfg.system.pair.weak):
+        x = link.mu * g ** (link.alpha / 2) / link.omega**link.alpha
+        log_p.append(link.mu * np.log(x) - x - gammaln(link.mu) + math.log(link.alpha / 2))
+        with np.errstate(divide="ignore"):
+            log_sf.append(np.log(gammaincc(link.mu, x)))
+    log_f = np.logaddexp(log_p[0] + log_sf[1], log_p[1] + log_sf[0])  # density of min(g_s, g_w)
+    rho, a_s = cfg.system.rho, cfg.system.a_s
+    k = np.log1p(rho * g) - np.log1p(a_s * rho * g)
+    return float(logsumexp(log_f - cfg.varpi(s) * k)) + math.log(u[1] - u[0])
+
+
 class TestMellinStrong:
     def test_tends_to_one_at_small_exponent(self):
         cfg = make_cfg()
@@ -117,6 +200,15 @@ class TestMellinWeak:
         c = mellin_weak(cfg, 0.01, "closed-form")
         assert c.value == pytest.approx(q.value, rel=1e-8)  # the contour's default rtol
 
+    def test_high_snr_second_mode_stays_in_the_window(self):
+        # at 120 dB the weak kernel lifts the minimum gain's low tail into a second mode
+        # beyond the first drop below the window's cutoff; a window closed at that drop
+        # gave -83.8793.  The value is mpmath's, which the dense trapezoid also gives
+        cfg = SncConfig(make_system(mu=3, rho_db=120.0), 168, 170.0)
+        got = mellin_weak(cfg, 0.2425).log_value
+        assert got == pytest.approx(-83.2020058165, rel=1e-11)
+        assert got == pytest.approx(dense_log_mellin_weak(cfg, 0.2425), rel=1e-11)
+
     def test_value_capped_at_one(self):
         with pytest.raises(ValueError):
             MellinValue(1.5, 0.4, 0.1, 2.0, "quadrature")
@@ -174,53 +266,20 @@ class TestDvpBound:
     @pytest.mark.parametrize("user", ["strong", "weak"])
     def test_curve_matches_sequential_search(self, alpha, mu, rho_db, lam, user):
         # the batched stationarity search against a golden section on one delay at a time
-        # on scalar Mellin transforms: every bound within 1e-9 relative of the oracle's,
-        # above it by at most 1e-10, and reproduced by the bracket at its minimizer_s.  The
-        # oracle narrows log s to 1e-9: at 1e-6 it sits 1.6e-9 above the minimum at d = 30
-        # on the alpha = 4, mu = 3 strong user, whose minimiser nears the stability edge
+        # on scalar Mellin transforms, over [s0 * 1e-8, s0] with s0 the stability edge
+        # bisected on the same transforms: every bound within 1e-9 relative of the
+        # oracle's, above it by at most 1e-10, and reproduced by the bracket at its
+        # minimizer_s.  The oracle narrows log s to 1e-9: at 1e-6 it sits 1.6e-9 above the
+        # minimum at d = 30 on the alpha = 4, mu = 3 strong user, whose minimiser nears
+        # the stability edge
         cfg = SncConfig(make_system(alpha=alpha, mu=mu, rho_db=rho_db), 168, lam)
-        mellin = {"strong": mellin_strong, "weak": mellin_weak}[user]
-        cache = {}
-
-        def log_bracket(s, d):
-            if s not in cache:
-                cache[s] = mellin(cfg, s).log_value
-            log_k = cfg.arrival_rate * s + cache[s]
-            if log_k >= 0.0:
-                return math.inf
-            return d * cache[s] - math.log(-math.expm1(log_k))
-
-        def sequential(d):
-            grid = np.geomspace(cfg.s_min, cfg.s_max, 200)
-            vals = np.array([log_bracket(s, d) for s in grid])
-            if not np.any(np.isfinite(vals)):
-                return DvpBound(d, 1.0, None, False, 0.0)
-            k = int(np.argmin(vals))
-            a, b = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, len(grid) - 1)])
-            f = lambda x: log_bracket(math.exp(x), d)
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            x1, x2 = b - phi * (b - a), a + phi * (b - a)
-            f1, f2 = f(x1), f(x2)
-            for _ in range(60):
-                if b - a <= 1e-9:
-                    break
-                if f1 < f2:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - phi * (b - a)
-                    f1 = f(x1)
-                else:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + phi * (b - a)
-                    f2 = f(x2)
-            s_star = math.exp(0.5 * (a + b))
-            best = min(log_bracket(s_star, d), float(vals[k]))
-            if not math.isfinite(best):
-                return DvpBound(d, 1.0, None, False, 0.0)
-            log_bound = min(best, 0.0)
-            return DvpBound(d, math.exp(log_bound), s_star, True, log_bound)
-
+        log_bracket, h = log_bracket_of(cfg, user)
+        s0 = stability_edge(h)
+        if s0 is None:
+            want = [DvpBound(float(d), 1.0, None, False, 0.0) for d in range(31)]
+        else:
+            want = [golden_bound(log_bracket, float(d), s0 * 1e-8, s0) for d in range(31)]
         got = dvp_curve(cfg, user, range(31))
-        want = [sequential(float(d)) for d in range(31)]
         assert [b.feasible for b in got] == [b.feasible for b in want]
         for b, w in zip(got, want):
             assert b.target_delay == w.target_delay
@@ -233,6 +292,35 @@ class TestDvpBound:
             at_s = min(log_bracket(b.minimizer_s, b.target_delay), 0.0)
             assert b.log_bound == pytest.approx(at_s, rel=1e-12, abs=1e-12)
             assert b.bound == math.exp(b.log_bound)
+
+    def test_minimiser_beyond_the_old_search_range(self):
+        # alpha = 3, mu = 2 at -10 dB: the strong user's stability edge lies beyond s = 5,
+        # where a search of [1e-6, 5] stopped, at 6.04e-101 for d = 30 against 2.33e-132 at
+        # s = 11.68.  No bound is above that search's (a golden section over the range)
+        cfg = SncConfig(make_system(alpha=3, mu=2, rho_db=-10.0), 168, 0.865746)
+        log_bracket, _ = log_bracket_of(cfg, "strong")
+        curve = dvp_curve(cfg, "strong", range(31))
+        assert all(b.feasible for b in curve)
+        for b in curve:
+            old = golden_bound(log_bracket, b.target_delay, 1e-6, 5.0)
+            assert b.log_bound <= old.log_bound + 1e-10 * abs(old.log_bound), b.target_delay
+        assert curve[30].minimizer_s > 5.0
+        assert curve[30].bound == pytest.approx(2.33e-132, rel=1e-2)
+        assert golden_bound(log_bracket, 30.0, 1e-6, 5.0).bound == pytest.approx(6.04e-101, rel=1e-2)
+
+    def test_weak_bounds_at_high_snr_are_upper_bounds(self):
+        # alpha = 4, mu = 3 at 80 dB: a gain window closed before the weak kernel's second
+        # mode put 30 of 31 rows below the infimum (e^-3399.87 at d = 30).  An independent
+        # dense trapezoid reproduces every row's bound at its minimizer_s
+        cfg = SncConfig(make_system(alpha=4, mu=3, rho_db=80.0), 168, 345.548157)
+        curve = dvp_curve(cfg, "weak", range(31))
+        assert all(b.feasible for b in curve)
+        assert curve[30].log_bound == pytest.approx(-3303.5497526820677, rel=1e-9)
+        for b in curve[::5]:
+            log_m = dense_log_mellin_weak(cfg, b.minimizer_s)
+            h = cfg.arrival_rate * b.minimizer_s + log_m
+            want = min(b.target_delay * log_m - math.log(-math.expm1(h)), 0.0)
+            assert b.log_bound == pytest.approx(want, rel=1e-9, abs=1e-12), b.target_delay
 
     def test_long_curve_keeps_no_delay_by_grid_matrix(self):
         # the coarse scan keeps each delay's argmin and minimum, not a row of 200
@@ -281,11 +369,12 @@ class TestDvpBound:
         monkeypatch.setattr(snc, "laguerre_log_expectation", spy)
         curve = dvp_curve(make_cfg(load=0.7, user_for_load="weak"), user, range(31))
         assert all(b.feasible for b in curve)
-        # the scan, the slopes at the brackets' grid points, then log M and the slope per round
-        assert 2 < len(batches) <= 10
+        # the stability scan, the bracket scan, the slopes at the brackets' grid points,
+        # then log M with the slope per round
+        assert 3 < len(batches) <= 8
         for batch in batches:
             assert len(set(batch)) == len(batch)
-        # a user unstable at every exponent makes the scan's call alone
+        # a user unstable at every exponent makes the stability scan's call alone
         batches.clear()
         curve = dvp_curve(SncConfig(make_system(), 168, 170.0), "weak", range(31))
         assert not any(b.feasible for b in curve) and len(batches) == 1
@@ -309,11 +398,6 @@ class TestDvpBound:
 
 
 class TestSncConfig:
-    def test_rejects_bad_search_range(self):
-        sys = make_system()
-        with pytest.raises(ValueError):
-            SncConfig(sys, 168, 10.0, s_min=1.0, s_max=0.5)
-
     def test_rejects_nonpositive_arrival(self):
         with pytest.raises(ValueError):
             SncConfig(make_system(), 168, 0.0)
@@ -326,9 +410,3 @@ class TestSncConfig:
     def test_rejects_bad_symbol_count(self):
         with pytest.raises(ValueError):
             SncConfig(make_system(), 0, 1.0)
-
-    def test_rejects_s_max_whose_exponent_overflows(self):
-        # 168 * 1e306 / ln 2 is not a finite double; 5e305 still is
-        with pytest.raises(ValueError, match="s_max"):
-            SncConfig(make_system(), 168, 170.0, s_max=1e306)
-        assert math.isfinite(SncConfig(make_system(), 168, 170.0, s_max=5e305).varpi(5e305))

@@ -869,7 +869,9 @@ def full_cutoff(logf, rows):
 
 
 def full_height(logf):
-    """The contour height as a scan of all 513 points of each range: the oracle."""
+    """The contour height as a scan of all 513 points of each range: the oracle.  It is the
+    first point _LOG_CUTOFF below the peak past the peak and past the last point within
+    _LOG_CUTOFF of it, so a second mode further out stays inside."""
     from noma_effrate.specfun import _LOG_CUTOFF
 
     t = np.linspace(0.0, 64.0, 513)
@@ -877,7 +879,9 @@ def full_height(logf):
     peak = la.max()
     k = 0
     while True:
-        below = np.nonzero((la < peak - _LOG_CUTOFF) & (t > t[np.argmax(la)]))[0]
+        above = np.nonzero(la >= peak - _LOG_CUTOFF)[0]
+        after = max(np.argmax(la), above[-1] if above.size else 0)
+        below = np.nonzero((la < peak - _LOG_CUTOFF) & (t > t[after]))[0]
         if below.size:
             return t[below[0]]
         k += 1
@@ -928,11 +932,14 @@ class TestFirstDrop:
 
     @staticmethod
     def full_scan(li, drop):
-        # the loop body of the full envelope scan
+        # the loop body of the full envelope scan: the first drop past the peak and past
+        # the last point above the threshold
         li = np.where(np.isfinite(li), li, -np.inf)
         peak = np.argmax(li, axis=1)
         top = li[np.arange(li.shape[0]), peak]
-        below = (li < top[:, None] - drop) & (np.arange(li.shape[1]) > peak[:, None])
+        cut, index = top[:, None] - drop, np.arange(li.shape[1])
+        after = np.maximum(peak, np.where(li < cut, -1, index).max(axis=1))
+        below = (li < cut) & (index > after[:, None])
         return np.where(below.any(axis=1), np.argmax(below, axis=1), li.shape[1])
 
     @seed(20201013)
@@ -955,6 +962,16 @@ class TestFirstDrop:
             got = _first_drop(values, n, 55.0)[0]
             assert got.tolist() == self.full_scan(li, 55.0).tolist()
             assert sum(seen) <= n // 8 + 24
+
+    def test_second_mode_after_a_dip(self):
+        # a row that falls under the threshold and climbs back to a second mode on
+        # [140, 260]: the drop is past that mode, at 261, as in the full scan
+        from noma_effrate.specfun import _first_drop
+
+        x = np.arange(513.0)
+        li = np.maximum(-(((x - 40.0) / 8.0) ** 2), -30.0 - ((x - 200.0) / 12.0) ** 2)[None]
+        got = _first_drop(lambda idx: li[:, idx[0]], 513, 55.0)[0]
+        assert got.tolist() == self.full_scan(li, 55.0).tolist() == [261]
 
     @seed(20201013)
     @settings(max_examples=60, deadline=None)
