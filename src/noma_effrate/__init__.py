@@ -17,6 +17,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .channel import (
     AlphaMuChannel,
     ChannelPair,
+    ParameterError,
     UnboundedDensityError,
     gain_cdf,
     gain_moment,

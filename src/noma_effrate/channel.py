@@ -22,6 +22,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
+class ParameterError(ValueError):
+    """An argument outside its domain: ``name`` is the parameter's name and
+    ``reason`` says what it must be; the message is "name: reason"."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name}: {reason}")
+        self.name, self.reason = name, reason
+
+
 class UnboundedDensityError(ValueError):
     """Density diverges at the requested point (x=0 with alpha=mu=1)."""
 
@@ -38,7 +47,8 @@ class AlphaMuChannel:
     """One alpha-mu fading link.
 
     alpha and mu must be positive integers; omega is the alpha-root-mean
-    of the gain, and omega, omega^alpha and omega^-alpha must be finite and positive.
+    of the gain, and omega^(+-alpha) and omega^(+-4), the scale of the gain's
+    second moment, must be finite and positive.
     """
 
     alpha: int
@@ -47,25 +57,26 @@ class AlphaMuChannel:
 
     def __post_init__(self):
         if int(self.alpha) != self.alpha or self.alpha < 1:
-            raise ValueError(f"alpha must be a positive integer, got {self.alpha}")
+            raise ParameterError("alpha", f"must be a positive integer, got {self.alpha}")
         if int(self.mu) != self.mu or self.mu < 1:
-            raise ValueError(f"mu must be a positive integer, got {self.mu}")
+            raise ParameterError("mu", f"must be a positive integer, got {self.mu}")
         if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+            raise ParameterError("omega", f"must be finite and positive, got {self.omega}")
         object.__setattr__(self, "alpha", int(self.alpha))
         object.__setattr__(self, "mu", int(self.mu))
         object.__setattr__(self, "omega", float(self.omega))
-        # below ln of the largest double, 709.78271, neither omega^alpha nor omega^-alpha overflows
-        if not abs(self.alpha * math.log(self.omega)) < 709.78:
-            raise ValueError(f"omega^(+-alpha) overflows: omega = {self.omega!r}, alpha = {self.alpha}")
+        # below ln of the largest double, 709.78271, omega^(+-alpha) and omega^(+-4) are finite
+        if not max(self.alpha, 4) * abs(math.log(self.omega)) < 709.78:
+            raise ParameterError("omega", f"omega^(+-alpha) or omega^(+-4) overflows at alpha = "
+                                 f"{self.alpha}, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
 class ChannelPair:
     """Strong/weak link pair with shared alpha, mu and ordered gains.
 
-    The constructor requires weak.omega^alpha < strong.omega^alpha and a finite
-    positive omega_tilde.
+    The constructor requires weak.omega^alpha < strong.omega^alpha and components of
+    ``min_gain_mixture`` (omega = ((mu+k)/mu * omega_tilde)^(1/alpha)) that AlphaMuChannel accepts.
     """
 
     strong: AlphaMuChannel
@@ -73,16 +84,16 @@ class ChannelPair:
 
     def __post_init__(self):
         if self.strong.alpha != self.weak.alpha or self.strong.mu != self.weak.mu:
-            raise ValueError("both links must share alpha and mu")
-        if not self.weak.omega**self.alpha < self.strong.omega**self.alpha:
-            raise ValueError(
-                "weak link must be strictly weaker: "
-                f"omega_w^alpha={self.weak.omega**self.alpha} >= "
-                f"omega_s^alpha={self.strong.omega**self.alpha}"
-            )
-        if not 0 < self.omega_tilde < math.inf:  # omega_s^-alpha + omega_w^-alpha overflows
-            raise ValueError(f"omega_tilde = 1/(omega_s^-alpha + omega_w^-alpha) is {self.omega_tilde!r}, "
-                             "not a finite positive double")
+            raise ParameterError("weak", "must share alpha and mu with the strong link")
+        ws, ww = self.strong.omega**self.alpha, self.weak.omega**self.alpha
+        if not ww < ws:
+            raise ParameterError("weak", f"must be strictly weaker: omega_w^alpha={ww} >= omega_s^alpha={ws}")
+        try:  # the minimum gain's components obey a link's omega rule, so omega_tilde is in range
+            min_gain_mixture(self)
+        except ParameterError as exc:  # e.g. omega_s^-alpha + omega_w^-alpha overflows: omega_tilde = 0
+            raise ParameterError("weak", f"omega_tilde = 1/(omega_s^-alpha + omega_w^-alpha) = "
+                                 f"{self.omega_tilde!r} gives a minimum-gain mixture component out of range "
+                                 f"({exc})") from None
 
     @property
     def alpha(self) -> int:
@@ -157,7 +168,8 @@ def min_gain_mixture(pair: ChannelPair) -> list[tuple[float, AlphaMuChannel]]:
     a, m = pair.alpha, pair.mu
     wt = pair.omega_tilde
     comps: list[tuple[float, AlphaMuChannel]] = []
-    for k in range(m):
+    for k in range(m):  # the component first: it rejects an omega_tilde of 0 or inf
+        component = AlphaMuChannel(a, m + k, ((m + k) * wt / m) ** (1.0 / a))
         weight = 0.0
         for first, second in ((pair.strong, pair.weak), (pair.weak, pair.strong)):
             weight += math.exp(
@@ -168,8 +180,7 @@ def min_gain_mixture(pair: ChannelPair) -> list[tuple[float, AlphaMuChannel]]:
                 - k * a * math.log(second.omega)
                 - m * a * math.log(first.omega)
             )
-        omega_k = ((m + k) * wt / m) ** (1.0 / a)
-        comps.append((weight, AlphaMuChannel(a, m + k, omega_k)))
+        comps.append((weight, component))
     return comps
 
 

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import math
 import sys as _sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import AlphaMuChannel, ChannelPair
-from .closedform import MAX_MU
+from .channel import AlphaMuChannel, ChannelPair, ParameterError
 from .effrate import (
     DelayQos,
     NomaSystem,
@@ -40,13 +40,34 @@ from .effrate import (
     sum_er_noma,
     wideband_slope,
 )
-from .sim import SimPlan, min_slots, queue_dvp
+from .sim import SimPlan, queue_dvp
 from .snc import SncConfig, dvp_curve
 from .specfun import ContourError, ConvergenceError
 
 
 class ConfigError(ValueError):
     """Config-file problem, annotated with section and key."""
+
+
+# library parameter -> the [section] key setting it (a link's omega, a_s and grid: the callers)
+KEY_OF = {
+    "alpha": "[channel] alpha", "mu": "[channel] mu", "weak": "[channel] omega_w",
+    "rho": "[system] rho_db", "theta": "[system] theta",
+    "block_time_bandwidth": "[system] tb", "strategy": "[system] strategy",
+    "symbols_per_slot": "[snc] symbols_per_slot", "arrival_rate": "[snc] lambda",
+    "max_delay": "[snc] vartheta_max", "seed": "[sim] seed", "draws": "[sim] slots",
+    "batches": "[sim] batches",
+}
+
+
+@contextlib.contextmanager
+def keyed(**where):
+    """A library ParameterError as a ConfigError naming ``where[name]`` (a flag), else KEY_OF[name],
+    else the name itself: the library's own message."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(f"{where.get(exc.name) or KEY_OF.get(exc.name, exc.name)}: {exc.reason}") from exc
 
 
 def _fmt(v) -> str:
@@ -81,7 +102,7 @@ def parse_values(text: str) -> list[float]:
 
 @dataclass
 class SweepConfig:
-    """Typed view of one sweep configuration file."""
+    """Typed view of one sweep configuration file, with the library objects load_config builds."""
 
     alpha: int = 2
     mu: int = 1
@@ -100,20 +121,11 @@ class SweepConfig:
     batches: int = 10
     out_path: str | None = None
     out_format: str = "csv"
-
-    def pair(self) -> ChannelPair:
-        return ChannelPair(
-            AlphaMuChannel(self.alpha, self.mu, self.omega_s),
-            AlphaMuChannel(self.alpha, self.mu, self.omega_w),
-        )
-
-    def grid(self, a_s_values: list[float]) -> list[NomaSystem]:
-        """The systems of the (a_s, theta, rho_db) grid in row order, sharing one channel pair."""
-        pair = self.pair()
-        return [
-            NomaSystem(pair, a_s, 10.0 ** (rho_db / 10.0), DelayQos(theta, self.tb))
-            for a_s, theta, rho_db in itertools.product(a_s_values, self.theta, self.rho_db)
-        ]
+    a_s_key: str = "a_s"  # the [system] key that set a_s_values
+    # the (a_s, theta, rho_db) grid in row order; one SncConfig per lambda; the simulation plan
+    systems: list[NomaSystem] = field(default_factory=list, repr=False)
+    snc: list[SncConfig] = field(default_factory=list, repr=False)
+    plan: SimPlan | None = field(default=None, repr=False)
 
 
 # [section] key -> parser; no other key is accepted.  A key sets the
@@ -130,10 +142,41 @@ FIELD_OF = {"a_s": "a_s_values", "a_s_grid": "a_s_values", "lambda": "lambdas",
             "path": "out_path", "format": "out_format"}
 
 
-def load_config(path: str | None) -> SweepConfig:
+def load_config(path: str | None, **flags) -> SweepConfig:
+    """The config of the file at ``path`` (None: the defaults) under ``flags``, fields set by a
+    flag (None: not given); checked, flags in, by building every section's library objects,
+    which the subcommands then use."""
     cfg = SweepConfig()
-    if path is None:
-        return cfg
+    if path is not None:
+        _read(path, cfg)
+    flags = {name: value for name, value in flags.items() if value is not None}
+    for name, value in flags.items():
+        setattr(cfg, name, value)
+    for key, vals in ((cfg.a_s_key, cfg.a_s_values), ("rho_db", cfg.rho_db), ("theta", cfg.theta)):
+        if not vals:
+            raise ConfigError(f"[system] {key}: empty grid")
+    if cfg.vartheta_max < 0:
+        raise ConfigError(f"[snc] vartheta_max: must be nonnegative, got {cfg.vartheta_max}")
+    if cfg.out_format not in ("csv", "svg"):
+        raise ConfigError(f"[output] format: must be csv or svg, got {cfg.out_format!r}")
+    try:
+        rhos = [10.0 ** (rho_db / 10.0) for rho_db in cfg.rho_db]
+    except OverflowError:
+        raise ConfigError(f"[system] rho_db: {max(cfg.rho_db):g} dB overflows a double") from None
+    links = []
+    for key in ("omega_s", "omega_w"):
+        with keyed(omega=f"[channel] {key}"):
+            links.append(AlphaMuChannel(cfg.alpha, cfg.mu, getattr(cfg, key)))
+    with keyed(seed="--seed" if "seed" in flags else None, a_s=f"[system] {cfg.a_s_key}"):
+        pair = ChannelPair(*links)
+        cfg.systems = [NomaSystem(pair, a_s, rho, DelayQos(theta, cfg.tb))
+                       for a_s, theta, rho in itertools.product(cfg.a_s_values, cfg.theta, rhos)]
+        cfg.snc = [SncConfig(cfg.systems[0], cfg.symbols_per_slot, lam) for lam in cfg.lambdas]
+        cfg.plan = SimPlan(cfg.seed, cfg.slots, cfg.batches)
+    return cfg
+
+
+def _read(path: str, cfg: SweepConfig):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         read = cp.read(path)
@@ -144,8 +187,10 @@ def load_config(path: str | None) -> SweepConfig:
     unknown = set(cp.sections()) - CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    if cp.has_option("system", "a_s") and cp.has_option("system", "a_s_grid"):
-        raise ConfigError("[system] give either a_s or a_s_grid, not both")
+    if cp.has_option("system", "a_s_grid"):
+        if cp.has_option("system", "a_s"):
+            raise ConfigError("[system] a_s_grid: give either a_s or a_s_grid, not both")
+        cfg.a_s_key = "a_s_grid"
     for section in cp.sections():
         for key, raw in cp.items(section):
             cast = CONFIG_KEYS[section].get(key)
@@ -155,45 +200,15 @@ def load_config(path: str | None) -> SweepConfig:
                 setattr(cfg, FIELD_OF.get(key, key), cast(raw))
             except Exception as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
-    _validate(cfg)
-    return cfg
 
 
-def _validate(cfg: SweepConfig):
-    for name, vals in (
-        ("a_s", cfg.a_s_values),
-        ("rho_db", cfg.rho_db),
-        ("theta", cfg.theta),
-    ):
-        if not vals:
-            raise ConfigError(f"[system] {name}: empty grid")
-    for rho_db in cfg.rho_db:
-        try:
-            rho = 10.0 ** (rho_db / 10.0)
-        except OverflowError:
-            rho = math.inf
-        if not 0 < rho < math.inf:
-            raise ConfigError(f"[system] rho_db: {rho_db:g} dB is not a finite positive linear SNR")
-    if not all(0 < lam < math.inf for lam in cfg.lambdas):
-        raise ConfigError(f"[snc] lambda: must be positive and finite, got {cfg.lambdas}")
-    sim = int(cfg.slots > 0)  # a queue simulation needs a delay to measure and 10 batches for error bars
-    for sec, key, least in (("snc", "vartheta_max", sim), ("sim", "slots", 0), ("sim", "batches", 10 * sim)):
-        if getattr(cfg, key) < least:
-            need = f"at least {least} when [sim] slots > 0" if least else "nonnegative"
-            raise ConfigError(f"[{sec}] {key}: must be {need}, got {getattr(cfg, key)}")
-    if cfg.strategy not in ("quadrature", "closed-form"):
-        raise ConfigError(f"[system] strategy: {cfg.strategy!r} not supported")
-    if cfg.strategy == "closed-form" and cfg.mu > MAX_MU:
-        raise ConfigError(
-            f"[channel] mu: the closed form holds up to mu = {MAX_MU}, got {cfg.mu}; "
-            "use strategy = quadrature"
-        )
-    if cfg.out_format not in ("csv", "svg"):
-        raise ConfigError(f"[output] format: must be csv or svg, got {cfg.out_format!r}")
-    try:
-        cfg.pair()
-    except ValueError as exc:
-        raise ConfigError(f"[channel] {exc}") from exc
+def _single(cfg: SweepConfig, command: str, *keys: str):
+    """A subcommand's rule that each of these keys holds exactly one value."""
+    for key in keys:
+        n = len(getattr(cfg, FIELD_OF.get(key, key)))
+        if n != 1:
+            section = next(s for s, known in CONFIG_KEYS.items() if key in known)
+            raise ConfigError(f"[{section}] {key}: {command} needs a single value, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +221,7 @@ ER_HEADER = (
 
 
 def cmd_er(cfg: SweepConfig) -> tuple[str, list[tuple]]:
-    systems = cfg.grid(cfg.a_s_values)
-    rates = [rate(systems, user, cfg.strategy) for rate in (er_noma, er_oma)
+    rates = [rate(cfg.systems, user, cfg.strategy) for rate in (er_noma, er_oma)
              for user in ("strong", "weak")]
     rows = []
     for point, (rs, rw, os_, ow) in zip(
@@ -231,28 +245,12 @@ DVP_HEADER = "user,vartheta,bound,minimizer_s,feasible,empirical_p,ci_low,ci_hig
 def cmd_dvp(cfg: SweepConfig, lambda_scale: float) -> tuple[str, list[tuple]]:
     if cfg.strategy != "quadrature":
         raise ConfigError(f"[system] strategy: dvp has no {cfg.strategy} route; use strategy = quadrature")
-    if len(cfg.a_s_values) != 1 or len(cfg.theta) != 1 or len(cfg.rho_db) != 1:
-        raise ConfigError("dvp needs single a_s, theta and rho_db values")
-    if len(cfg.lambdas) != 1:
-        raise ConfigError("[snc] lambda: dvp needs exactly one arrival rate per run")
-    lam = cfg.lambdas[0] * lambda_scale
-    if not 0 < lam < math.inf:
-        raise ConfigError(
-            f"--lambda-scale {lambda_scale!r} times [snc] lambda {cfg.lambdas[0]!r} gives "
-            f"arrival rate {lam!r}; it must be positive and finite"
-        )
-    sysm = cfg.grid(cfg.a_s_values)[0]
-    snc_cfg = SncConfig(sysm, cfg.symbols_per_slot, lam)
+    _single(cfg, "dvp", cfg.a_s_key, "theta", "rho_db", "lambda")
+    with keyed(arrival_rate=f"--lambda-scale {lambda_scale!r} times [snc] lambda {cfg.lambdas[0]!r}"):
+        snc_cfg = replace(cfg.snc[0], arrival_rate=cfg.lambdas[0] * lambda_scale)
     users = ("strong", "weak")
     # the simulation first, so a trace too short for vartheta_max fails before any bound
-    emp = None
-    if cfg.slots > 0:
-        if cfg.slots < min_slots(cfg.vartheta_max):
-            raise ConfigError(
-                f"[sim] slots: trace too short for [snc] vartheta_max = {cfg.vartheta_max} after "
-                f"the 10% warm-up; need at least {min_slots(cfg.vartheta_max)} slots, got {cfg.slots}"
-            )
-        emp = queue_dvp(snc_cfg, users, SimPlan(cfg.seed, cfg.slots, cfg.batches), cfg.vartheta_max)
+    emp = queue_dvp(snc_cfg, users, cfg.plan, cfg.vartheta_max) if cfg.plan.draws else None
     rows = []
     for i, user in enumerate(users):
         curve = dvp_curve(snc_cfg, user, range(cfg.vartheta_max + 1))
@@ -275,31 +273,20 @@ APPROX_HEADER = (
 
 
 def cmd_approx(cfg: SweepConfig) -> tuple[str, list[tuple]]:
-    if len(cfg.a_s_values) != 1 or len(cfg.theta) != 1:
-        raise ConfigError("approx needs single a_s and theta values")
-    systems = cfg.grid(cfg.a_s_values)
-    exact = sum_er_noma(systems, cfg.strategy)
-    erg_s, erg_w = (ergodic_rate(systems, user, cfg.strategy) for user in ("strong", "weak"))
+    _single(cfg, "approx", cfg.a_s_key, "theta")
+    exact = sum_er_noma(cfg.systems, cfg.strategy)
+    erg_s, erg_w = (ergodic_rate(cfg.systems, user, cfg.strategy) for user in ("strong", "weak"))
     rows = []
-    for sysm, rho_db, total, es, ew in zip(systems, cfg.rho_db, exact, erg_s, erg_w):
+    for sysm, rho_db, total, es, ew in zip(cfg.systems, cfg.rho_db, exact, erg_s, erg_w):
         ergodic = es.value + ew.value
-        if sysm.pair.alpha * sysm.pair.mu > 2.0 * sysm.nu:
+        try:
             high = er_high_snr(sysm, "strong").value + er_high_snr(sysm, "weak").value
-        else:
+        except ParameterError:  # the high-SNR form holds for alpha*mu > 2*nu only
             high = None
         low = er_low_snr(sysm, "strong").value + er_low_snr(sysm, "weak").value
-        rows.append((
-            rho_db,
-            total,
-            high,
-            low,
-            ergodic,
-            ergodic - total,
-            min_energy_per_bit(sysm, "strong"),
-            min_energy_per_bit(sysm, "weak"),
-            wideband_slope(sysm, "strong"),
-            wideband_slope(sysm, "weak"),
-        ))
+        rows.append((rho_db, total, high, low, ergodic, ergodic - total,
+                     min_energy_per_bit(sysm, "strong"), min_energy_per_bit(sysm, "weak"),
+                     wideband_slope(sysm, "strong"), wideband_slope(sysm, "weak")))
     return APPROX_HEADER, rows
 
 
@@ -311,9 +298,9 @@ POWER_HEADER = "rho_db,best_a_s,best_sum_er"
 
 
 def cmd_power(cfg: SweepConfig) -> tuple[str, list[tuple]]:
-    if len(cfg.theta) != 1:
-        raise ConfigError("power needs a single theta value")
-    best = power_search(cfg.grid(cfg.a_s_values[:1]), cfg.a_s_values, strategy=cfg.strategy)
+    _single(cfg, "power", "theta")
+    # the first a_s value's systems, one per rho_db; the search sets a_s itself
+    best = power_search(cfg.systems[:len(cfg.rho_db)], cfg.a_s_values, strategy=cfg.strategy)
     return POWER_HEADER, [(rho_db, a, total) for rho_db, (a, total) in zip(cfg.rho_db, best)]
 
 
@@ -412,24 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        flags = {"seed": args.seed, "out_path": args.out, "out_format": args.format}
-        for name, value in flags.items():
-            if value is not None:
-                setattr(cfg, name, value)
-        if cfg.seed < 0:  # checked once the --seed override is in
-            source = "[sim] seed" if args.seed is None else "--seed"
-            raise ConfigError(f"{source}: must be nonnegative, got {cfg.seed}")
-        with warnings.catch_warnings():
+        cfg = load_config(args.config, seed=args.seed, out_path=args.out, out_format=args.format)
+        with warnings.catch_warnings(), keyed(grid=f"[system] {cfg.a_s_key}"):
             # a warning (such as an unstable queue) is one line, like an error
-            warnings.showwarning = lambda message, *_: print(
-                f"warning: {message}", file=_sys.stderr
-            )
-            if args.command == "dvp":
-                header, rows = cmd_dvp(cfg, args.lambda_scale)
-            else:
-                command = {"er": cmd_er, "approx": cmd_approx, "power": cmd_power}[args.command]
-                header, rows = command(cfg)
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=_sys.stderr)
+            command = {"er": cmd_er, "approx": cmd_approx, "power": cmd_power,
+                       "dvp": lambda cfg: cmd_dvp(cfg, args.lambda_scale)}[args.command]
+            header, rows = command(cfg)
         writer = write_csv if cfg.out_format == "csv" else write_svg
         if cfg.out_path:
             with open(cfg.out_path, "w") as fh:

@@ -4,7 +4,9 @@ Each function here evaluates a Meijer-G or bivariate Fox-H representation
 of an expectation that the quadrature route (specfun.laguerre_expectation)
 computes independently; the two routes cross-validate each other in the
 test suite.  The scale parameters (c, rho, a_s) are scalars, or equal-length
-1-D arrays for a grid, evaluated as one batch per contour spec.
+1-D arrays for a grid, evaluated as one batch per contour spec; their domain is
+a NomaSystem's (c = a_s*rho or rho), which that class checks, and the exponent w
+is positive (effrate.closed_form's callers pass tau*nu > 0 or N s/ln 2, s > 0).
 
 The Meijer-G parameter blocks follow the Gauss-multiplication pattern:
 ``_delta(x, y)`` expands a Gamma of argument scaled by x into x Gamma
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import channel
 from .channel import AlphaMuChannel, ChannelPair
-from .specfun import FoxH2Spec, MeijerGSpec, fox_h2, meijer_g
+from .specfun import ContourError, FoxH2Spec, MeijerGSpec, fox_h2, meijer_g
 
 LN2 = math.log(2.0)
 # The largest mu the closed forms are checked at: at mu = 81 every er row on
@@ -33,12 +35,15 @@ def _delta(x: int, y: float) -> tuple[float, ...]:
     return tuple((y + k) / x for k in range(x))
 
 
+def _argument(z):
+    """z, a contour integral's argument, if it is a positive double; else a ContourError."""
+    if not np.all((0 < z) & (z < np.inf)):
+        raise ContourError("the contour argument is not a positive double")
+    return z
+
+
 def power_mellin_analytic(ch: AlphaMuChannel, c, w: float):
     """E[(1 + c*g)^-w] for an alpha-mu gain, Meijer-G closed form."""
-    if not np.all(c > 0):
-        raise ValueError("scale c must be positive")
-    if not w > 0:
-        raise ValueError("exponent w must be positive")
     al, mu, om = ch.alpha, ch.mu, ch.omega
     spec = MeijerGSpec(
         a=_delta(al, 1.0 - 0.5 * al * mu),
@@ -46,8 +51,8 @@ def power_mellin_analytic(ch: AlphaMuChannel, c, w: float):
         m=2 + al,
         n=al,
     )
-    z = mu**2 / (4.0 * c**al * om ** (2 * al))
-    g = meijer_g(spec, z)
+    z = mu**2 / (4.0 * np.float64(c) ** al * np.float64(om) ** (2 * al))
+    g = meijer_g(spec, _argument(z))
     log_pref = (
         w * math.log(al)
         + mu * math.log(mu)
@@ -68,13 +73,11 @@ def ratio_mellin_analytic(pair: ChannelPair, rho, a_s, w: float):
     sinr = (1-a_s)*rho*g_min / (a_s*rho*g_min + 1).  One Fox-H value per
     component of the minimum-gain mixture.
     """
-    if not (np.all(rho > 0) and np.all((0 < a_s) & (a_s < 1))):
-        raise ValueError("need rho > 0 and a_s in (0, 1)")
     r = 2.0 / pair.alpha
     total = 0.0
     for weight, c in channel.min_gain_mixture(pair):
         z1 = rho * (c.omega**c.alpha / c.mu) ** r
-        h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1)
+        h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), _argument(z1), _argument(a_s * z1))
         total += weight * h.sign * np.exp(h.log_abs - math.lgamma(c.mu))
     # 1 / (Gamma(w) Gamma(-w)) by reflection, finite at every non-integer w
     return total * -w * math.sin(math.pi * w) / math.pi
@@ -82,8 +85,6 @@ def ratio_mellin_analytic(pair: ChannelPair, rho, a_s, w: float):
 
 def log_mean_analytic(ch: AlphaMuChannel, c):
     """E[log2(1 + c*g)] for an alpha-mu gain, Meijer-G closed form."""
-    if not np.all(c > 0):
-        raise ValueError("scale c must be positive")
     al, mu, om = ch.alpha, ch.mu, ch.omega
     zeta = _delta(al, -0.5 * al * mu)
     chi = _delta(al, 1.0 - 0.5 * al * mu)
@@ -93,8 +94,8 @@ def log_mean_analytic(ch: AlphaMuChannel, c):
         m=2 + 2 * al,
         n=al,
     )
-    z = (mu / (2.0 * om**al)) ** 2 / c**al
-    g = meijer_g(spec, z)
+    z = (mu / (2.0 * np.float64(om) ** al)) ** 2 / np.float64(c) ** al
+    g = meijer_g(spec, _argument(z))
     log_pref = (
         mu * math.log(mu)
         - 0.5 * math.log(2.0)
@@ -113,8 +114,6 @@ def min_log_mean_difference_analytic(pair: ChannelPair, rho, a_s):
     Equals the weak user's ergodic rate under superposition with
     interference cancellation at the strong receiver only.
     """
-    if not (np.all(rho > 0) and np.all((0 < a_s) & (a_s < 1))):
-        raise ValueError("need rho > 0 and a_s in (0, 1)")
     return sum(
         weight * (log_mean_analytic(c, rho) - log_mean_analytic(c, a_s * rho))
         for weight, c in channel.min_gain_mixture(pair)

@@ -26,10 +26,11 @@ from typing import Literal
 import numpy as np
 
 from . import closedform
-from .channel import AlphaMuChannel, ChannelPair, gain_moment, min_gain_moment
+from .channel import AlphaMuChannel, ChannelPair, ParameterError, gain_moment, min_gain_moment
 from .specfun import (
     CONTOUR_RTOL,
     ContourError,
+    ConvergenceError,
     laguerre_expectation,
     laguerre_log_expectation,
 )
@@ -52,11 +53,10 @@ class DelayQos:
 
     def __post_init__(self):
         if not 0 <= self.theta < math.inf:
-            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
+            raise ParameterError("theta", f"must be finite and nonnegative, got {self.theta}")
         if not 0 < self.block_time_bandwidth < math.inf:
-            raise ValueError(
-                f"block_time_bandwidth must be finite and positive, got {self.block_time_bandwidth}"
-            )
+            raise ParameterError("block_time_bandwidth",
+                                 f"must be finite and positive, got {self.block_time_bandwidth}")
 
     @property
     def nu(self) -> float:
@@ -75,11 +75,9 @@ class NomaSystem:
 
     def __post_init__(self):
         if not 0.0 < self.a_s < 0.5:
-            raise ValueError(
-                f"strong-user power coefficient must lie in (0, 1/2), got {self.a_s}"
-            )
+            raise ParameterError("a_s", f"must lie in (0, 1/2), got {self.a_s}")
         if not 0 < self.rho < math.inf:
-            raise ValueError(f"rho (linear SNR) must be positive and finite, got {self.rho}")
+            raise ParameterError("rho", f"must be positive and finite in linear scale, got {self.rho}")
 
     @property
     def a_w(self) -> float:
@@ -105,7 +103,13 @@ class RateResult:
 
 def _check_user(user: str):
     if user not in ("strong", "weak"):
-        raise ValueError(f"user must be 'strong' or 'weak', got {user!r}")
+        raise ParameterError("user", f"must be 'strong' or 'weak', got {user!r}")
+
+
+def _check_route(strategy: str):
+    if strategy not in ("quadrature", "closed-form"):
+        raise ParameterError("strategy", f"unsupported strategy {strategy!r}; the routes are "
+                             "quadrature and closed-form (monte-carlo lives in sim)")
 
 
 def _log1p_gain(g, c):
@@ -137,15 +141,24 @@ def log1p_sinr(sys: NomaSystem, user: User, access: Access = "noma"):
 
 def closed_form(law, p, w: float):
     """E[(1 + SINR)^-w] for w > 0, or E[log2(1 + SINR)] for w = 0, over a ``log1p_sinr``
-    law and p (scalars, or equal-length arrays for an array): Meijer-G forms for one
-    alpha-mu gain, the bivariate Fox-H and min-gain log-mean difference forms for a pair."""
-    if isinstance(law, AlphaMuChannel):
-        if w:
-            return closedform.power_mellin_analytic(law, *p, w)
-        return closedform.log_mean_analytic(law, *p)
-    if w:
-        return closedform.ratio_mellin_analytic(law, *p, w)
-    return closedform.min_log_mean_difference_analytic(law, *p)
+    law and p (scalars, or equal-length arrays for an array): Meijer-G forms for one alpha-mu gain,
+    the bivariate Fox-H and min-gain log-mean difference forms for a pair; a mean outside the
+    doubles (or, for w > 0, not positive) is a ContourError."""
+    if law.mu > closedform.MAX_MU:
+        raise ParameterError("mu", f"the closed form holds up to mu = {closedform.MAX_MU}, "
+                             f"got {law.mu}; use strategy = quadrature")
+    with np.errstate(all="ignore"):  # a value beyond the doubles is rejected, not warned about
+        if isinstance(law, AlphaMuChannel):
+            mean = (closedform.power_mellin_analytic(law, *p, w) if w
+                    else closedform.log_mean_analytic(law, *p))
+        else:
+            mean = (closedform.ratio_mellin_analytic(law, *p, w) if w
+                    else closedform.min_log_mean_difference_analytic(law, *p))
+    if not np.all(np.isfinite(mean)):
+        raise ContourError("the contour sum overflows")
+    if w and not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
+        raise ContourError("the mean is not a positive double")
+    return mean
 
 
 def _gridwise(fn):
@@ -171,8 +184,7 @@ def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
     parameters) is evaluated once, as OMA rates repeat over a_s: in one engine pass
     per sign of nu, or in one closed form per exponent."""
     _check_user(user)
-    if strategy not in ("quadrature", "closed-form"):
-        raise ValueError(f"unsupported strategy {strategy!r} (monte-carlo lives in sim)")
+    _check_route(strategy)
     law, k, _, tau = log1p_sinr(systems[0], user, access)
     nus = [0.0 if ergodic else s.nu for s in systems]
     cols = [(tau * nu, *log1p_sinr(s, user, access)[2]) for s, nu in zip(systems, nus)]
@@ -191,16 +203,10 @@ def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
             means.update(zip(at, vals.tolist()))
             continue
         try:
-            # an overflowing contour sum is caught below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = closed_form(law, params, w)
-            if not np.all(np.isfinite(mean)):
-                raise ContourError("the contour sum overflows")
-            if w and not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
-                raise ContourError("the mean is not a positive double")
-        except ContourError as exc:
+            mean = closed_form(law, params, w)
+        except (ContourError, ConvergenceError) as exc:
             first = systems[cols.index(at[0])]
-            raise ContourError(
+            raise type(exc)(
                 f"closed form cannot evaluate theta = {first.qos.theta:.10g} "
                 f"(nu = {first.nu:.10g}): {exc}; use strategy = quadrature"
             ) from exc
@@ -241,9 +247,8 @@ def er_high_snr(sys: NomaSystem, user: User) -> RateResult:
     al, mu, om = sys.pair.strong.alpha, sys.pair.strong.mu, sys.pair.strong.omega
     nu = sys.nu
     if al * mu <= 2.0 * nu:
-        raise ValueError(
-            f"high-SNR form invalid: alpha*mu = {al * mu} must exceed 2*nu = {2 * nu}"
-        )
+        raise ParameterError("theta", f"high-SNR form invalid: alpha*mu = {al * mu} must exceed "
+                             f"2*nu = {2 * nu}")
     if nu == 0.0:  # E[ln g] = 2 ln omega + (2/alpha)(psi(mu) - ln mu), psi at an integer mu
         psi = -np.euler_gamma + sum(1.0 / k for k in range(1, mu))
         log_mean = 2.0 * math.log(om) + 2.0 / al * (psi - math.log(mu))
@@ -344,14 +349,12 @@ def power_search(
     """
     grid = [float(a) for a in grid]
     if not grid:
-        raise ValueError("empty power-coefficient grid")
+        raise ParameterError("grid", "empty power-coefficient grid")
     limit = 2.0**-r_target
     for a in grid:
         if not 0.0 < a < limit:
-            raise ValueError(
-                f"a_s={a} outside the feasible range (0, {limit}) for "
-                f"target rate {r_target}"
-            )
+            raise ParameterError("grid", f"a_s = {a} is outside the feasible range (0, {limit}) "
+                                 f"for target rate {r_target}")
     grid.sort()
     sums = iter(sum_er_noma([replace(s, a_s=a) for s in systems for a in grid], strategy))
     out = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_gain
+from .channel import ParameterError, sample_gain
 from .effrate import LN2, NomaSystem, RateResult, User, _check_user
 from .snc import SncConfig
 from .specfun import ConvergenceError
@@ -36,17 +36,18 @@ _BLOCK = 1 << 16  # slots per block of the queue simulation
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Replication plan: seed, sample count (draws or slots), and batches."""
+    """Replication plan: seed, sample count (draws or slots; 0 plans none), and batches."""
 
     seed: int
     draws: int
     batches: int = 10
 
     def __post_init__(self):
-        if self.draws < 1:
-            raise ValueError("draws must be positive")
+        for name in ("seed", "draws"):
+            if getattr(self, name) < 0:
+                raise ParameterError(name, f"must be nonnegative, got {getattr(self, name)}")
         if self.batches < 10:
-            raise ValueError("at least 10 batches are required for error bars")
+            raise ParameterError("batches", f"must be at least 10 for error bars, got {self.batches}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,10 @@ def mc_effective_rate(sys: NomaSystem, user: User, plan: SimPlan) -> RateResult:
     nu = sys.nu
     if nu <= 0:
         raise ValueError("Monte Carlo effective rate needs theta > 0")
+    if plan.draws < plan.batches:
+        raise ParameterError("draws", f"must be at least batches = {plan.batches}, got {plan.draws}")
     streams = np.random.SeedSequence(plan.seed).spawn(plan.batches)
-    per_batch = max(plan.draws // plan.batches, 1)
+    per_batch = plan.draws // plan.batches
     batch_rates = np.empty(plan.batches)
     total = 0.0
     for i, ss in enumerate(streams):
@@ -153,15 +156,13 @@ def queue_dvp(
     for user in names:
         _check_user(user)
     if not names or len(set(names)) < len(names):
-        raise ValueError(f"users must be one user or a tuple of distinct users, got {users!r}")
+        raise ParameterError("users", f"must be one user or a tuple of distinct users, got {users!r}")
     if max_delay < 1:
-        raise ValueError("max_delay must be positive")
+        raise ParameterError("max_delay", f"must be at least 1 for a queue simulation, got {max_delay}")
     slots = plan.draws
     if slots < min_slots(max_delay):
-        raise ValueError(
-            f"trace too short for the requested max_delay and warm-up: max_delay {max_delay} "
-            f"needs at least {min_slots(max_delay)} slots, got {slots}"
-        )
+        raise ParameterError("draws", f"trace too short for delays up to {max_delay} after the 10% warm-up; "
+                             f"need at least {min_slots(max_delay)} slots, got {slots}")
     warm = slots // 10
     last = slots - max_delay
     sys = cfg.system

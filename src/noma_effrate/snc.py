@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effrate import LN2, NomaSystem, Route, User, _check_user, closed_form, log1p_sinr
+from .channel import ParameterError
+from .effrate import LN2, NomaSystem, Route, User, _check_route, _check_user, closed_form, log1p_sinr
 from .specfun import CONTOUR_RTOL, ContourError, laguerre_log_expectation
 
 _OCTAVES = 2.0 ** np.arange(-30, 43, 3)  # exponents varpi of the stability scan, 8 apart
@@ -40,9 +41,10 @@ class SncConfig:
 
     def __post_init__(self):
         if self.symbols_per_slot < 1:
-            raise ValueError("symbols_per_slot must be a positive integer")
+            raise ParameterError("symbols_per_slot",
+                                 f"must be a positive integer, got {self.symbols_per_slot}")
         if not 0 < self.arrival_rate < math.inf:
-            raise ValueError("arrival rate must be positive and finite")
+            raise ParameterError("arrival_rate", f"must be positive and finite, got {self.arrival_rate}")
 
     def varpi(self, s: float) -> float:
         return self.symbols_per_slot * s / LN2
@@ -99,18 +101,17 @@ def _log_mellin(cfg: SncConfig, user: User, s, tilted=False):
 def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValue:
     if not s > 0:
         raise ValueError("s must be positive")
+    _check_route(strategy)
     w = cfg.varpi(s)
     if strategy == "quadrature":
         log_m, err = _log_mellin(cfg, user, s)
-    elif strategy == "closed-form":
-        law, _, params, _ = log1p_sinr(cfg.system, user)
-        m = closed_form(law, params, w)
-        if not 0 < m < math.inf:  # e.g. a mean below 1e-308 underflows to 0
-            raise ContourError(f"closed form cannot evaluate varpi = {w:.10g}: the mean is not a "
-                               "positive double; use strategy = quadrature")
-        log_m, err = math.log(m), CONTOUR_RTOL
     else:
-        raise ValueError(f"unsupported strategy {strategy!r}")
+        law, _, params, _ = log1p_sinr(cfg.system, user)
+        try:
+            log_m, err = math.log(closed_form(law, params, w)), CONTOUR_RTOL
+        except ContourError as exc:
+            raise ContourError(f"closed form cannot evaluate varpi = {w:.10g}: {exc}; "
+                               "use strategy = quadrature") from exc
     return MellinValue(math.exp(log_m), log_m, s, w, strategy, err)
 
 
@@ -194,13 +195,19 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
     of delays, ``_minimise`` takes the tilted means at the brackets' grid points (one
     call), then rounds of log M with tilted mean (one call each).  The least bracket seen
     is the bound, clamped to [0, 1] (one above 1 is vacuous but valid).  Integer delays
-    match the slotted queue; fractional ones interpolate the same expression."""
+    match the slotted queue; fractional ones interpolate the same expression.  rho*omega_s^2 is
+    at most 1e60 (600 dB): from 610-660 dB the gain quadrature fails at the scan's largest exponents."""
     _check_user(user)
+    snr = cfg.system.rho * cfg.system.pair.strong.omega**2
+    if not snr <= 1e60:
+        raise ParameterError("rho", f"the delay bound needs a mean SNR scale rho*omega_s^2 of at most "
+                             f"1e60 (600 dB), got {snr:.3g}")
     delays = np.array([float(d) for d in target_delays])
     if np.any(delays < 0):
         raise ValueError("target delay must be nonnegative")
     s = _OCTAVES * LN2 / cfg.symbols_per_slot
-    stable = np.flatnonzero(cfg.arrival_rate * s + _log_mellin(cfg, user, s)[0] < 0.0)
+    with np.errstate(over="ignore"):  # lam*s overflows only where it is unstable anyway
+        stable = np.flatnonzero(cfg.arrival_rate * s + _log_mellin(cfg, user, s)[0] < 0.0)
     if not stable.size:
         return [DvpBound(t, 1.0, None, False, 0.0) for t in delays.tolist()]
     s_hi = s[min(stable[-1] + 1, s.size - 1)]  # the last exponent if all are stable

@@ -52,18 +52,21 @@ class TestConstruction:
 
     @pytest.mark.parametrize("omega", [math.inf, math.nan])
     def test_rejects_nonfinite_omega(self, omega):
-        with pytest.raises(ValueError, match="omega must be finite"):
+        with pytest.raises(ValueError, match="omega: must be finite"):
             AlphaMuChannel(2, 1, omega)
 
-    @pytest.mark.parametrize("alpha, omega", [(617, math.sqrt(0.1)), (2, 1e200), (2, 1e-170)])
+    @pytest.mark.parametrize(
+        "alpha, omega", [(617, math.sqrt(0.1)), (2, 1e200), (2, 1e-170), (1, 1e100), (3, 1e-100)]
+    )
     def test_rejects_omega_power_that_overflows(self, alpha, omega):
-        # omega^alpha or omega^-alpha is not a finite positive double
+        # omega^(+-alpha) or omega^(+-4), the second gain moment's scale, is not a finite positive double
         with pytest.raises(ValueError, match="overflows"):
             AlphaMuChannel(alpha, 1, omega)
 
     def test_accepts_omega_powers_near_the_double_range(self):
-        ch = AlphaMuChannel(616, 1, math.sqrt(0.1))
-        assert 0 < ch.omega**ch.alpha and ch.omega**-ch.alpha < math.inf
+        for ch in (AlphaMuChannel(616, 1, math.sqrt(0.1)), AlphaMuChannel(1, 1, 1e76)):
+            assert 0 < ch.omega**ch.alpha and ch.omega**-ch.alpha < math.inf
+            assert 0 < gain_moment(ch, 2) < math.inf
 
     def test_rejects_unordered_pair(self):
         with pytest.raises(ValueError):
@@ -82,11 +85,11 @@ class TestConstruction:
         assert pair.omega_tilde == pytest.approx(1.0 / 11.0, rel=1e-14)
 
     def test_rejects_omega_tilde_that_underflows(self):
-        # omega_s^-2 = 1e308 and omega_w^-2 = 1.23e308 are finite, their sum is not: omega_tilde = 0
-        strong, weak = AlphaMuChannel(2, 1, 1e-154), AlphaMuChannel(2, 1, 0.9e-154)
+        # omega_s^-4 = 1e308 and omega_w^-4 = 1.23e308 are finite, their sum is not: omega_tilde = 0
+        strong, weak = AlphaMuChannel(4, 1, 1e-77), AlphaMuChannel(4, 1, 0.9495e-77)
         with pytest.raises(ValueError, match="omega_tilde"):
             ChannelPair(strong, weak)
-        assert ChannelPair(AlphaMuChannel(2, 1, 1e-153), weak).omega_tilde > 0
+        assert ChannelPair(AlphaMuChannel(4, 1, 1e-76), weak).omega_tilde > 0
 
 
 class TestGainPdf:

@@ -7,11 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import run_cli
+from noma_effrate.channel import ParameterError
 from noma_effrate.cli import (
     CONFIG_KEYS,
     DVP_HEADER,
@@ -21,6 +25,7 @@ from noma_effrate.cli import (
     cmd_dvp,
     cmd_er,
     cmd_power,
+    keyed,
     load_config,
     main,
     parse_values,
@@ -241,6 +246,15 @@ slots = 100000
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    def test_huge_arrival_rate_is_quietly_infeasible(self, tmp_path):
+        # lam*s overflows at the stability scan's largest exponents: that is
+        # unstable, not a numpy warning
+        path = write_config(tmp_path, "[snc]\nlambda = 1e308\nvartheta_max = 3\n")
+        code, out, err = run_cli(["dvp", "--config", path])
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [f"{user},{d},1,,false,,," for user in ("strong", "weak")
+                                        for d in range(4)]
+
     def test_requires_single_lambda(self, tmp_path):
         text = self.DVP.replace("lambda = 120", "lambda = 120, 160")
         cfg = load_config(write_config(tmp_path, text))
@@ -341,9 +355,7 @@ theta = 0.5
         _, rows = cmd_power(cfg)
         assert [r[0] for r in rows] == [10.0, 20.0]
         best_a = rows[0][1]
-        er_cfg = load_config(write_config(tmp_path, self.POWER, "er.ini"))
-        er_cfg.a_s_values = [best_a]
-        er_cfg.rho_db = [10.0]
+        er_cfg = load_config(write_config(tmp_path, self.POWER, "er.ini"), a_s_values=[best_a], rho_db=[10.0])
         _, er_rows = cmd_er(er_cfg)
         assert rows[0][2] == pytest.approx(er_rows[0][8], rel=1e-12)
 
@@ -506,7 +518,7 @@ class TestMainEntry:
             "assert ',closed-form,' in out.getvalue().splitlines()[1]\n"
             "from noma_effrate import snc\n"
             f"cfg = c.load_config({dvp!r})\n"
-            "system = snc.SncConfig(cfg.grid(cfg.a_s_values)[0], cfg.symbols_per_slot, 120.0)\n"
+            "system = cfg.snc[0]  # lambda = 120\n"
             "for mellin in (snc.mellin_strong, snc.mellin_weak):\n"
             "    assert 0 < mellin(system, 0.03, 'closed-form').value < 1\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -559,10 +571,10 @@ class TestMainEntry:
         "command, text, names",
         [
             ("er", "[system]\nrho_db = 4000\n", "[system] rho_db"),
-            ("er", "[system]\ntheta = nan\n", "theta"),
-            ("er", "[system]\ntheta = 0.5, inf\n", "theta"),
-            ("er", "[system]\ntb = inf\n", "block_time_bandwidth"),
-            ("er", "[channel]\nomega_s = inf\n", "omega"),
+            ("er", "[system]\ntheta = nan\n", "[system] theta: must be finite and nonnegative, got nan"),
+            ("er", "[system]\ntheta = 0.5, inf\n", "[system] theta: must be finite and nonnegative, got inf"),
+            ("er", "[system]\ntb = inf\n", "[system] tb: must be finite and positive, got inf"),
+            ("er", "[channel]\nomega_s = inf\n", "[channel] omega_s: must be finite and positive, got inf"),
             ("dvp", "[snc]\nlambda = 170\nvartheta_max = -1\n", "[snc] vartheta_max"),
             ("dvp", "[snc]\nlambda = 170\nvartheta_max = 0\n[sim]\nslots = 1000\n", "[snc] vartheta_max"),
             ("dvp", "[snc]\nlambda = inf\n", "[snc] lambda"),
@@ -578,17 +590,51 @@ class TestMainEntry:
             ("dvp", "[snc]\nlambda = 170\ns_max = 5\n", "[snc] unknown key: s_max"),
             ("dvp", "[snc]\nlambda = 170\n[sim]\nslots = 1000\nbatches = 5\n", "[sim] batches"),
             ("dvp", "[snc]\nlambda = 170\nvartheta_max = 30\n[sim]\nslots = 33\n",
-             "[sim] slots: trace too short for [snc] vartheta_max = 30 after the 10% warm-up; "
+             "[sim] slots: trace too short for delays up to 30 after the 10% warm-up; "
              "need at least 34 slots, got 33"),
-            ("er", "[channel]\nomega_s = 1e-154\nomega_w = 0.9e-154\n", "[channel] omega_tilde"),
+            ("er", "[channel]\nalpha = 4\nomega_s = 1e-77\nomega_w = 0.9495e-77\n", "[channel] omega_w: omega_tilde"),
             ("er", "[channel]\nmu = 40\n[system]\ntheta = 28\nrho_db = 120\nstrategy = closed-form\n",
              "closed form cannot evaluate theta = 28"),
+            ("dvp", "[snc]\nlambda = 170\nsymbols_per_slot = 0\n",
+             "[snc] symbols_per_slot: must be a positive integer, got 0"),
+            ("er", "[system]\na_s = 0.5\n", "[system] a_s: must lie in (0, 1/2), got 0.5"),
+            ("er", "[system]\ntb = 0\n", "[system] tb: must be finite and positive, got 0.0"),
+            ("er", "[system]\ntheta = -1\n", "[system] theta: must be finite and nonnegative, got -1.0"),
+            # found by TestCliContract or by hand: tracebacks, or lines that named no key
+            ("er", "[system]\na_s = 0.1\na_s_grid = 0.1:0.2:0.1\n", "[system] a_s_grid: give either a_s or"),
+            ("er", "[channel]\nalpha = 1\nomega_s = 1e300\nomega_w = 1e299\n",
+             "[channel] omega_s: omega^(+-alpha) or omega^(+-4) overflows at alpha = 1, got 1e+300"),
+            ("approx", "[channel]\nalpha = 1\nomega_s = 1e100\nomega_w = 1e99\n", "[channel] omega_s: omega^"),
+            ("approx", "[channel]\nomega_w = 0.9e-154\n", "[channel] omega_w: omega^"),
+            ("er", "[channel]\nalpha = 3\nomega_s = 1e76\nomega_w = 1e75\n[system]\nstrategy = closed-form\n",
+             "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): the contour argument is not a "
+             "positive double; use strategy = quadrature"),
+            ("er", "[channel]\nalpha = 1\nomega_s = 1e20\nomega_w = 1e19\n[system]\nstrategy = closed-form\n",
+             "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): line quadrature did not reach"),
+            ("dvp", "[system]\nrho_db = 650\n[snc]\nlambda = 120\n",
+             "[system] rho_db: the delay bound needs a mean SNR scale rho*omega_s^2 of at most 1e60 (600 dB), "
+             "got 1e+65"),
+            ("er", "[channel]\nomega_s = 1e-77\nomega_w = 0.99e-77\n",
+             "[channel] omega_w: omega_tilde = 1/(omega_s^-alpha + omega_w^-alpha) = 4.949750012625624e-155 gives a "
+             "minimum-gain mixture component out of range (omega: omega^(+-alpha) or omega^(+-4) overflows at "
+             "alpha = 2, got 7.035445979201051e-78)"),
+            ("approx", "[channel]\nomega_s = 1e-77\nomega_w = 0.99e-77\n",
+             "[channel] omega_w: omega_tilde = 1/(omega_s^-alpha + omega_w^-alpha) = 4.9"),
+            ("er", "[system]\na_s_grid = 0:0.5:0.25\n", "[system] a_s_grid: must lie in (0, 1/2), got 0.0"),
+            ("approx", "[system]\na_s_grid = 0.1:0.2:0.1\n", "[system] a_s_grid: approx needs a single value, got 2"),
+            ("power", "[system]\na_s = 0.3\n",
+             "[system] a_s: a_s = 0.3 is outside the feasible range (0, 0.25) for target rate 2.0"),
         ],
         ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
              "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form",
              "alpha-overflows-omega", "omega_s-overflows", "omega_w-overflows", "s_min-unknown-key",
              "s_max-unknown-key", "batches-with-slots", "slots-too-short", "omega_tilde-underflows",
-             "closed-form-mean-underflows"],
+             "closed-form-mean-underflows", "symbols_per_slot-zero", "a_s-half", "tb-zero", "theta-negative",
+             "a_s-and-a_s_grid", "omega_s-gain-overflows", "omega_s-second-moment-overflows",
+             "omega_w-second-moment-underflows", "closed-form-argument-overflows",
+             "closed-form-line-not-converged", "dvp-snr-above-600-dB", "er-mixture-component-underflows",
+             "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
+             "power-a_s-infeasible"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)
@@ -597,6 +643,22 @@ class TestMainEntry:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["er", "approx", "power"])
+    @pytest.mark.parametrize("rho_db", ["10, 650", "650, 10"])
+    def test_snr_limit_is_the_delay_bounds_only(self, tmp_path, capsys, command, rho_db):
+        # the 600 dB limit of dvp_curve leaves the rate commands alone, whatever the grid order
+        path = write_config(tmp_path, f"[system]\nrho_db = {rho_db}\n[snc]\nlambda = 120\n")
+        assert main([command, "--config", path]) == 0
+        captured = capsys.readouterr()
+        header, *rows = captured.out.splitlines()
+        col = header.split(",").index("rho_db")
+        assert captured.err == "" and [row.split(",")[col] for row in rows] == rho_db.split(", ")
+
+    def test_unmapped_parameter_keeps_library_message(self):
+        with pytest.raises(ConfigError, match="^user: must be 'strong' or 'weak', got 'x'$"):
+            with keyed():
+                raise ParameterError("user", "must be 'strong' or 'weak', got 'x'")
 
     @pytest.mark.parametrize("scale", ["-1", "0", "inf", "nan"])
     def test_bad_lambda_scale_is_one_error_line(self, tmp_path, capsys, scale):
@@ -614,3 +676,102 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "draws" in err
         assert err.strip().count("\n") == 0
+
+
+# The CLI contract, generated: a subcommand and a config drawn from CONFIG_KEYS.
+# Each key's values are config-file text, typical first, then edges and extremes
+# of value; counts stay small enough that every run takes seconds.
+DOMAINS = {
+    "channel": {
+        "alpha": ["2", "1", "3", "4", "6", "0", "-1", "700", "2.5"],
+        "mu": ["1", "2", "3", "81", "82", "100", "0", "-1"],
+        "omega_s": ["1.0", "0.31622776601683794", "1e76", "1e-77", "1e-154", "1e200", "0", "-1", "inf", "nan"],
+        "omega_w": ["0.31622776601683794", "0.1", "1.0", "1e-76", "0.99e-77", "0.9e-154", "1e-170", "0", "inf",
+                    "nan"],
+    },
+    "system": {
+        "a_s": ["0.24", "0.05", "0.1, 0.2", "0.49", "0.5", "0", "-0.1", "1", "nan"],
+        "a_s_grid": ["0.06:0.24:0.06", "0.3", "0.01:0.49:0.12", "0:0.5:0.25", "0.2:0.1:0.05"],
+        "rho_db": ["10", "0:20:10", "-10", "120", "700", "-4000", "4000", "inf", "-inf", "nan"],
+        "theta": ["0.5", "0", "0.5, 1", "0.6931471805599453", "28", "-1", "inf", "nan"],
+        "tb": ["1.0", "0.5", "0", "-1", "inf", "nan"],
+        "strategy": ["quadrature", "closed-form", "monte-carlo", ""],
+    },
+    "snc": {
+        "symbols_per_slot": ["168", "1", "0", "-1", "1000000"],
+        "lambda": ["120", "170", "120, 160", "1e-300", "1e308", "0", "-1", "inf", "nan", ""],
+        "vartheta_max": ["8", "30", "1", "0", "-1"],
+    },
+    "sim": {
+        "seed": ["42", "0", "-1", "18446744073709551616"],
+        "slots": ["0", "20000", "34", "33", "1", "-5"],
+        "batches": ["10", "100", "9", "0", "-1"],
+    },
+    "output": {"path": ["out.csv"], "format": ["csv", "svg", "tsv"]},
+}
+FLAGS = {"--seed": ["7", "-1"], "--lambda-scale": ["1.5", "0", "-1", "inf", "nan"]}
+# every subcommand runs in seconds on this base; a drawn key overrides its value
+BASE = {"channel": {"alpha": "2", "mu": "1"}, "system": {"a_s": "0.24", "rho_db": "10", "theta": "0.5"},
+        "snc": {"lambda": "120", "vartheta_max": "8"}}
+NAMES = [f"[{section}] {key}" for section, keys in CONFIG_KEYS.items() for key in keys]
+HEADERS = {"er": "alpha,mu,", "dvp": DVP_HEADER, "approx": "rho_db,exact_sum,", "power": "rho_db,best_a_s,"}
+
+
+@st.composite
+def cli_runs(draw):
+    command = draw(st.sampled_from(sorted(HEADERS)))
+    pairs = [(section, key) for section, keys in DOMAINS.items() for key in keys]
+    config = {section: dict(keys) for section, keys in BASE.items()}
+    for section, key in draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True)):
+        config.setdefault(section, {})[key] = draw(st.sampled_from(DOMAINS[section][key]))
+    flags = [flag for flag in FLAGS if command == "dvp" or flag == "--seed"]
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=1)):
+        argv += [flag, draw(st.sampled_from(FLAGS[flag]))]
+    return command, config, argv
+
+
+def check_contract(command, config, argv):
+    """Rows (exit 0), or one `error:` line naming a key or flag (exit 2); never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if "path" in config.get("output", {}):
+            config["output"]["path"] = os.path.join(tmp, config["output"]["path"])
+        text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for section, keys in config.items())
+        path = os.path.join(tmp, "run.ini")
+        Path(path).write_text(text)
+        code, out, err = run_cli([command, "--config", path, *argv])
+        if code == 0 and "path" in config.get("output", {}):
+            out = Path(config["output"]["path"]).read_text()
+    run = f"{command} {argv} with\n{text}"
+    assert code in (0, 2), f"exit {code} on {run}: {err}"
+    assert "Traceback" not in err, run
+    lines = err.splitlines()
+    if code == 2:
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), (run, err)
+        assert any(name in lines[0] for name in NAMES + list(FLAGS)) or any(
+            re.search(rf"\b{key} = ", lines[0]) for keys in CONFIG_KEYS.values() for key in keys
+        ), (run, err)
+    else:
+        assert all(line.startswith("warning: unstable queue") for line in lines), (run, err)
+        if config.get("output", {}).get("format", "csv") == "svg":
+            assert out.startswith("<svg"), run
+        else:
+            header, *rows = out.splitlines()
+            assert header.startswith(HEADERS[command]) and rows, run
+            assert all(row.count(",") == header.count(",") for row in rows), run
+
+
+class TestCliContract:
+    @seed(20261020)
+    @settings(max_examples=50, deadline=None)
+    @given(cli_runs())
+    def test_every_input_gives_rows_or_one_keyed_error(self, run):
+        check_contract(*run)
+
+    @pytest.mark.slow
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    @given(cli_runs())
+    def test_every_input_gives_rows_or_one_keyed_error_at_length(self, run):
+        check_contract(*run)

@@ -14,7 +14,7 @@ from scipy.special import betaincinv
 from scipy.stats import kstest
 
 from noma_effrate import sim as sim_module
-from noma_effrate.channel import AlphaMuChannel, ChannelPair, gain_cdf, sample_gain
+from noma_effrate.channel import AlphaMuChannel, ChannelPair, ParameterError, gain_cdf, sample_gain
 from noma_effrate.effrate import DelayQos, NomaSystem, er_noma, ergodic_rate
 from noma_effrate.sim import (
     DelayCcdf,
@@ -126,6 +126,11 @@ class TestMcEffectiveRate:
     def test_batch_minimum(self):
         with pytest.raises(ValueError):
             SimPlan(1, 1000, batches=5)
+
+    @pytest.mark.parametrize("draws", [0, 9])
+    def test_fewer_draws_than_batches(self, draws):
+        with pytest.raises(ParameterError, match="draws: must be at least batches = 10"):
+            mc_effective_rate(make_system(), "strong", SimPlan(1, draws))
 
 
 class TestQueueBacklog:
