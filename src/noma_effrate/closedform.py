@@ -1,12 +1,12 @@
 """Analytic closed forms for the rate/transform expectations.
 
 Each function here evaluates a Meijer-G or bivariate Fox-H representation
-of an expectation that the quadrature route (specfun.laguerre_expectation)
+of an expectation that the quadrature route (specfun.laguerre_log_expectation)
 computes independently; the two routes cross-validate each other in the
 test suite.  The scale parameters (c, rho, a_s) are scalars, or equal-length
 1-D arrays for a grid, evaluated as one batch per contour spec; their domain is
 a NomaSystem's (c = a_s*rho or rho), which that class checks, and the exponent w
-is positive (effrate.closed_form's callers pass tau*nu > 0 or N s/ln 2, s > 0).
+is positive (effrate.log_moment passes tau*nu > 0 or N s/ln 2, s > 0).
 
 The Meijer-G parameter blocks follow the Gauss-multiplication pattern:
 ``_delta(x, y)`` expands a Gamma of argument scaled by x into x Gamma

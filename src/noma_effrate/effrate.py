@@ -9,11 +9,11 @@ the weak user treats the strong signal as noise (gamma = a_w rho g_min /
 (a_s rho g_min + 1), g_min the smaller gain).  The orthogonal baseline
 gives each user the full power in half the resource (tau = 1/2).
 
-Each user's service is written once, in ``log1p_sinr``, and ``er_noma``,
-``er_oma`` and ``ergodic_rate`` run one path over it: direct gain
-quadrature, or the independent closed form that ``closed_form`` picks by
-the law's type.  They take one NomaSystem, or a grid of systems sharing
-one channel pair, which the quadrature route evaluates in one engine pass.
+Each user's service is written once, in ``log1p_sinr``; ``log_moment`` is the
+one entry point to its moments, for rates and delay bounds alike: direct gain
+quadrature, or the independent closed form it picks by the law's type.
+``er_noma``, ``er_oma`` and ``ergodic_rate`` take one NomaSystem, or a grid of
+systems sharing one channel pair, which the quadrature route takes in one pass.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .specfun import (
     CONTOUR_RTOL,
     ContourError,
     ConvergenceError,
-    laguerre_expectation,
+    laguerre_expectation,  # noqa: F401  (unused: perfbench/spans.py patches this name)
     laguerre_log_expectation,
 )
 
@@ -106,12 +106,6 @@ def _check_user(user: str):
         raise ParameterError("user", f"must be 'strong' or 'weak', got {user!r}")
 
 
-def _check_route(strategy: str):
-    if strategy not in ("quadrature", "closed-form"):
-        raise ParameterError("strategy", f"unsupported strategy {strategy!r}; the routes are "
-                             "quadrature and closed-form (monte-carlo lives in sim)")
-
-
 def _log1p_gain(g, c):
     return np.log1p(c * g)
 
@@ -139,26 +133,45 @@ def log1p_sinr(sys: NomaSystem, user: User, access: Access = "noma"):
     return sys.pair, _log1p_ratio, (sys.rho, sys.a_s), 1.0
 
 
-def closed_form(law, p, w: float):
-    """E[(1 + SINR)^-w] for w > 0, or E[log2(1 + SINR)] for w = 0, over a ``log1p_sinr``
-    law and p (scalars, or equal-length arrays for an array): Meijer-G forms for one alpha-mu gain,
-    the bivariate Fox-H and min-gain log-mean difference forms for a pair; a mean outside the
-    doubles (or, for w > 0, not positive) is a ContourError."""
+def log_moment(law, k, w, params=(), route: Route = "quadrature", tilted=False):
+    """(log E[(1 + SINR)^-w], relative error) per column over a ``log1p_sinr`` service (law,
+    k, params), k = ln(1 + SINR); where ``tilted``, of E[k e^(-w k)], the ergodic mean E[k]
+    at w = 0.  The quadrature route broadcasts w, tilted and params to the columns of one
+    engine pass, with the kernel -w*k + ln k.  The closed-form route takes one w, the Meijer-G
+    or Fox-H Mellin form at w > 0 and the log-mean forms (tilted) at w = 0, with the contour
+    tolerance as the error; a mean outside the positive doubles, or above 1 at w > 0, is a ContourError."""
+    if route not in ("quadrature", "closed-form"):
+        raise ParameterError("strategy", f"unsupported strategy {route!r}; the routes are "
+                             "quadrature and closed-form (monte-carlo lives in sim)")
+    if route == "quadrature":
+        def kernel(g, c, t, *p):
+            x = k(g, *p)
+            out = c * x
+            if t.any():  # out += t * ln k, where 0 * -inf would be nan
+                with np.errstate(divide="ignore"):  # k may underflow to 0 at the least gains
+                    out += np.log(x, out=np.zeros(out.shape), where=t > 0)
+            return out
+
+        return laguerre_log_expectation(law, kernel, 1.0, (np.negative(w), tilted, *params))
     if law.mu > closedform.MAX_MU:
         raise ParameterError("mu", f"the closed form holds up to mu = {closedform.MAX_MU}, "
                              f"got {law.mu}; use strategy = quadrature")
+    if np.any(np.not_equal(tilted, w == 0)):
+        raise ValueError("the closed forms are tilted at w = 0 and only there")
     with np.errstate(all="ignore"):  # a value beyond the doubles is rejected, not warned about
         if isinstance(law, AlphaMuChannel):
-            mean = (closedform.power_mellin_analytic(law, *p, w) if w
-                    else closedform.log_mean_analytic(law, *p))
+            mean = (closedform.power_mellin_analytic(law, *params, w) if w
+                    else closedform.log_mean_analytic(law, *params) * LN2)
         else:
-            mean = (closedform.ratio_mellin_analytic(law, *p, w) if w
-                    else closedform.min_log_mean_difference_analytic(law, *p))
+            mean = (closedform.ratio_mellin_analytic(law, *params, w) if w
+                    else closedform.min_log_mean_difference_analytic(law, *params) * LN2)
     if not np.all(np.isfinite(mean)):
         raise ContourError("the contour sum overflows")
-    if w and not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
+    if not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
         raise ContourError("the mean is not a positive double")
-    return mean
+    if w and np.any(mean > 1.0 + CONTOUR_RTOL):
+        raise ContourError(f"the mean {np.max(mean):.10g} exceeds 1")
+    return np.log(mean), CONTOUR_RTOL
 
 
 def _gridwise(fn):
@@ -179,38 +192,32 @@ def _gridwise(fn):
 
 def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
     """The one rate path: -log E[(1+SINR)^-(tau*nu)] / (nu ln 2) for the systems
-    with nu > 0, and tau*E[log2(1+SINR)] (the common nu -> 0 limit) for those
-    with nu = 0, or for all of them when ``ergodic``.  Each distinct column (tau*nu,
-    parameters) is evaluated once, as OMA rates repeat over a_s: in one engine pass
-    per sign of nu, or in one closed form per exponent."""
+    with nu > 0, and tau*E[log2(1+SINR)] (the common nu -> 0 limit, from the tilted
+    moment at w = 0) for those with nu = 0, or for all of them when ``ergodic``.  Each
+    distinct column (tau*nu, parameters) is evaluated once, as OMA rates repeat over
+    a_s: all in one engine pass, or in one closed form per exponent."""
     _check_user(user)
-    _check_route(strategy)
     law, k, _, tau = log1p_sinr(systems[0], user, access)
     nus = [0.0 if ergodic else s.nu for s in systems]
     cols = [(tau * nu, *log1p_sinr(s, user, access)[2]) for s, nu in zip(systems, nus)]
-    groups = {}  # the distinct columns of one engine pass (by w > 0) or one form (by w)
+    groups = {}  # the distinct columns of the engine pass, or of one form per exponent
     for c in dict.fromkeys(cols):
-        groups.setdefault(c[0] > 0 if strategy == "quadrature" else c[0], []).append(c)
+        groups.setdefault(None if strategy == "quadrature" else c[0], []).append(c)
     rtol = 1e-9 if strategy == "quadrature" else CONTOUR_RTOL
     means = {}  # per column: log E[(1+SINR)^-w] for w > 0, E[log2(1+SINR)] for w = 0
-    for at in sorted(groups.values(), key=lambda at: at[0][0] == 0):  # w > 0 first, in row order
-        w, params = at[0][0], np.array([c[1:] for c in at]).T
-        if strategy == "quadrature":
-            if w:
-                vals = laguerre_log_expectation(law, k, [-c[0] for c in at], params)[0]
-            else:
-                vals = laguerre_expectation(law, lambda g, *p: k(g, *p) / LN2, params)
-            means.update(zip(at, vals.tolist()))
-            continue
+    for at in groups.values():
+        w = [c[0] for c in at] if strategy == "quadrature" else at[0][0]
         try:
-            mean = closed_form(law, params, w)
+            logs = log_moment(law, k, w, np.array([c[1:] for c in at]).T, strategy, np.equal(w, 0.0))[0]
         except (ContourError, ConvergenceError) as exc:
+            if strategy == "quadrature":
+                raise
             first = systems[cols.index(at[0])]
             raise type(exc)(
                 f"closed form cannot evaluate theta = {first.qos.theta:.10g} "
                 f"(nu = {first.nu:.10g}): {exc}; use strategy = quadrature"
             ) from exc
-        means.update((c, math.log(m) if w else m) for c, m in zip(at, mean.tolist()))
+        means.update((c, v if c[0] else math.exp(v) / LN2) for c, v in zip(at, logs.tolist()))
     return [
         RateResult(-means[c] / (nu * LN2), strategy, rtol / (nu * LN2)) if c[0] > 0
         else RateResult(tau * means[c], strategy, rtol * abs(tau * means[c]))

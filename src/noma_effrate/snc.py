@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ParameterError
-from .effrate import LN2, NomaSystem, Route, User, _check_route, _check_user, closed_form, log1p_sinr
-from .specfun import CONTOUR_RTOL, ContourError, laguerre_log_expectation
+from .effrate import LN2, NomaSystem, Route, User, _check_user, log1p_sinr, log_moment
+from .specfun import laguerre_log_expectation  # noqa: F401  (unused: perfbench/spans.py patches this name)
 
 _OCTAVES = 2.0 ** np.arange(-30, 43, 3)  # exponents varpi of the stability scan, 8 apart
 _COARSE_POINTS = 200  # log-spaced scan of [s_hi * 2^-26, s_hi] that brackets each minimiser
@@ -81,40 +81,21 @@ class DvpBound:
             raise ValueError("bound must lie in [0, 1]")
 
 
-def _log_mellin(cfg: SncConfig, user: User, s, tilted=False):
-    """(log M(s), relative error) via gain quadrature, one engine call for an array of s;
-    in the columns where ``tilted`` (broadcast against s) is true, of E[k e^(-varpi k)], k =
-    ln(1 + SINR), through the kernel c*k + ln k instead: d log M/ds = -(N/ln 2) E[k e^(-varpi k)] / M."""
-    target, f, params, _ = log1p_sinr(cfg.system, user)
-
-    def kernel(g, c, t):
-        k = f(g, *params)
-        out = c * k
-        if t.any():  # out += t * ln k, where 0 * -inf would be nan
-            with np.errstate(divide="ignore"):  # k may underflow to 0 at the least gains
-                out += np.log(k, out=np.zeros(out.shape), where=t > 0)
-        return out
-
-    return laguerre_log_expectation(target, kernel, 1.0, (-cfg.varpi(s), tilted))
+def _log_mellin(cfg: SncConfig, user: User, s, tilted=False, route: Route = "quadrature"):
+    """``log_moment`` at w = varpi(s) for an array of s: (log M(s), relative error), or where
+    ``tilted``, of E[k e^(-varpi k)], k = ln(1 + SINR): d log M/ds = -(N/ln 2) E[k e^(-varpi k)] / M."""
+    law, k, params, _ = log1p_sinr(cfg.system, user)
+    return log_moment(law, k, cfg.varpi(s), params, route, tilted)
 
 
 def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValue:
-    if not s > 0:
-        raise ValueError("s must be positive")
-    _check_route(strategy)
-    w = cfg.varpi(s)
-    if strategy == "quadrature":
-        log_m, err = _log_mellin(cfg, user, s)
-    else:
-        law, _, params, _ = log1p_sinr(cfg.system, user)
-        try:
-            log_m, err = math.log(closed_form(law, params, w)), CONTOUR_RTOL
-        except ContourError as exc:
-            raise ContourError(f"closed form cannot evaluate varpi = {w:.10g}: {exc}; "
-                               "use strategy = quadrature") from exc
-    return MellinValue(math.exp(log_m), log_m, s, w, strategy, err)
+    if not 0 < s < math.inf:
+        raise ParameterError("s", f"must be positive and finite, got {s}")
+    log_m, err = _log_mellin(cfg, user, s, route=strategy)
+    return MellinValue(math.exp(log_m), log_m, s, cfg.varpi(s), strategy, err)
 
 
+# mellin_strong, mellin_weak and MellinValue stay public: perfbench/checks.py calls them
 def mellin_strong(cfg: SncConfig, s: float, strategy: Route = "quadrature") -> MellinValue:
     """E[(1 + a_s*rho*g_s)^-varpi] with varpi = N*s/ln 2."""
     return _mellin(cfg, "strong", s, strategy)
@@ -203,8 +184,9 @@ def dvp_curve(cfg: SncConfig, user: User, target_delays) -> list[DvpBound]:
         raise ParameterError("rho", f"the delay bound needs a mean SNR scale rho*omega_s^2 of at most "
                              f"1e60 (600 dB), got {snr:.3g}")
     delays = np.array([float(d) for d in target_delays])
-    if np.any(delays < 0):
-        raise ValueError("target delay must be nonnegative")
+    ok = (0 <= delays) & (delays < np.inf)
+    if not ok.all():
+        raise ParameterError("target_delays", f"must be finite and nonnegative, got {delays[~ok][0]}")
     s = _OCTAVES * LN2 / cfg.symbols_per_slot
     with np.errstate(over="ignore"):  # lam*s overflows only where it is unstable anyway
         stable = np.flatnonzero(cfg.arrival_rate * s + _log_mellin(cfg, user, s)[0] < 0.0)

@@ -7,9 +7,9 @@ library needs:
 * ``laguerre_log_expectation`` integrates directly against the gain law,
   where an alpha-mu gain and the minimum gain of a pair (its finite
   alpha-mu mixture, summed into one density) both have a Gamma-type
-  density, with the trapezoid rule in the log-envelope ln r;
-  ``laguerre_expectation`` is its linear view (the names, from an earlier
-  Gauss-Laguerre rule, stay because the benchmark's layer spans patch them);
+  density, with the trapezoid rule in the log-envelope ln r, behind
+  ``effrate.log_moment``; its linear view ``laguerre_expectation`` serves
+  tests (the Gauss-Laguerre names stay: the benchmark's spans patch them);
 * ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
   Mellin-Barnes contour integrals (single and double contour), on the
   module's own complex log-gamma (``loggamma``, a shifted Stirling series

@@ -541,6 +541,23 @@ class TestMainEntry:
                     continue
                 assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
 
+    def test_moments_have_one_entry_point(self):
+        # rates and delay bounds reach the gain engine and the closed forms through
+        # effrate.log_moment only; specfun and closedform compose their own functions
+        package = Path(__file__).resolve().parents[1] / "src" / "noma_effrate"
+        engine = {"laguerre_log_expectation", "laguerre_expectation"}
+        callers = set()
+        for path in sorted(package.glob("*.py")):
+            if path.stem in ("specfun", "closedform"):
+                continue
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                        if name in engine or name.endswith("_analytic"):
+                            callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert callers == {"effrate.log_moment"}
+
     def test_contour_names_bound_in_fresh_interpreter(self):
         # nothing imports closedform first: the package's own import binds it
         code = (
@@ -611,6 +628,10 @@ class TestMainEntry:
              "positive double; use strategy = quadrature"),
             ("er", "[channel]\nalpha = 1\nomega_s = 1e20\nomega_w = 1e19\n[system]\nstrategy = closed-form\n",
              "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): line quadrature did not reach"),
+            ("er", "[channel]\nalpha = 1\nmu = 1\nomega_s = 1e76\nomega_w = 1e75\n[system]\na_s = 0.24\n"
+             "theta = 0.5\nrho_db = 10\nstrategy = closed-form\n",
+             "error: closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): the mean 1.212525219e+73 "
+             "exceeds 1; use strategy = quadrature"),
             ("dvp", "[system]\nrho_db = 650\n[snc]\nlambda = 120\n",
              "[system] rho_db: the delay bound needs a mean SNR scale rho*omega_s^2 of at most 1e60 (600 dB), "
              "got 1e+65"),
@@ -632,8 +653,8 @@ class TestMainEntry:
              "closed-form-mean-underflows", "symbols_per_slot-zero", "a_s-half", "tb-zero", "theta-negative",
              "a_s-and-a_s_grid", "omega_s-gain-overflows", "omega_s-second-moment-overflows",
              "omega_w-second-moment-underflows", "closed-form-argument-overflows",
-             "closed-form-line-not-converged", "dvp-snr-above-600-dB", "er-mixture-component-underflows",
-             "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
+             "closed-form-line-not-converged", "closed-form-mean-above-one", "dvp-snr-above-600-dB",
+             "er-mixture-component-underflows", "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
              "power-a_s-infeasible"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):

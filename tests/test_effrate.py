@@ -22,6 +22,8 @@ from noma_effrate.effrate import (
     er_noma,
     er_oma,
     ergodic_rate,
+    log1p_sinr,
+    log_moment,
     min_energy_per_bit,
     noma_oma_gap,
     power_search,
@@ -29,7 +31,7 @@ from noma_effrate.effrate import (
     sum_er_noma,
     wideband_slope,
 )
-from noma_effrate.specfun import laguerre_expectation
+from noma_effrate.specfun import ContourError, laguerre_expectation
 
 
 def make_pair(alpha=2, mu=1, omega_s=1.0, omega_w2=0.1):
@@ -90,6 +92,49 @@ class TestStrategies:
         sys = make_system(theta=theta)
         with pytest.raises(ValueError, match="unsupported strategy"):
             rate([sys, replace(sys, rho=2.0)] if grid else sys, user, "monte-carlo")
+
+    def test_closed_form_mean_above_one_raises(self):
+        # E[(1 + SINR)^-w] <= 1 for w > 0: the weak user's Fox-H form reads 1.2e73 at
+        # omega_s = 1e76 on Rayleigh fading, where quadrature gives R_w = 2.0588937
+        pair = ChannelPair(AlphaMuChannel(1, 1, 1e76), AlphaMuChannel(1, 1, 1e75))
+        sys = NomaSystem(pair, 0.24, 10.0, DelayQos(0.5))
+        assert er_noma(sys, "weak").value == pytest.approx(2.05889369, rel=1e-8)
+        with pytest.raises(ContourError, match=r"theta = 0.5 \(nu = 0.7213475204\): the mean "
+                           r"1.212525219e\+73 exceeds 1; use strategy = quadrature"):
+            er_noma(sys, "weak", "closed-form")
+        law, k, params, _ = log1p_sinr(sys, "weak")
+        with pytest.raises(ContourError, match="^the mean 1.2125.*e\\+73 exceeds 1$"):
+            log_moment(law, k, sys.nu, params, "closed-form")
+
+
+class TestLogMoment:
+    """The one entry point to log E[(1+SINR)^-w] and its tilted form, for rates and delay bounds."""
+
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_tilted_at_zero_is_the_ergodic_mean(self, user):
+        sys = make_system(alpha=3, mu=2, rho_db=15.0)
+        law, k, params, _ = log1p_sinr(sys, user)
+        want = ergodic_rate(sys, user).value * LN2
+        for route in ("quadrature", "closed-form"):
+            got = log_moment(law, k, 0.0, params, route, tilted=True)[0]
+            assert math.exp(got) == pytest.approx(want, rel=1e-7), route
+
+    def test_columns_broadcast(self):
+        # w and tilted broadcast against each other: the plain and tilted moments of three
+        # exponents in one call, each the value it takes alone
+        law, k, params, _ = log1p_sinr(make_system(), "weak")
+        w = np.array([0.5, 2.0, 8.0])
+        got, err = log_moment(law, k, w, params, tilted=[[False], [True]])
+        assert got.shape == err.shape == (6,)
+        alone = [log_moment(law, k, x, params, tilted=t)[0] for t in (False, True) for x in w]
+        assert got.tolist() == alone
+        assert np.all(got[:3] < 0) and np.all(np.diff(got[:3]) < 0)
+
+    def test_closed_form_tilts_at_zero_only(self):
+        law, k, params, _ = log1p_sinr(make_system(), "strong")
+        for w, tilted in ((0.5, True), (0.0, False)):
+            with pytest.raises(ValueError, match="tilted at w = 0"):
+                log_moment(law, k, w, params, "closed-form", tilted)
 
 
 class TestErNoma:
@@ -448,6 +493,22 @@ class TestGrids:
         systems = self.grid(alpha, mu, thetas)
         self.assert_bitwise(rate, systems, user)
         assert scans  # every grid takes the gain rule's window scan
+
+    @pytest.mark.parametrize("rate", [er_noma, er_oma, ergodic_rate])
+    @pytest.mark.parametrize("user", ["strong", "weak"])
+    def test_mixed_theta_is_one_engine_pass(self, rate, user, monkeypatch):
+        # theta = 0 rows are tilted columns of the same engine pass as theta > 0 rows
+        from noma_effrate import effrate
+
+        calls = []
+        for name in ("laguerre_log_expectation", "laguerre_expectation"):
+            def spy(*args, engine=getattr(effrate, name), name=name):
+                calls.append(name)
+                return engine(*args)
+
+            monkeypatch.setattr(effrate, name, spy)
+        rate(self.grid(2, 3, thetas=(0.5, 0.0, 2.0)), user)
+        assert calls == ["laguerre_log_expectation"]
 
     def test_grid_wider_than_a_column_block(self):
         from noma_effrate.specfun import _COLUMNS

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from noma_effrate.channel import AlphaMuChannel, ChannelPair, sample_min_gain
+from noma_effrate.channel import AlphaMuChannel, ChannelPair, ParameterError, sample_min_gain
 from noma_effrate.effrate import DelayQos, NomaSystem, ergodic_rate
 from noma_effrate.snc import (
     LN2,
@@ -150,23 +150,28 @@ class TestMellinStrong:
         with pytest.raises(ValueError):
             mellin_strong(make_cfg(), 0.0)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan, -1.0])
+    def test_rejects_s_outside_the_positive_doubles(self, s):
+        with pytest.raises(ParameterError, match=f"^s: must be positive and finite, got {s}$"):
+            mellin_strong(make_cfg(), s)
+
     def test_value_above_one_raises(self, monkeypatch):
         # log M > 0 is impossible for s > 0: the check sees the engine's value unclamped
         from noma_effrate import snc
 
         cfg = make_cfg()
-        monkeypatch.setattr(snc, "_log_mellin", lambda cfg, user, s: (1e-6, 0.0))
+        monkeypatch.setattr(snc, "log_moment", lambda *args: (1e-6, 0.0))
         with pytest.raises(ValueError, match="cannot exceed 1"):
             mellin_strong(cfg, 0.01)
 
     def test_closed_form_mean_that_underflows_raises(self):
         # E[(1 + a_s rho g)^-varpi] is about e^-1184 at mu = 40, 120 dB and s = 5: zero as a
-        # linear double, so the closed form names the exponent instead of taking log(0)
+        # linear double, so the closed form raises instead of taking log(0)
         from noma_effrate.specfun import ContourError
 
         cfg = SncConfig(make_system(mu=40, rho_db=120.0), 168, 170.0)
         assert mellin_strong(cfg, 5.0, "quadrature").log_value == pytest.approx(-1183.91, rel=1e-5)
-        with pytest.raises(ContourError, match="varpi = 1211.86.*use strategy = quadrature"):
+        with pytest.raises(ContourError, match="the mean is not a positive double"):
             mellin_strong(cfg, 5.0, "closed-form")
 
 
@@ -261,6 +266,14 @@ class TestDvpBound:
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             dvp_curve(make_cfg(), "strong", [-1])[0]
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+    def test_rejects_delay_outside_the_nonnegative_doubles(self, delay):
+        # the queue is feasible at d = 3, so nan or inf would be no reason to report it infeasible
+        cfg = make_cfg()
+        assert dvp_curve(cfg, "strong", [3])[0].feasible
+        with pytest.raises(ParameterError, match=f"^target_delays: must be finite and nonnegative, got {delay}$"):
+            dvp_curve(cfg, "strong", [3, delay])
 
     @pytest.mark.parametrize("alpha, mu, rho_db, lam", [(2, 1, 10.0, 170.0), (4, 3, 15.0, 185.0)])
     @pytest.mark.parametrize("user", ["strong", "weak"])
@@ -357,16 +370,16 @@ class TestDvpBound:
     @pytest.mark.parametrize("user", ["strong", "weak"])
     def test_engine_calls_never_repeat_an_exponent(self, monkeypatch, user):
         # each batch of Mellin transforms or tilted means evaluates its distinct columns once
-        from noma_effrate import snc
+        from noma_effrate import effrate
 
-        engine, batches = snc.laguerre_log_expectation, []
+        engine, batches = effrate.laguerre_log_expectation, []
 
         def spy(target, k, c=1.0, params=()):
             columns = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c, *params)))
             batches.append(list(zip(*(np.ravel(a).tolist() for a in columns))))
             return engine(target, k, c, params)
 
-        monkeypatch.setattr(snc, "laguerre_log_expectation", spy)
+        monkeypatch.setattr(effrate, "laguerre_log_expectation", spy)
         curve = dvp_curve(make_cfg(load=0.7, user_for_load="weak"), user, range(31))
         assert all(b.feasible for b in curve)
         # the stability scan, the bracket scan, the slopes at the brackets' grid points,
