@@ -106,7 +106,7 @@ def mellin_weak(cfg: SncConfig, s: float, strategy: Route = "quadrature") -> Mel
 
     The quadrature strategy is authoritative; the Fox-H closed form is the
     cross-validation route (agreement to the contour's 1e-8 relative
-    tolerance in tests, for s up to 0.03 on the reference systems).
+    tolerance in tests, for s up to 0.1 on the reference systems).
     """
     return _mellin(cfg, "weak", s, strategy)
 

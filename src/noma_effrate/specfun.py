@@ -19,9 +19,9 @@ Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
 
 The double contour of ``fox_h2`` is evaluated separably (see
-``_fox_double_integral``).  Both contour engines take an array of
-arguments, and a line's height and nodes, which do not depend on z, serve
-them all (see ``_trapezoid_lines``).  All three engines are doubling
+``_fox_double_integral``).  Every single line, Meijer-G or Fox-H residue,
+sits at its argument's saddle; arguments sharing a saddle share its height
+and nodes (``_saddle_lines``).  All three engines are doubling
 trapezoid rules: each refines through ``refine``, evaluates only the nodes
 a level adds (``_nested``) and raises ConvergenceError instead of returning
 an unconverged value.  All integrands are computed in log space and
@@ -336,11 +336,9 @@ def _saddle_search(terms, left, right, log_z):
     inside (left, right); an unbounded side (no pole family) is scanned
     geometrically.  Its log-gammas do not depend on z: one loggamma call.
     """
-    margin = 0.05 * min(1.0, (right - left) if math.isfinite(left) and math.isfinite(right) else 1.0)
-    lo, hi = left + margin, right - margin  # infinite on a side with no pole family
-    if not (math.isfinite(lo) or math.isfinite(hi)):
-        cand = np.linspace(-64.0, 64.0, 257)
-    elif not math.isfinite(lo):
+    margin = 0.05 * min(1.0, right - left)
+    lo, hi = left + margin, right - margin
+    if not math.isfinite(lo):
         cand = hi - np.geomspace(1e-3, 1 << 20, 513)
     elif not math.isfinite(hi):
         cand = lo + np.geomspace(1e-3, 1 << 20, 513)
@@ -382,18 +380,17 @@ def _nested(log_f, origin, unit=1j):
     return values
 
 
-def _trapezoid_lines(terms, log_z, offset):
-    """Per column of ``log_z``, (1/2*pi*i) * integral over Re(s) = offset by conjugate
+def _trapezoid_lines(terms, log_z, offsets):
+    """Per column of ``log_z``, (1/2*pi*i) * integral over Re(s) = its offset by conjugate
     symmetry (gamma parameters and z real): (totals, log scales, relative errors).
 
-    ``offset`` is one line for every column, or one per column.  On a line
-    Re(s*ln z) = offset*ln z is constant, so the rule refines the z-free
-    log-gammas and each column, in blocks of _COLUMNS, adds its phases t*ln z.
+    On a line Re(s*ln z) = offset*ln z is constant, so the rule refines the z-free
+    log-gammas once per distinct offset, and each column adds its phases t*ln z.
     """
-    offset = np.asarray(offset, dtype=float)[:, None]
+    lines, line = np.unique(offsets, return_inverse=True)  # a column's line: lines[line]
     log_g = _log_gammas(terms)
-    height = _find_height(lambda t: log_g(offset + 1j * t).real)[:, None]
-    nodes = _nested(log_g, offset)
+    height = _find_height(lambda t: log_g(lines[:, None] + 1j * t).real)[:, None]
+    nodes = _nested(log_g, lines[:, None])
     scale = None
 
     def estimate(n, cols):
@@ -402,20 +399,22 @@ def _trapezoid_lines(terms, log_z, offset):
         lg = nodes(h, 0, n - 1)
         if scale is None:
             scale = lg.real.max(axis=1, keepdims=True)
-        lg, t = lg - scale, h * np.arange(n)
-        if offset.size > 1:  # one line per column
-            lg, t, h = lg[cols], t[cols], h[cols]
-        lz, out = log_z[cols, None], []
-        for b in range(0, lz.shape[0], _COLUMNS):
-            blk = slice(b, b + _COLUMNS) if offset.size > 1 else slice(None)
-            y = np.exp(lg[blk] + 1j * t[blk] * lz[b : b + _COLUMNS]).real
-            out += (np.trapezoid(y, dx=h[blk], axis=1) / math.pi).tolist()
-        return out
+        at = line[cols]
+        lg, t, h = (lg - scale)[at], (h * np.arange(n))[at], h[at]
+        y = np.exp(lg + 1j * t * log_z[cols, None]).real
+        return (np.trapezoid(y, dx=h, axis=1) / math.pi).tolist()
 
-    total, err = refine(
-        estimate, _NODES, _MAX_NODES, CONTOUR_RTOL, "line quadrature", width=log_z.size
-    )
-    return np.array(total), scale[:, 0] + offset[:, 0] * log_z, np.array(err)
+    total, err = refine(estimate, _NODES, _MAX_NODES, CONTOUR_RTOL, "line quadrature", width=log_z.size)
+    return np.array(total), scale[line, 0] + lines[line] * log_z, np.array(err)
+
+
+def _saddle_lines(terms, left, right, log_z):
+    """``_trapezoid_lines``, each column's line at its saddle in the pole gap (left, right)
+    (``_saddle_search``, one call for all), one rule per block of _COLUMNS columns."""
+    offsets = _saddle_search(terms, left, right, log_z)
+    blocks = [slice(b, b + _COLUMNS) for b in range(0, log_z.size, _COLUMNS)]
+    parts = [_trapezoid_lines(terms, log_z[blk], offsets[blk]) for blk in blocks]
+    return (np.concatenate(p) for p in zip(*parts))
 
 
 def _arguments(*zs):
@@ -453,25 +452,18 @@ def _meijer_gap(spec: MeijerGSpec) -> tuple[float, float]:
     left = max((a - 1.0 for a in spec.a[: spec.n]), default=-math.inf)
     right = min(spec.b[: spec.m], default=math.inf)
     if left >= right:
-        raise ContourError(
-            f"pole families interleave: gap ({left}, {right}) is empty"
-        )
+        raise ContourError(f"pole families interleave: gap ({left}, {right}) is empty")
     return left, right
 
 
 def meijer_g(spec: MeijerGSpec, z) -> QuadValue:
     """Evaluate a Meijer G-function at z > 0, a scalar or a 1-D array, by contour quadrature;
-    each z's line sits at its own saddle, and each block of _COLUMNS lines is one rule."""
+    each z's line sits at its own saddle (``_saddle_lines``)."""
     (z,), scalar = _arguments(z)
     delta = spec.m + spec.n - 0.5 * (spec.p + spec.q)
     if delta <= 0:
         raise ContourError("vertical contour integral does not converge (m+n <= (p+q)/2)")
-    terms = _meijer_terms(spec)
-    log_z = np.log(z)
-    offsets = _saddle_search(terms, *_meijer_gap(spec), log_z)
-    blocks = [slice(b, b + _COLUMNS) for b in range(0, z.size, _COLUMNS)]
-    parts = [_trapezoid_lines(terms, log_z[blk], offsets[blk]) for blk in blocks]
-    return _quad_value(*(np.concatenate(p) for p in zip(*parts)), scalar)
+    return _quad_value(*_saddle_lines(_meijer_terms(spec), *_meijer_gap(spec), np.log(z)), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +566,9 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
     ``_fox_double_integral``) is corrected by the residues of the
     positive-power binomial factor Gamma(t-x) at t = x-k for the poles
     lying right of the t-line; each correction is itself a single
-    Mellin-Barnes integral sharing the s-contour.  The contour placement
-    is cached per spec; every line's heights and nodes serve all columns.
+    Mellin-Barnes integral, each column's line at its own saddle in that
+    integral's pole gap (``_saddle_lines``).  The double contour's placement
+    is cached per spec, and its heights and nodes serve all columns.
     """
     (z1, z2), scalar = _arguments(z1, z2)
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
@@ -587,8 +580,9 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
 
     for k in range(n_res):
         coeff = (-1.0) ** k / math.factorial(k) * math.gamma(k - x) * z2 ** (x - k)
-        terms = [(c0 + r * (x - k), r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
-        line, log_scale, line_err = _trapezoid_lines(terms, log_z1, [sigma])
+        a = c0 + r * (x - k)  # Gamma(a + rs) Gamma(x + s) Gamma(-s), pole-free on (max(-a/r, -x), 0)
+        terms = [(a, r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
+        line, log_scale, line_err = _saddle_lines(terms, max(-a / r, -x), 0.0, log_z1)
         value = coeff * line * np.exp(log_scale)
         total = total + value
         err_abs = err_abs + np.abs(value) * line_err

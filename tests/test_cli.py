@@ -54,6 +54,7 @@ def write_config(tmp_path, text, name="sweep.ini"):
 class TestParsing:
     def test_range(self):
         assert parse_values("10:40:10") == [10.0, 20.0, 30.0, 40.0]
+        assert parse_values("0:1:0.6") == [0.0, 0.6]  # the next point lies past stop
 
     def test_list(self):
         assert parse_values("0.1, 0.5,2") == [0.1, 0.5, 2.0]
@@ -92,13 +93,18 @@ class TestParsing:
             ("alpha = 2\n[channel]\nmu = 1\n", "no section headers"),
             ("[sim]\nslots = -5\n", r"\[sim\] slots: must be nonnegative, got -5"),
             ("[system]\ntheta = 5%\n", r"\[system\] theta: cannot parse '5%'"),
+            ("[output]\nformat = tsv\n", r"^\[output\] format: must be csv or svg, got 'tsv'$"),
+            ("[system]\nrho_db = 1:2\n",
+             r"^\[system\] rho_db: cannot parse '1:2' \(range must be start:stop:step, got '1:2'\)$"),
         ],
-        ids=["repeated-key", "repeated-section", "no-section-header", "negative-slots", "percent-sign"],
+        ids=["repeated-key", "repeated-section", "no-section-header", "negative-slots", "percent-sign",
+             "unknown-format", "two-part-range"],
     )
     def test_syntax_errors_are_one_line(self, tmp_path, capsys, text, message):
         # a repeated key or section, a missing section header, a negative slot
-        # count and a '%' (values are literal, not interpolated) each give one
-        # error line and exit 2, on every subcommand
+        # count, a '%' (values are literal, not interpolated), an unknown output
+        # format and a range without a step each give one error line and exit 2,
+        # on every subcommand
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
             load_config(path)
@@ -163,6 +169,29 @@ class TestErCommand:
             assert quad[:6] == closed[:6]
             for q, c in zip(quad[6:11], closed[6:11]):  # R_s, R_w, R_sum, R_sum_oma, gap
                 assert math.isclose(float(q), float(c), rel_tol=1e-9), (quad, closed)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[channel]\nalpha = 1\nomega_s = 1e20\nomega_w = 1e19\n[system]\n",
+         "[channel]\nalpha = 1\nmu = 1\nomega_s = 1e76\nomega_w = 1e75\n[system]\na_s = 0.24\ntheta = 0.5\n"
+         "rho_db = 10\n",
+         *(f"[channel]\nmu = {mu}\nomega_s = 1\nomega_w = 0.31622776601683794\n[system]\na_s = 0.24\n"
+           f"rho_db = {rho_db}\ntheta = {theta}\n"
+           for mu, rho_db, theta in [(1, 80, 2), (1, 100, 2), (1, 120, 1), (1, 120, 2), (3, 120, 2)])],
+        ids=["alpha1-omega_s-1e20", "alpha1-omega_s-1e76", "rayleigh-80dB-theta2", "rayleigh-100dB-theta2",
+             "rayleigh-120dB-theta1", "rayleigh-120dB-theta2", "nakagami3-120dB-theta2"],
+    )
+    def test_closed_form_rows_match_quadrature(self, tmp_path, text):
+        # inputs where a weak-user Fox-H residue line at the double contour's offset
+        # cancels to no digits (`line quadrature did not reach`, or a mean above 1), and
+        # at its saddle gives the quadrature rows.  Each text ends in its [system] section
+        rows = {}
+        for strategy in ("quadrature", "closed-form"):
+            path = write_config(tmp_path, text + f"strategy = {strategy}\n")  # into [system]
+            code, out, err = run_cli(["er", "--config", path])
+            assert code == 0 and err == "", (strategy, err)
+            rows[strategy] = [row.split(",")[:11] for row in out.splitlines()[1:]]
+        assert rows["closed-form"] == rows["quadrature"] and rows["quadrature"]
 
 
 class TestDvpCommand:
@@ -626,12 +655,9 @@ class TestMainEntry:
             ("er", "[channel]\nalpha = 3\nomega_s = 1e76\nomega_w = 1e75\n[system]\nstrategy = closed-form\n",
              "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): the contour argument is not a "
              "positive double; use strategy = quadrature"),
-            ("er", "[channel]\nalpha = 1\nomega_s = 1e20\nomega_w = 1e19\n[system]\nstrategy = closed-form\n",
-             "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): line quadrature did not reach"),
-            ("er", "[channel]\nalpha = 1\nmu = 1\nomega_s = 1e76\nomega_w = 1e75\n[system]\na_s = 0.24\n"
-             "theta = 0.5\nrho_db = 10\nstrategy = closed-form\n",
-             "error: closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): the mean 1.212525219e+73 "
-             "exceeds 1; use strategy = quadrature"),
+            ("er", "[channel]\nmu = 3\n[system]\nrho_db = 120\ntheta = 1\nstrategy = closed-form\n",
+             "error: closed form cannot evaluate theta = 1 (nu = 1.442695041): double contour quadrature did "
+             "not reach relative tolerance 1e-08 by size 16385; use strategy = quadrature"),
             ("dvp", "[system]\nrho_db = 650\n[snc]\nlambda = 120\n",
              "[system] rho_db: the delay bound needs a mean SNR scale rho*omega_s^2 of at most 1e60 (600 dB), "
              "got 1e+65"),
@@ -653,7 +679,7 @@ class TestMainEntry:
              "closed-form-mean-underflows", "symbols_per_slot-zero", "a_s-half", "tb-zero", "theta-negative",
              "a_s-and-a_s_grid", "omega_s-gain-overflows", "omega_s-second-moment-overflows",
              "omega_w-second-moment-underflows", "closed-form-argument-overflows",
-             "closed-form-line-not-converged", "closed-form-mean-above-one", "dvp-snr-above-600-dB",
+             "closed-form-double-contour-not-converged", "dvp-snr-above-600-dB",
              "er-mixture-component-underflows", "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
              "power-a_s-infeasible"],
     )

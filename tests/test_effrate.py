@@ -93,12 +93,19 @@ class TestStrategies:
         with pytest.raises(ValueError, match="unsupported strategy"):
             rate([sys, replace(sys, rho=2.0)] if grid else sys, user, "monte-carlo")
 
-    def test_closed_form_mean_above_one_raises(self):
-        # E[(1 + SINR)^-w] <= 1 for w > 0: the weak user's Fox-H form reads 1.2e73 at
-        # omega_s = 1e76 on Rayleigh fading, where quadrature gives R_w = 2.0588937
+    def test_closed_form_mean_above_one_raises(self, monkeypatch):
+        # E[(1 + SINR)^-w] <= 1 for w > 0.  At omega_s = 1e76 on Rayleigh fading a Fox-H
+        # residue line at the double contour's offset cancels to 1.2e73; at its saddle the
+        # weak user's form gives the quadrature rate.  A form reading 1.2e73 is rejected
+        # on both paths
+        from noma_effrate import closedform
+
         pair = ChannelPair(AlphaMuChannel(1, 1, 1e76), AlphaMuChannel(1, 1, 1e75))
         sys = NomaSystem(pair, 0.24, 10.0, DelayQos(0.5))
-        assert er_noma(sys, "weak").value == pytest.approx(2.05889369, rel=1e-8)
+        want = er_noma(sys, "weak").value
+        assert want == pytest.approx(2.05889369, rel=1e-8)
+        assert er_noma(sys, "weak", "closed-form").value == pytest.approx(want, rel=1.1e-10)
+        monkeypatch.setattr(closedform, "ratio_mellin_analytic", lambda *args: 1.212525219e73)
         with pytest.raises(ContourError, match=r"theta = 0.5 \(nu = 0.7213475204\): the mean "
                            r"1.212525219e\+73 exceeds 1; use strategy = quadrature"):
             er_noma(sys, "weak", "closed-form")

@@ -201,9 +201,10 @@ class TestMellinWeak:
 
     def test_strategies_agree(self):
         cfg = make_cfg(alpha=2, mu=2)
-        q = mellin_weak(cfg, 0.01, "quadrature")
-        c = mellin_weak(cfg, 0.01, "closed-form")
-        assert c.value == pytest.approx(q.value, rel=1e-8)  # the contour's default rtol
+        for s in (0.01, 0.1):  # varpi = 2.4 and 24.2
+            q = mellin_weak(cfg, s, "quadrature")
+            c = mellin_weak(cfg, s, "closed-form")
+            assert c.value == pytest.approx(q.value, rel=1e-8), s  # the contour's default rtol
 
     def test_high_snr_second_mode_stays_in_the_window(self):
         # at 120 dB the weak kernel lifts the minimum gain's low tail into a second mode

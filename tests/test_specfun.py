@@ -63,6 +63,13 @@ class TestMeijerIdentities:
         assert got.sign > 0
         assert got.log_abs == pytest.approx(-z, rel=1e-8, abs=1e-10)
 
+    @pytest.mark.parametrize("z", [0.3, 1.7, 12.0])
+    def test_no_right_pole_family(self, z):
+        # G^{0,1}_{1,0}(z | 1; -) = e^(-1/z): m = 0, so the saddle scan runs geometrically
+        # to the right of the one pole family
+        spec = MeijerGSpec(a=(1.0,), b=(), m=0, n=1)
+        assert meijer_g(spec, z).value == pytest.approx(math.exp(-1.0 / z), rel=1e-8)
+
     @pytest.mark.parametrize("z", np.geomspace(1e-3, 1e3, 9).tolist())
     def test_binomial(self, z):
         y = -1.3
@@ -505,6 +512,25 @@ class TestSaddlePlacement:
         assert calls["rules"] > 0 and calls["all"] - calls["rules"] == 1
         want = [meijer_g(spec, x).value for x in z[[0, 35, 69]].tolist()]
         np.testing.assert_allclose(got.value[[0, 35, 69]], want, rtol=1e-13, atol=0)
+
+    def test_arguments_sharing_a_saddle_share_a_line(self, monkeypatch):
+        from noma_effrate import specfun
+
+        find_height, rows = specfun._find_height, []
+
+        def counted(logf):
+            height = find_height(logf)
+            rows.append(height.size)
+            return height
+
+        monkeypatch.setattr(specfun, "_find_height", counted)
+        spec = MeijerGSpec(a=(0.5, -0.25), b=(0.0, 0.5, -0.25), m=3, n=1)
+        z = np.array([0.3, 1.7, 0.3, 1.7, 0.3])
+        got = meijer_g(spec, z)
+        monkeypatch.undo()
+        assert rows == [2]  # one rule, two lines
+        want = [meijer_g(spec, x).value for x in (0.3, 1.7)]
+        np.testing.assert_allclose(got.value, want * 2 + want[:1], rtol=1e-13, atol=0)
 
 
 class TestNestedRule:
