@@ -401,7 +401,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, out_path=args.out, out_format=args.format)
         with warnings.catch_warnings(), keyed(grid=f"[system] {cfg.a_s_key}"):
-            # a warning (such as an unstable queue) is one line, like an error
+            # a warning (such as an unstable queue) is one line, like an error, under any -W filter
+            warnings.simplefilter("always")
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=_sys.stderr)
             command = {"er": cmd_er, "approx": cmd_approx, "power": cmd_power,
                        "dvp": lambda cfg: cmd_dvp(cfg, args.lambda_scale)}[args.command]

@@ -18,16 +18,15 @@ library needs:
 Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
 
-The double contour of ``fox_h2`` is evaluated separably (see
-``_fox_double_integral``).  Every single line, Meijer-G or Fox-H residue,
-sits at its argument's saddle; arguments sharing a saddle share its height
-and nodes (``_saddle_lines``).  All three engines are doubling
-trapezoid rules: each refines through ``refine``, evaluates only the nodes
-a level adds (``_nested``) and raises ConvergenceError instead of returning
-an unconverged value.  All integrands are computed in log space and
-rescaled by the maximum exponent before summation, so Gamma factors with
-arguments into the hundreds and kernels such as (1 + SINR)^-w with w in
-the thousands neither overflow nor underflow.
+Every Mellin-Barnes line sits at a saddle (``_saddle_search``): a single line, Meijer-G
+or Fox-H residue, at its argument's, sharing height and nodes with arguments whose saddle
+is the same (``_saddle_lines``); both lines of ``fox_h2``'s separable double contour
+(``_fox_double_integral``) at those of the middle argument of a run of nearby ones.  All
+three engines are doubling trapezoid rules: each refines through ``refine``, evaluates
+only the nodes a level adds (``_nested``) and raises ConvergenceError instead of returning
+an unconverged value.  All integrands are computed in log space and rescaled by the
+maximum exponent before summation, so Gamma factors with arguments into the hundreds and
+kernels such as (1 + SINR)^-w with w in the thousands neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from . import channel
 
 _LOG_CUTOFF = 46.0  # integrand tail threshold, exp(-46) ~ 1e-20 of the peak
 _BLOCK = 1 << 16  # entries per block of the Fox-H Hankel row sums
-# Fox-H double contour's v-line node budget: 4x the 4097 that its slowest converging
-# case needs (power 0.05), so a rule that cannot converge raises within seconds
+# Fox-H double contour's v-line node budget: 4x the 4097 that power 0.05, or theta 0.17-2
+# from -10 to 120 dB on 7 laws, needs at most, so a rule that cannot converge raises in seconds
 _DOUBLE_MAX_NODES = 16385
 # contour rules: starting trapezoid nodes, node budget, relative tolerance
 _NODES = 129
@@ -144,10 +143,10 @@ class FoxH2Spec:
             raise ValueError("outer coefficient must be positive")
         if self.power <= 0:
             raise ValueError("binomial power must be positive")
+        if self.power > 170:  # fox_h2 adds the residues k < x + 1, and 171! exceeds the doubles
+            raise ContourError(f"binomial power {self.power:g} above 170: 1/k! of its residues underflows")
         if abs(self.power - round(self.power)) < 1e-9:
-            raise ContourError(
-                f"integer binomial power {self.power:g} collides with the residue lattice"
-            )
+            raise ContourError(f"integer binomial power {self.power:g} collides with the residue lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -470,29 +469,19 @@ def meijer_g(spec: MeijerGSpec, z) -> QuadValue:
 # bivariate Fox H
 
 
-@lru_cache(maxsize=1024)
 def _place_fox_contours(spec: FoxH2Spec):
-    """Straight-line offsets (sigma, tau) maximizing the pole-free margins.
-
-    Scores a (sigma, tau) grid in one evaluation; ties go to the first
-    maximum in sigma-major order.  Returns (sigma, tau, residue count).
-    """
+    """(tau, n, reach) from a scan of tau: the gap of the residue lattice {x-k} holding the
+    t-line, below n = ceil(x - tau) residues of Gamma(t-x), and the s-line's window (-reach, 0),
+    reach = min(x, tau + c0/r) < x - n + 1 + c0/r, where Gamma(x+s) and every outer Gamma are
+    pole-free; the first tau maximizing min(its margins, reach/2), sigma's at the centre."""
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
-    sig_grid = np.linspace(-x, 0.0, 43)[1:-1] if x > 1e-3 else np.array([-x / 2])
-    sigma = sig_grid[:, None]
-    tau = np.linspace(-0.95, -0.05, 37)[None, :]
-    m_s = np.minimum(sigma + x, -sigma)
-    # distance to the residue lattice {x-k} and to {0,1,...}
-    m_t = np.minimum(np.abs((x - tau) - np.round(x - tau)), -tau)
-    n_res = np.ceil(x - tau)  # at least 1: x > 0 > tau
-    # outer gamma argument on both the double integral and shifted lines
-    m_outer = (c0 + r * (sigma + tau)) / r
-    m_shift = (c0 + r * (sigma + x - (n_res - 1))) / r
-    score = np.minimum(np.minimum(m_s, m_t), np.minimum(m_outer, m_shift))
-    i, j = np.unravel_index(np.argmax(score), score.shape)
-    if not score[i, j] > 0:
+    tau = np.linspace(-0.95, -0.05, 37)
+    m_t = np.minimum(np.abs((x - tau) - np.round(x - tau)), -tau)  # to {x-k} and to {0, 1, ...}
+    reach = np.minimum(x, tau + c0 / r)
+    j = np.argmax(np.minimum(m_t, reach / 2))
+    if not min(m_t[j], reach[j]) > 0:
         raise ContourError("no admissible straight contour pair for the Fox-H kernel")
-    return float(sig_grid[i]), float(tau[0, j]), int(n_res[0, j])
+    return float(tau[j]), math.ceil(x - tau[j]), float(reach[j])  # n >= 1: x > 0 > tau
 
 
 def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
@@ -553,29 +542,39 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
 
     # the u-line carries up to 2n-1 nodes, which the line node budget also bounds
     budget = min((_MAX_NODES + 1) // 2, _DOUBLE_MAX_NODES)
-    total, err = refine(
-        estimate, _NODES, budget, CONTOUR_RTOL, "double contour quadrature", width=log_z1.size
-    )
+    total, err = refine(estimate, _NODES, budget, CONTOUR_RTOL, "double contour quadrature",
+                        width=log_z1.size)
     return np.array(total) * np.exp(sum(scale) + sigma * log_z1 + tau * log_z2), np.array(err)
 
 
 def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
     """Evaluate the bivariate Fox-H kernel at z1, z2 > 0, scalars or equal-length 1-D arrays.
 
-    The straight double contour (a shared-step trapezoid lattice, see
-    ``_fox_double_integral``) is corrected by the residues of the
-    positive-power binomial factor Gamma(t-x) at t = x-k for the poles
-    lying right of the t-line; each correction is itself a single
-    Mellin-Barnes integral, each column's line at its own saddle in that
-    integral's pole gap (``_saddle_lines``).  The double contour's placement
-    is cached per spec, and its heights and nodes serve all columns.
+    The straight double contour (a shared-step trapezoid lattice, see ``_fox_double_integral``)
+    is corrected by the residues of Gamma(t-x) at t = x-k right of its t-line, each a single
+    Mellin-Barnes integral whose line sits at each column's saddle in its pole gap
+    (``_saddle_lines``).  The lattice's s-line, then its t-line, sit at a run's middle
+    column's saddles in their gaps (``_place_fox_contours``).  A run, the columns within
+    2 ln(1e4)/reach of the batch's smallest ln z1 (counted from there), shares one lattice:
+    off its own saddle a column's on-axis peak grows by at most e^(reach |d ln z1|), so a
+    run costs at most about 4 digits.
     """
     (z1, z2), scalar = _arguments(z1, z2)
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
-    sigma, tau, n_res = _place_fox_contours(spec)
+    tau, n_res, reach = _place_fox_contours(spec)
 
     log_z1, log_z2 = np.log(z1), np.log(z2)
-    total, err = _fox_double_integral(spec, log_z1, log_z2, sigma, tau)
+    runs = np.floor((log_z1 - log_z1.min()) * reach / (2.0 * math.log(1e4)))
+    total, err = np.empty(z1.size), np.empty(z1.size)
+    s_terms = [(c0 + r * tau, r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
+    for run in np.unique(runs):
+        cols = np.flatnonzero(runs == run)
+        mid = cols[np.argsort(log_z1[cols], kind="stable")[[cols.size // 2]]]
+        (sigma,) = _saddle_search(s_terms, -reach, 0.0, log_z1[mid])
+        t_terms = [(c0 + r * sigma, r, 1), (-x, 1.0, 1), (0.0, -1.0, 1)]
+        t_gap = max(x - n_res, -c0 / r - sigma), min(x - n_res + 1.0, 0.0)
+        (t,) = _saddle_search(t_terms, *t_gap, log_z2[mid])
+        total[cols], err[cols] = _fox_double_integral(spec, log_z1[cols], log_z2[cols], sigma, t)
     err_abs = np.abs(total) * err
 
     for k in range(n_res):

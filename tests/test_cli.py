@@ -152,19 +152,19 @@ class TestErCommand:
             gaps.append(rows[0][10])
         assert gaps[0] > gaps[1] > gaps[2]
 
-    @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 3), (4, 3), (6, 2)])
     def test_high_snr_rows_match_closed_form(self, tmp_path, alpha, mu):
         # the kernel's knee sits far below the gain law's scale at these SNRs; the
         # quadrature rows come within seconds and agree with the contour route
         text = ER_CONFIG.replace("alpha = 2", f"alpha = {alpha}").replace("mu = 1", f"mu = {mu}")
-        text = text.replace("0:20:10", "80, 100, 120").replace("theta = 0.5, 1", "theta = 0.5")
+        text = text.replace("0:20:10", "80, 100, 120").replace("theta = 0.5, 1", "theta = 0.5, 1, 2")
         rows = {}
         for strategy in ("quadrature", "closed-form"):
             path = write_config(tmp_path, f"{text}strategy = {strategy}\n", f"{strategy}.ini")
             code, out, err = run_cli(["er", "--config", path])
             assert code == 0 and err == "", (strategy, code, err)
             rows[strategy] = [line.split(",") for line in out.splitlines()[1:]]
-        assert len(rows["quadrature"]) == 3
+        assert len(rows["quadrature"]) == 9
         for quad, closed in zip(rows["quadrature"], rows["closed-form"]):
             assert quad[:6] == closed[:6]
             for q, c in zip(quad[6:11], closed[6:11]):  # R_s, R_w, R_sum, R_sum_oma, gap
@@ -177,14 +177,18 @@ class TestErCommand:
          "rho_db = 10\n",
          *(f"[channel]\nmu = {mu}\nomega_s = 1\nomega_w = 0.31622776601683794\n[system]\na_s = 0.24\n"
            f"rho_db = {rho_db}\ntheta = {theta}\n"
-           for mu, rho_db, theta in [(1, 80, 2), (1, 100, 2), (1, 120, 1), (1, 120, 2), (3, 120, 2)])],
+           for mu, rho_db, theta in [(1, 80, 2), (1, 100, 2), (1, 120, 1), (1, 120, 2), (3, 120, 2)]),
+         "[channel]\nmu = 3\n[system]\nrho_db = 120\ntheta = 1\n",
+         "[system]\ntheta = 33.6\n"],
         ids=["alpha1-omega_s-1e20", "alpha1-omega_s-1e76", "rayleigh-80dB-theta2", "rayleigh-100dB-theta2",
-             "rayleigh-120dB-theta1", "rayleigh-120dB-theta2", "nakagami3-120dB-theta2"],
+             "rayleigh-120dB-theta1", "rayleigh-120dB-theta2", "nakagami3-120dB-theta2",
+             "nakagami3-120dB-theta1", "default-theta-33.6"],
     )
     def test_closed_form_rows_match_quadrature(self, tmp_path, text):
-        # inputs where a weak-user Fox-H residue line at the double contour's offset
-        # cancels to no digits (`line quadrature did not reach`, or a mean above 1), and
-        # at its saddle gives the quadrature rows.  Each text ends in its [system] section
+        # inputs where a weak-user Fox-H line off its saddle cancels to no digits (`line
+        # quadrature did not reach`, `double contour quadrature did not reach`, or a mean
+        # above 1) or finds no admissible contour pair (nu = 48.5), and at their saddles give
+        # the quadrature rows.  Each text ends in its [system] section
         rows = {}
         for strategy in ("quadrature", "closed-form"):
             path = write_config(tmp_path, text + f"strategy = {strategy}\n")  # into [system]
@@ -413,18 +417,24 @@ class TestMainEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.stdout.split() == ["0", "False"]
 
-    def test_unstable_queue_is_one_warning_line(self, tmp_path):
-        # the README example: the weak user's arrival rate exceeds its mean service
+    @pytest.mark.parametrize("filters", [None, "error", "ignore"], ids=["unset", "error", "ignore"])
+    def test_unstable_queue_is_one_warning_line(self, tmp_path, filters):
+        # the README example: the weak user's arrival rate exceeds its mean service; the
+        # line neither turns into a traceback nor drops out under the interpreter's filters
         text = TestDvpCommand.DVP.replace("lambda = 120", "lambda = 170").replace(
             "slots = 100000", "slots = 20000"
         )
         path = write_config(tmp_path, text)
         out = tmp_path / "dvp.csv"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        if filters is not None:
+            env["PYTHONWARNINGS"] = filters
         proc = subprocess.run(
             [sys.executable, "-m", "noma_effrate.cli", "dvp", "--config", path,
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         lines = proc.stderr.splitlines()
@@ -655,9 +665,12 @@ class TestMainEntry:
             ("er", "[channel]\nalpha = 3\nomega_s = 1e76\nomega_w = 1e75\n[system]\nstrategy = closed-form\n",
              "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): the contour argument is not a "
              "positive double; use strategy = quadrature"),
-            ("er", "[channel]\nmu = 3\n[system]\nrho_db = 120\ntheta = 1\nstrategy = closed-form\n",
-             "error: closed form cannot evaluate theta = 1 (nu = 1.442695041): double contour quadrature did "
-             "not reach relative tolerance 1e-08 by size 16385; use strategy = quadrature"),
+            ("er", "[system]\nrho_db = 150\ntheta = 33.6\nstrategy = closed-form\n",
+             "error: closed form cannot evaluate theta = 33.6 (nu = 48.47455337): the contour sum overflows; "
+             "use strategy = quadrature"),
+            ("er", "[system]\ntheta = 119\nstrategy = closed-form\n",
+             "error: closed form cannot evaluate theta = 119 (nu = 171.6807099): binomial power 171.681 above "
+             "170: 1/k! of its residues underflows; use strategy = quadrature"),
             ("dvp", "[system]\nrho_db = 650\n[snc]\nlambda = 120\n",
              "[system] rho_db: the delay bound needs a mean SNR scale rho*omega_s^2 of at most 1e60 (600 dB), "
              "got 1e+65"),
@@ -679,7 +692,7 @@ class TestMainEntry:
              "closed-form-mean-underflows", "symbols_per_slot-zero", "a_s-half", "tb-zero", "theta-negative",
              "a_s-and-a_s_grid", "omega_s-gain-overflows", "omega_s-second-moment-overflows",
              "omega_w-second-moment-underflows", "closed-form-argument-overflows",
-             "closed-form-double-contour-not-converged", "dvp-snr-above-600-dB",
+             "closed-form-contour-sum-overflows", "closed-form-power-above-170", "dvp-snr-above-600-dB",
              "er-mixture-component-underflows", "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
              "power-a_s-infeasible"],
     )

@@ -548,6 +548,15 @@ class TestGrids:
         er_noma(systems, "weak", "closed-form")
         assert callers.count("_fox_double_integral") == 2 * 6
 
+    @pytest.mark.parametrize("alpha, mu", [(2, 3), (4, 3), (6, 2)])
+    def test_closed_form_grid_spans_130_dB(self, alpha, mu):
+        # -10 to 120 dB is more than one run of columns sharing a double contour: one
+        # lattice at the middle column's saddles would be 6.3e-8 off at the grid's ends
+        systems = self.grid(alpha, mu, thetas=(0.5, 1.0, 2.0), a_s=(0.24,), rho_db=range(-10, 121, 5))
+        got = [r.value for r in er_noma(systems, "weak", "closed-form")]
+        want = [r.value for r in er_noma(systems, "weak")]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
     def test_sum_and_power_search(self):
         systems = self.grid(2, 2, thetas=(0.5,), a_s=(0.1,))
         assert sum_er_noma(systems) == [sum_er_noma(s) for s in systems]

@@ -200,11 +200,12 @@ class TestMellinWeak:
         assert abs(mellin_weak(cfg, s).value - samples.mean()) < 3 * se
 
     def test_strategies_agree(self):
-        cfg = make_cfg(alpha=2, mu=2)
-        for s in (0.01, 0.1):  # varpi = 2.4 and 24.2
-            q = mellin_weak(cfg, s, "quadrature")
-            c = mellin_weak(cfg, s, "closed-form")
-            assert c.value == pytest.approx(q.value, rel=1e-8), s  # the contour's default rtol
+        # the s-line's window narrows as varpi grows: Rayleigh and Nakagami-2 up to varpi = 121
+        for cfg in (make_cfg(alpha=2, mu=2), make_cfg(alpha=2, mu=1)):
+            for s in (0.01, 0.1, 0.2, 0.5):  # varpi = 2.4, 24.2, 48.5 and 121.2
+                q = mellin_weak(cfg, s, "quadrature")
+                c = mellin_weak(cfg, s, "closed-form")
+                assert c.value == pytest.approx(q.value, rel=1e-8), s  # the contour's default rtol
 
     def test_high_snr_second_mode_stays_in_the_window(self):
         # at 120 dB the weak kernel lifts the minimum gain's low tail into a second mode

@@ -308,27 +308,31 @@ class TestFoxH2:
         want = laguerre_expectation(pair, lambda x: ((1 + rho * x) / (1 + a_s * rho * x)) ** -w)
         assert ratio_mellin_analytic(pair, rho, a_s, w) == pytest.approx(want, rel=1e-8)
 
-    def test_contour_placement_matches_loop(self):
+    def test_contour_placement_matches_loop(self, monkeypatch):
+        from noma_effrate import specfun
         from noma_effrate.specfun import _place_fox_contours
 
         def loop(c0, r, x):
-            # the scalar scan the grid evaluation replaced
+            # the scalar scan of tau: the residue gap and sigma's window (-reach, 0)
             best = None
-            sig_grid = np.linspace(-x, 0.0, 43)[1:-1] if x > 1e-3 else np.array([-x / 2])
-            for sigma in sig_grid:
-                m_s = min(sigma + x, -sigma)
-                for tau in np.linspace(-0.95, -0.05, 37):
-                    m_t = min(abs((x - tau) - round(x - tau)), -tau)
-                    n_res = math.ceil(x - tau)
-                    m_outer = (c0 + r * (sigma + tau)) / r
-                    m_shift = (c0 + r * (sigma + x - (n_res - 1))) / r if n_res else math.inf
-                    score = min(m_s, m_t, m_outer, m_shift)
-                    if best is None or score > best[0]:
-                        best = (score, sigma, tau, n_res)
-            if best is None or best[0] <= 0:
+            for tau in np.linspace(-0.95, -0.05, 37):
+                m_t = min(abs((x - tau) - round(x - tau)), -tau)
+                n_res = math.ceil(x - tau)
+                reach = min(x, tau + c0 / r, x - n_res + 1 + c0 / r)
+                score = min(m_t, reach / 2)
+                if best is None or score > best[0]:
+                    best = (score, tau, n_res, reach)
+            if best[0] <= 0:
                 return None
-            return best[1], best[2], best[3]
+            return best[1:]
 
+        class Placed(Exception):
+            pass
+
+        def placed(spec, log_z1, log_z2, sigma, tau):
+            raise Placed(sigma, tau)
+
+        monkeypatch.setattr(specfun, "_fox_double_integral", placed)
         rejected = 0
         for c0, r, x in itertools.product(
             [0.1, 0.5, 1.0, 3.0], [0.5, 1.0, 2.0], [5e-4, 0.05, 0.25, 0.5, 0.7213, 1.5, 2.9, 4.05]
@@ -339,8 +343,21 @@ class TestFoxH2:
                 rejected += 1
                 with pytest.raises(ContourError):
                     _place_fox_contours(spec)
-            else:
-                assert _place_fox_contours(spec) == want, (c0, r, x)
+                continue
+            assert _place_fox_contours(spec) == want, (c0, r, x)
+            n_res = want[1]
+            for z1 in (1e-6, 0.8, 1e12):
+                # the lines fox_h2 integrates on: every pole family stays on its side
+                with pytest.raises(Placed) as lines:
+                    fox_h2(spec, z1, 0.2 * z1)
+                sigma, tau = lines.value.args
+                margins = [
+                    sigma + x, -sigma,  # Gamma(x+s), Gamma(-s)
+                    tau - (x - n_res), x - n_res + 1 - tau, -tau,  # Gamma(t-x), Gamma(-t)
+                    c0 / r + sigma + tau,  # the outer Gamma on the double contour
+                    c0 / r + sigma + x - n_res + 1,  # and on the last residue line
+                ]
+                assert min(margins) > 0, (c0, r, x, z1, margins)
         assert 0 < rejected < 96
 
 
