@@ -139,7 +139,7 @@ def log_moment(law, k, w, params=(), route: Route = "quadrature", tilted=False):
     at w = 0.  The quadrature route broadcasts w, tilted and params to the columns of one
     engine pass, with the kernel -w*k + ln k.  The closed-form route takes one w, the Meijer-G
     or Fox-H Mellin form at w > 0 and the log-mean forms (tilted) at w = 0, with the contour
-    tolerance as the error; a mean outside the positive doubles, or above 1 at w > 0, is a ContourError."""
+    tolerance as the error; a mean that is not positive, or above 1 at w > 0, is a ContourError."""
     if route not in ("quadrature", "closed-form"):
         raise ParameterError("strategy", f"unsupported strategy {route!r}; the routes are "
                              "quadrature and closed-form (monte-carlo lives in sim)")
@@ -159,19 +159,19 @@ def log_moment(law, k, w, params=(), route: Route = "quadrature", tilted=False):
     if np.any(np.not_equal(tilted, w == 0)):
         raise ValueError("the closed forms are tilted at w = 0 and only there")
     with np.errstate(all="ignore"):  # a value beyond the doubles is rejected, not warned about
-        if isinstance(law, AlphaMuChannel):
-            mean = (closedform.power_mellin_analytic(law, *params, w) if w
-                    else closedform.log_mean_analytic(law, *params) * LN2)
+        single = isinstance(law, AlphaMuChannel)
+        if w:
+            sign, log_mean = (closedform.power_mellin_analytic if single
+                              else closedform.ratio_mellin_analytic)(law, *params, w)
         else:
-            mean = (closedform.ratio_mellin_analytic(law, *params, w) if w
-                    else closedform.min_log_mean_difference_analytic(law, *params) * LN2)
-    if not np.all(np.isfinite(mean)):
-        raise ContourError("the contour sum overflows")
-    if not np.all(mean > 0):  # e.g. a mean below 1e-308 underflows to 0
-        raise ContourError("the mean is not a positive double")
-    if w and np.any(mean > 1.0 + CONTOUR_RTOL):
-        raise ContourError(f"the mean {np.max(mean):.10g} exceeds 1")
-    return np.log(mean), CONTOUR_RTOL
+            mean = (closedform.log_mean_analytic if single
+                    else closedform.min_log_mean_difference_analytic)(law, *params) * LN2
+            sign, log_mean = np.sign(mean), np.log(np.abs(mean))
+        if not np.all((sign > 0) & np.isfinite(log_mean)):
+            raise ContourError("the mean is not a positive double")
+        if w and np.any(log_mean > math.log1p(CONTOUR_RTOL)):
+            raise ContourError(f"the mean {np.exp(np.max(log_mean)):.10g} exceeds 1")
+    return log_mean, CONTOUR_RTOL
 
 
 def _gridwise(fn):

@@ -229,7 +229,7 @@ def queue_dvp(
     p = np.array(exceed) / n_obs
     # one user at a time: a block of Newton solves stops with its slowest row, so
     # solving each user's rows on their own gives the bits of a one-user call
-    ci = [_binomial_ci(row, n_obs, 0.99) for row in exceed]
+    ci = [_binomial_ci(row, n_obs) for row in exceed]
     ci_low, ci_high = (np.array(ends) for ends in zip(*ci))
     if isinstance(users, str):
         p, ci_low, ci_high = p[0], ci_low[0], ci_high[0]
@@ -241,43 +241,35 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLERR_SMALL = np.array(
     [0.0] + [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _LOG_SQRT_2PI for j in range(1, 16)]
 )
+# each tail of the 99% intervals, and its standard normal quantile: P(N(0, 1) > _Z) = _TAIL
+_TAIL = 0.005
+_Z = 2.575829303548901
 # rows x terms per block of the binomial tail sums: a block's scratch is a few
 # arrays of this many doubles (about 1.2 MB); a row wider than this gets a block
 # of its own
 _TAIL_TERMS = 1 << 15
 
 
-def _binomial_ci(successes, trials, level):
-    """Exact (Clopper-Pearson) two-sided binomial interval.
+def _binomial_ci(successes, trials):
+    """Exact (Clopper-Pearson) two-sided 99% binomial interval.
 
     The endpoints solve P(Bin(n, low) >= k) = t and P(Bin(n, high) <= k) = t
-    with t = (1 - level)/2 (Clopper & Pearson, Biometrika 1934).  k = 0 and
+    with t = _TAIL (Clopper & Pearson, Biometrika 1934).  k = 0 and
     k = n have closed forms; otherwise ``_upper_tail_root`` solves for
     log(low) at k and for log(1 - high) at n - k, because by the symmetry
     X -> n - X the upper endpoint is the complement of a lower one.
     """
     n = int(trials)
-    tail = 0.5 * (1.0 - level)
     k = np.asarray(successes).astype(np.int64)
     low = np.zeros(k.shape)
     high = np.ones(k.shape)
-    low[k == n] = tail ** (1.0 / n)
-    high[k == 0] = -math.expm1(math.log(tail) / n)
+    low[k == n] = _TAIL ** (1.0 / n)
+    high[k == 0] = -math.expm1(math.log(_TAIL) / n)
     inner = (k > 0) & (k < n)
     if inner.any():
-        z = _normal_quantile(tail)
-        low[inner] = np.exp(_upper_tail_root(k[inner], n, tail, z))
-        high[inner] = -np.expm1(_upper_tail_root(n - k[inner], n, tail, z))
+        low[inner] = np.exp(_upper_tail_root(k[inner], n))
+        high[inner] = -np.expm1(_upper_tail_root(n - k[inner], n))
     return low, high
-
-
-def _normal_quantile(tail):
-    """z with P(N(0, 1) > z) = tail < 1/2, by Newton on the log tail."""
-    z = math.sqrt(-2.0 * math.log(tail))
-    for _ in range(6):
-        upper = 0.5 * math.erfc(z / math.sqrt(2.0))
-        z += (math.log(upper) - math.log(tail)) * upper / math.exp(-0.5 * z * z - _LOG_SQRT_2PI)
-    return z
 
 
 def _stirlerr(j):
@@ -302,8 +294,8 @@ def _bd0(x, m):
     return np.where(np.abs(x - m) < 0.1 * (x + m), near, far)
 
 
-def _upper_tail_root(k, n, tail, z):
-    """log p solving P(Bin(n, p) >= k) = tail, for integers 1 <= k <= n - 1.
+def _upper_tail_root(k, n):
+    """log p solving P(Bin(n, p) >= k) = _TAIL, for integers 1 <= k <= n - 1.
 
     Rows are solved in blocks of similar tail length, so memory stays
     bounded however many counts are asked for.
@@ -319,13 +311,13 @@ def _upper_tail_root(k, n, tail, z):
         while last < order.size and (last + 1 - first) * width[order[last]] <= _TAIL_TERMS:
             last += 1
         rows = order[first:last]
-        u[rows] = _newton_tail_root(k[rows], n, tail, z, int(width[order[last - 1]]))
+        u[rows] = _newton_tail_root(k[rows], n, int(width[order[last - 1]]))
         first = last
     return u
 
 
-def _newton_tail_root(k, n, tail, z, width):
-    """Safeguarded Newton on g(u) = log P(Bin(n, e^u) >= k) - log(tail).
+def _newton_tail_root(k, n, width):
+    """Safeguarded Newton on g(u) = log P(Bin(n, e^u) >= k) - log(_TAIL).
 
     The tail is pmf(k) times a sum of ``width`` terms moving away from k by
     the ratio pmf(j+1)/pmf(j) = (n-j)/(j+1) * p/q.  pmf(k) comes from
@@ -333,8 +325,8 @@ def _newton_tail_root(k, n, tail, z, width):
     probabilities", 2000), which keeps full relative accuracy at large n,
     where a difference of log-gammas cancels.  Since d/dp P(X >= k) =
     (k/p) pmf(k), g'(u) = k / sum.  The root lies between the Markov bound
-    p = tail k/n and the MLE p = k/n; Newton starts at the Wilson score
-    endpoint (normal quantile z), and a step that leaves the bracket is
+    p = _TAIL k/n and the MLE p = k/n; Newton starts at the Wilson score
+    endpoint (normal quantile _Z), and a step that leaves the bracket is
     replaced by bisection.
     """
     kf = k.astype(float)
@@ -342,11 +334,11 @@ def _newton_tail_root(k, n, tail, z, width):
     ratio = np.maximum(n - j, 0.0) / (j + 1.0)  # zero past j = n ends a full tail
     log_pmf_part = (
         _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
-        - _LOG_SQRT_2PI + 0.5 * np.log(n / (kf * (n - kf))) - math.log(tail)
+        - _LOG_SQRT_2PI + 0.5 * np.log(n / (kf * (n - kf))) - math.log(_TAIL)
     )
     hi = np.log(kf / n)
-    lo = hi + math.log(tail)
-    wilson = (kf + 0.5 * z * z - z * np.sqrt(kf * (n - kf) / n + 0.25 * z * z)) / (n + z * z)
+    lo = hi + math.log(_TAIL)
+    wilson = (kf + 0.5 * _Z * _Z - _Z * np.sqrt(kf * (n - kf) / n + 0.25 * _Z * _Z)) / (n + _Z * _Z)
     u = np.clip(np.log(wilson), lo, hi)
     for _ in range(100):
         p = np.exp(u)

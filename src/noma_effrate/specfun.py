@@ -26,7 +26,8 @@ three engines are doubling trapezoid rules: each refines through ``refine``, eva
 only the nodes a level adds (``_nested``) and raises ConvergenceError instead of returning
 an unconverged value.  All integrands are computed in log space and rescaled by the
 maximum exponent before summation, so Gamma factors with arguments into the hundreds and
-kernels such as (1 + SINR)^-w with w in the thousands neither overflow nor underflow.
+kernels such as (1 + SINR)^-w with w in the thousands neither overflow nor underflow; every
+rule returns a mantissa and a log scale, and ``fox_h2`` sums its parts in logs.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ class FoxH2Spec:
     The second variable block carries a positive binomial power, so its
     pole families interleave and the defining contour is the analytic
     continuation: a straight line plus explicit residue corrections for
-    the poles of Gamma(t-x) lying right of it.
+    the poles of Gamma(t-x) lying right of it: one line integral per unit
+    of the power.
     """
 
     outer_c: float  # c0
@@ -143,8 +145,6 @@ class FoxH2Spec:
             raise ValueError("outer coefficient must be positive")
         if self.power <= 0:
             raise ValueError("binomial power must be positive")
-        if self.power > 170:  # fox_h2 adds the residues k < x + 1, and 171! exceeds the doubles
-            raise ContourError(f"binomial power {self.power:g} above 170: 1/k! of its residues underflows")
         if abs(self.power - round(self.power)) < 1e-9:
             raise ContourError(f"integer binomial power {self.power:g} collides with the residue lattice")
 
@@ -486,7 +486,7 @@ def _place_fox_contours(spec: FoxH2Spec):
 
 def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
     """Straight-contour part of the double Mellin-Barnes integral, per column of the 1-D
-    arrays ln z1 and ln z2: (values, relative errors) arrays.
+    arrays ln z1 and ln z2: (totals, log scales, relative errors) as ``_trapezoid_lines``.
 
     Both lines share one trapezoid step h, each extent rounded up to whole
     steps, so with s_k = sigma + i(k-K)h and t_j = tau + ijh the integrand
@@ -544,7 +544,7 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
     budget = min((_MAX_NODES + 1) // 2, _DOUBLE_MAX_NODES)
     total, err = refine(estimate, _NODES, budget, CONTOUR_RTOL, "double contour quadrature",
                         width=log_z1.size)
-    return np.array(total) * np.exp(sum(scale) + sigma * log_z1 + tau * log_z2), np.array(err)
+    return np.array(total), sum(scale) + sigma * log_z1 + tau * log_z2, np.array(err)
 
 
 def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
@@ -553,7 +553,8 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
     The straight double contour (a shared-step trapezoid lattice, see ``_fox_double_integral``)
     is corrected by the residues of Gamma(t-x) at t = x-k right of its t-line, each a single
     Mellin-Barnes integral whose line sits at each column's saddle in its pole gap
-    (``_saddle_lines``).  The lattice's s-line, then its t-line, sit at a run's middle
+    (``_saddle_lines``), each residue's coefficient joining its line's log scale; the parts
+    are summed in logs.  The lattice's s-line, then its t-line, sit at a run's middle
     column's saddles in their gaps (``_place_fox_contours``).  A run, the columns within
     2 ln(1e4)/reach of the batch's smallest ln z1 (counted from there), shares one lattice:
     off its own saddle a column's on-axis peak grows by at most e^(reach |d ln z1|), so a
@@ -565,7 +566,7 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
 
     log_z1, log_z2 = np.log(z1), np.log(z2)
     runs = np.floor((log_z1 - log_z1.min()) * reach / (2.0 * math.log(1e4)))
-    total, err = np.empty(z1.size), np.empty(z1.size)
+    parts = [np.empty((3, z1.size))]  # per part: totals, log scales, relative errors
     s_terms = [(c0 + r * tau, r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
     for run in np.unique(runs):
         cols = np.flatnonzero(runs == run)
@@ -574,18 +575,21 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
         t_terms = [(c0 + r * sigma, r, 1), (-x, 1.0, 1), (0.0, -1.0, 1)]
         t_gap = max(x - n_res, -c0 / r - sigma), min(x - n_res + 1.0, 0.0)
         (t,) = _saddle_search(t_terms, *t_gap, log_z2[mid])
-        total[cols], err[cols] = _fox_double_integral(spec, log_z1[cols], log_z2[cols], sigma, t)
-    err_abs = np.abs(total) * err
+        parts[0][:, cols] = _fox_double_integral(spec, log_z1[cols], log_z2[cols], sigma, t)
 
+    # residue k: (-1)^k/k! Gamma(k-x) z2^(x-k), of sign (-1)^(floor(x)+1) at every k, times a line
     for k in range(n_res):
-        coeff = (-1.0) ** k / math.factorial(k) * math.gamma(k - x) * z2 ** (x - k)
         a = c0 + r * (x - k)  # Gamma(a + rs) Gamma(x + s) Gamma(-s), pole-free on (max(-a/r, -x), 0)
         terms = [(a, r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
         line, log_scale, line_err = _saddle_lines(terms, max(-a / r, -x), 0.0, log_z1)
-        value = coeff * line * np.exp(log_scale)
-        total = total + value
-        err_abs = err_abs + np.abs(value) * line_err
-    return _quad_value(total, 0.0, err_abs / np.maximum(np.abs(total), 1e-300), scalar)
+        log_coeff = math.lgamma(k - x) - math.lgamma(k + 1.0) + (x - k) * log_z2
+        parts.append(((-1.0) ** (math.floor(x) + 1) * line, log_scale + log_coeff, line_err))
+    total, log_scale, err = np.stack(parts, axis=1)
+    top = log_scale.max(axis=0)
+    values = total * np.exp(log_scale - top)
+    total = values.sum(axis=0)
+    err_abs = (np.abs(values) * err).sum(axis=0)
+    return _quad_value(total, top, err_abs / np.maximum(np.abs(total), 1e-300), scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -179,16 +179,20 @@ class TestErCommand:
            f"rho_db = {rho_db}\ntheta = {theta}\n"
            for mu, rho_db, theta in [(1, 80, 2), (1, 100, 2), (1, 120, 1), (1, 120, 2), (3, 120, 2)]),
          "[channel]\nmu = 3\n[system]\nrho_db = 120\ntheta = 1\n",
-         "[system]\ntheta = 33.6\n"],
+         "[system]\ntheta = 33.6\n",
+         "[system]\nrho_db = 150\ntheta = 33.6\n",
+         "[system]\ntheta = 119\n"],
         ids=["alpha1-omega_s-1e20", "alpha1-omega_s-1e76", "rayleigh-80dB-theta2", "rayleigh-100dB-theta2",
              "rayleigh-120dB-theta1", "rayleigh-120dB-theta2", "nakagami3-120dB-theta2",
-             "nakagami3-120dB-theta1", "default-theta-33.6"],
+             "nakagami3-120dB-theta1", "default-theta-33.6", "default-150dB-theta-33.6", "default-theta-119"],
     )
     def test_closed_form_rows_match_quadrature(self, tmp_path, text):
         # inputs where a weak-user Fox-H line off its saddle cancels to no digits (`line
         # quadrature did not reach`, `double contour quadrature did not reach`, or a mean
         # above 1) or finds no admissible contour pair (nu = 48.5), and at their saddles give
-        # the quadrature rows.  Each text ends in its [system] section
+        # the quadrature rows; and inputs whose residue coefficients z2^(x-k) (nu = 48.5 at
+        # 150 dB) or 1/k! (nu = 171.7) leave the doubles, which the contour engines carry as
+        # logs.  Each text ends in its [system] section
         rows = {}
         for strategy in ("quadrature", "closed-form"):
             path = write_config(tmp_path, text + f"strategy = {strategy}\n")  # into [system]
@@ -638,7 +642,7 @@ class TestMainEntry:
             ("er", "[sim]\nseed = -1\n", "[sim] seed: must be nonnegative, got -1"),
             ("dvp", "[sim]\nseed = -1\nslots = 1000\n", "[sim] seed: must be nonnegative, got -1"),
             ("dvp --seed -1", "[sim]\nslots = 1000\n", "--seed: must be nonnegative, got -1"),
-            ("er", "[channel]\nmu = 100\n[system]\nstrategy = closed-form\n", "[channel] mu"),
+            ("er", "[channel]\nmu = 101\n[system]\nstrategy = closed-form\n", "[channel] mu"),
             ("er", "[channel]\nalpha = 700\n", "[channel] omega"),
             ("er", "[channel]\nomega_s = 1e200\n", "[channel] omega"),
             ("er", "[channel]\nomega_w = 1e-170\n", "[channel] omega"),
@@ -649,8 +653,6 @@ class TestMainEntry:
              "[sim] slots: trace too short for delays up to 30 after the 10% warm-up; "
              "need at least 34 slots, got 33"),
             ("er", "[channel]\nalpha = 4\nomega_s = 1e-77\nomega_w = 0.9495e-77\n", "[channel] omega_w: omega_tilde"),
-            ("er", "[channel]\nmu = 40\n[system]\ntheta = 28\nrho_db = 120\nstrategy = closed-form\n",
-             "closed form cannot evaluate theta = 28"),
             ("dvp", "[snc]\nlambda = 170\nsymbols_per_slot = 0\n",
              "[snc] symbols_per_slot: must be a positive integer, got 0"),
             ("er", "[system]\na_s = 0.5\n", "[system] a_s: must lie in (0, 1/2), got 0.5"),
@@ -665,12 +667,6 @@ class TestMainEntry:
             ("er", "[channel]\nalpha = 3\nomega_s = 1e76\nomega_w = 1e75\n[system]\nstrategy = closed-form\n",
              "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): the contour argument is not a "
              "positive double; use strategy = quadrature"),
-            ("er", "[system]\nrho_db = 150\ntheta = 33.6\nstrategy = closed-form\n",
-             "error: closed form cannot evaluate theta = 33.6 (nu = 48.47455337): the contour sum overflows; "
-             "use strategy = quadrature"),
-            ("er", "[system]\ntheta = 119\nstrategy = closed-form\n",
-             "error: closed form cannot evaluate theta = 119 (nu = 171.6807099): binomial power 171.681 above "
-             "170: 1/k! of its residues underflows; use strategy = quadrature"),
             ("dvp", "[system]\nrho_db = 650\n[snc]\nlambda = 120\n",
              "[system] rho_db: the delay bound needs a mean SNR scale rho*omega_s^2 of at most 1e60 (600 dB), "
              "got 1e+65"),
@@ -689,10 +685,10 @@ class TestMainEntry:
              "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form",
              "alpha-overflows-omega", "omega_s-overflows", "omega_w-overflows", "s_min-unknown-key",
              "s_max-unknown-key", "batches-with-slots", "slots-too-short", "omega_tilde-underflows",
-             "closed-form-mean-underflows", "symbols_per_slot-zero", "a_s-half", "tb-zero", "theta-negative",
+             "symbols_per_slot-zero", "a_s-half", "tb-zero", "theta-negative",
              "a_s-and-a_s_grid", "omega_s-gain-overflows", "omega_s-second-moment-overflows",
              "omega_w-second-moment-underflows", "closed-form-argument-overflows",
-             "closed-form-contour-sum-overflows", "closed-form-power-above-170", "dvp-snr-above-600-dB",
+             "dvp-snr-above-600-dB",
              "er-mixture-component-underflows", "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
              "power-a_s-infeasible"],
     )
@@ -744,7 +740,7 @@ class TestMainEntry:
 DOMAINS = {
     "channel": {
         "alpha": ["2", "1", "3", "4", "6", "0", "-1", "700", "2.5"],
-        "mu": ["1", "2", "3", "81", "82", "100", "0", "-1"],
+        "mu": ["1", "2", "3", "100", "101", "150", "0", "-1"],
         "omega_s": ["1.0", "0.31622776601683794", "1e76", "1e-77", "1e-154", "1e200", "0", "-1", "inf", "nan"],
         "omega_w": ["0.31622776601683794", "0.1", "1.0", "1e-76", "0.99e-77", "0.9e-154", "1e-170", "0", "inf",
                     "nan"],

@@ -2,6 +2,7 @@
 approximations, derivative formulas against finite differences, and the
 power-coefficient search."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -96,8 +97,8 @@ class TestStrategies:
     def test_closed_form_mean_above_one_raises(self, monkeypatch):
         # E[(1 + SINR)^-w] <= 1 for w > 0.  At omega_s = 1e76 on Rayleigh fading a Fox-H
         # residue line at the double contour's offset cancels to 1.2e73; at its saddle the
-        # weak user's form gives the quadrature rate.  A form reading 1.2e73 is rejected
-        # on both paths
+        # weak user's form gives the quadrature rate.  A form reading (1, ln 1.2e73) is
+        # rejected on both paths
         from noma_effrate import closedform
 
         pair = ChannelPair(AlphaMuChannel(1, 1, 1e76), AlphaMuChannel(1, 1, 1e75))
@@ -105,13 +106,56 @@ class TestStrategies:
         want = er_noma(sys, "weak").value
         assert want == pytest.approx(2.05889369, rel=1e-8)
         assert er_noma(sys, "weak", "closed-form").value == pytest.approx(want, rel=1.1e-10)
-        monkeypatch.setattr(closedform, "ratio_mellin_analytic", lambda *args: 1.212525219e73)
+        monkeypatch.setattr(closedform, "ratio_mellin_analytic", lambda *args: (1.0, math.log(1.212525219e73)))
         with pytest.raises(ContourError, match=r"theta = 0.5 \(nu = 0.7213475204\): the mean "
                            r"1.212525219e\+73 exceeds 1; use strategy = quadrature"):
             er_noma(sys, "weak", "closed-form")
         law, k, params, _ = log1p_sinr(sys, "weak")
         with pytest.raises(ContourError, match="^the mean 1.2125.*e\\+73 exceeds 1$"):
             log_moment(law, k, sys.nu, params, "closed-form")
+
+
+# Weak NOMA inputs where the Fox-H residue coefficients z2^(x-k) and 1/k! leave the doubles
+# (their sums are carried in logs): five laws x six SNRs x three exponents, and six Rayleigh
+# points at large nu, two of them also grid points.  a_s = 0.24, omega_s = 1, omega_w^2 = 0.1
+EXTREME_NAMED = [(2, 1, -30, 100), (2, 1, 50, 100), (2, 1, 10, 119), (2, 1, 10, 150),
+                 (2, 1, 150, 33.6), (2, 1, 300, 10)]
+EXTREME_GRID = list(dict.fromkeys([
+    *((alpha, mu, rho_db, theta) for (alpha, mu), rho_db, theta in itertools.product(
+        [(2, 1), (2, 2), (2, 3), (4, 3), (1, 2)], [10, 50, 100, 150, 200, 300], [3, 10, 33.6])),
+    *EXTREME_NAMED,
+]))
+
+
+class TestExtremeClosedForm:
+    """Closed-form rates whose Mellin values or residue terms lie beyond the doubles."""
+
+    @staticmethod
+    def assert_weak_matches(alpha, mu, rho_db, theta):
+        sys = make_system(alpha, mu, rho_db=rho_db, theta=theta)
+        want = er_noma(sys, "weak").value
+        assert er_noma(sys, "weak", "closed-form").value == pytest.approx(want, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("alpha, mu, rho_db, theta", [
+        *EXTREME_NAMED, (2, 2, 100, 33.6), (2, 2, 300, 10), (2, 3, 150, 33.6), (4, 3, 300, 10),
+        (1, 2, 200, 33.6), (1, 2, 300, 10),
+    ])
+    def test_weak_rows_match_quadrature(self, alpha, mu, rho_db, theta):
+        self.assert_weak_matches(alpha, mu, rho_db, theta)
+
+    @pytest.mark.slow
+    def test_weak_grid_matches_quadrature(self):
+        assert len(EXTREME_GRID) == 94
+        for point in EXTREME_GRID:
+            self.assert_weak_matches(*point)
+
+    @pytest.mark.parametrize("mu", [40, 81])
+    def test_strong_mean_below_the_doubles(self, mu):
+        # E[(1 + a_s rho g)^-nu] is about e^-1008 at theta = 28 and 120 dB: zero as a linear
+        # double, its log carried from the contour to the rate
+        sys = make_system(mu=mu, rho_db=120.0, theta=28.0)
+        want = er_noma(sys, "strong").value
+        assert er_noma(sys, "strong", "closed-form").value == pytest.approx(want, rel=1e-9, abs=0)
 
 
 class TestLogMoment:

@@ -62,7 +62,7 @@ def _whole_trace_dvp(cfg, user, plan, max_delay):
     eps = 1e-9 * max(lam, 1.0)
     exceed = np.array([np.count_nonzero(backlog[warm + 1 + d : last + 1 + d] > d * lam + eps)
                        for d in range(max_delay + 1)])
-    ci_low, ci_high = sim_module._binomial_ci(exceed, last - warm, 0.99)
+    ci_low, ci_high = sim_module._binomial_ci(exceed, last - warm)
     return exceed / (last - warm), ci_low, ci_high
 
 
@@ -429,6 +429,13 @@ def _geometric_counts(n, m=12):
 
 
 class TestBinomialCi:
+    def test_normal_quantile_constant(self):
+        # the Wilson start of the Newton solves uses the normal quantile of the 0.005 tail
+        from scipy.stats import norm
+
+        assert sim_module._TAIL == 0.005
+        assert sim_module._Z == pytest.approx(norm.isf(0.005), rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("trials", [1, 2, 1e6])
     def test_edge_counts_closed_forms_without_warnings(self, trials):
         n = int(trials)
@@ -436,7 +443,7 @@ class TestBinomialCi:
         t = 0.005
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low, high = sim_module._binomial_ci(k, trials, 0.99)
+            low, high = sim_module._binomial_ci(k, trials)
         assert np.all(np.isfinite(low)) and np.all(np.isfinite(high))
         assert np.all((0 <= low) & (low <= k / n) & (k / n <= high) & (high <= 1))
         assert low[0] == 0.0 and high[0] == pytest.approx(1 - t ** (1 / n), rel=1e-14)
@@ -447,7 +454,7 @@ class TestBinomialCi:
         ks = _geometric_counts(n)
         if n >= 20_000:  # the incomplete-beta series is slow when both n p and n q are large
             ks = ks[(ks <= 1000) | (ks >= n - 1000)]
-        low, high = sim_module._binomial_ci(ks, n, 0.99)
+        low, high = sim_module._binomial_ci(ks, n)
         for k, lo, hi in zip(ks, low, high):
             assert _root_within(int(k), n, lo, hi, 1e-12), (k, n)
 
@@ -455,7 +462,7 @@ class TestBinomialCi:
     def test_matches_scipy_betaincinv(self, n):
         ks = _geometric_counts(n, 30)
         t = 0.005
-        low, high = sim_module._binomial_ci(ks, n, 0.99)
+        low, high = sim_module._binomial_ci(ks, n)
         with np.errstate(invalid="ignore", divide="ignore"):
             ref_low = np.where(ks > 0, betaincinv(ks, n - ks + 1.0, t), 0.0)
             ref_high = np.where(ks < n, betaincinv(ks + 1.0, n - ks, 1.0 - t), 1.0)
@@ -476,10 +483,10 @@ class TestBinomialCi:
         # the tail sums run in blocks of at most _TAIL_TERMS terms, so the
         # scratch stays small however large n and the counts get
         ks = np.unique(np.round(np.geomspace(1, 0.45 * n, 31)).astype(np.int64))
-        sim_module._binomial_ci(ks, n, 0.99)  # first-call allocations
+        sim_module._binomial_ci(ks, n)  # first-call allocations
         tracemalloc.start()
         try:
-            sim_module._binomial_ci(ks, n, 0.99)
+            sim_module._binomial_ci(ks, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -494,7 +501,7 @@ class TestBinomialCi:
     def test_brackets_the_mle_and_nondecreasing(self, args):
         n, a, b = args
         k = np.array(sorted((a, b)))
-        low, high = sim_module._binomial_ci(k, n, 0.99)
+        low, high = sim_module._binomial_ci(k, n)
         assert np.all((low <= k / n) & (k / n <= high))
         assert low[0] <= low[1] and high[0] <= high[1]
 
