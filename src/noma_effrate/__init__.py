@@ -2,6 +2,7 @@
 over alpha-mu fading, with independently cross-validated evaluation routes
 (analytic closed forms, gain quadrature, Monte Carlo)."""
 
+import gc
 import os
 
 # One BLAS thread per process.  OpenBLAS starts its thread pool when numpy
@@ -68,3 +69,15 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
+
+# Freeze every object alive at this point, nearly all of them created by the imports
+# above (numpy's and the package's modules, classes and functions: about 21,700 tracked
+# objects), into the cyclic collector's permanent generation.  They live until the
+# process exits, so none of them is ever garbage, yet every full collection, those at
+# interpreter exit included, rescanned them: on a 2-vCPU Xeon, `import noma_effrate` took
+# 0.135 s without the freeze and 0.120 s with it, and ending the process with
+# `os._exit(0)` instead saved 18 ms and 2 ms (medians of 40 alternating runs).  Objects
+# allocated later are collected as before; frozen ones are never collected, and
+# `gc.get_objects()` no longer lists them.  A host that needs them back in the collector
+# calls `gc.unfreeze()`.
+gc.freeze()

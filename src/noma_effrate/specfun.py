@@ -568,7 +568,7 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
     runs = np.floor((log_z1 - log_z1.min()) * reach / (2.0 * math.log(1e4)))
     parts = [np.empty((3, z1.size))]  # per part: totals, log scales, relative errors
     s_terms = [(c0 + r * tau, r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
-    for run in np.unique(runs):
+    for run in sorted(set(runs.tolist())):  # np.unique would load numpy.ma (numpy 2.4)
         cols = np.flatnonzero(runs == run)
         mid = cols[np.argsort(log_z1[cols], kind="stable")[[cols.size // 2]]]
         (sigma,) = _saddle_search(s_terms, -reach, 0.0, log_z1[mid])

@@ -2,6 +2,7 @@
 values, validity flags, and error reporting."""
 
 import ast
+import gc
 import math
 import os
 import re
@@ -831,3 +832,73 @@ class TestCliContract:
     @given(cli_runs())
     def test_every_input_gives_rows_or_one_keyed_error_at_length(self, run):
         check_contract(*run)
+
+
+def imported_modules(args, cwd):
+    """Run ``python -X importtime <args>`` in a fresh interpreter: the names of the modules it
+    imported, its exit code, stdout and the stderr lines that are not import timings."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, cwd=cwd
+    )
+    timings, rest = [], []
+    for line in proc.stderr.splitlines():
+        (timings if line.startswith("import time:") else rest).append(line)
+    names = {line.rsplit("|", 1)[1].strip() for line in timings[1:]}  # [0]: the column heading
+    return names, proc.returncode, proc.stdout, "\n".join(rest)
+
+
+class TestStartup:
+    """The package's import freezes its objects out of the cyclic collector, and each
+    subcommand loads only the modules it needs beyond `import noma_effrate.cli`."""
+
+    def test_import_freezes_import_time_objects(self):
+        code = (
+            "import gc, noma_effrate\n"
+            "fox_h2 = noma_effrate.fox_h2\n"
+            "print(gc.get_freeze_count() > 0, any(o is fox_h2 for o in gc.get_objects()))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.split() == ["True", "False"], proc.stderr
+
+    def test_cycle_made_after_import_is_collected(self):
+        code = (
+            "import gc, weakref, noma_effrate\n"
+            "class Node: pass\n"
+            "a, b = Node(), Node()\n"
+            "a.other, b.other = b, a\n"
+            "ref = weakref.ref(a)\n"
+            "del a, b\n"
+            "print(gc.collect() >= 2, ref() is None)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.split() == ["True", "True"], proc.stderr
+
+    def test_main_freezes_nothing(self, tmp_path):
+        # the freeze happens once, at import: runs in one process leave pending garbage collectable
+        path = write_config(tmp_path, ER_CONFIG)
+        frozen = gc.get_freeze_count()
+        for _ in range(3):
+            assert main(["er", "--config", path, "--out", str(tmp_path / "a.csv")]) == 0
+        assert frozen > 0 and gc.get_freeze_count() <= frozen  # a freed frozen object leaves it
+
+    @pytest.mark.parametrize("command, text, baseline", [
+        ("er", ER_CONFIG, "noma_effrate.cli"),
+        ("er", ER_CONFIG.replace("0:20:10", "10").replace(
+            "theta = 0.5, 1", "theta = 0.5\nstrategy = closed-form"), "noma_effrate.cli"),
+        ("approx", TestApproxCommand.APPROX, "noma_effrate.cli"),
+        ("power", TestPowerCommand.POWER, "noma_effrate.cli"),
+        ("dvp", TestDvpCommand.DVP.replace("lambda = 120", "lambda = 60").replace(
+            "slots = 100000", "slots = 1000"), "noma_effrate.cli, numpy.random"),
+    ], ids=["er", "er-closed-form", "approx", "power", "dvp"])
+    def test_subcommand_loads_only_what_it_needs(self, tmp_path, command, text, baseline):
+        # beyond the baseline: runpy for -m and locale from argparse's messages; the
+        # simulating dvp's baseline adds numpy.random with what it imports on this numpy
+        path = write_config(tmp_path, text)
+        base, code, _, err = imported_modules(["-c", f"import {baseline}"], tmp_path)
+        assert code == 0, err
+        names, code, out, err = imported_modules(
+            ["-m", "noma_effrate.cli", command, "--config", path], tmp_path
+        )
+        assert code == 0 and err == "", err
+        assert out.startswith(HEADERS[command]) and out.count("\n") > 1
+        assert names - base <= {"runpy", "locale", "_locale"}
