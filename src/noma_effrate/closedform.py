@@ -7,7 +7,8 @@ test suite.  The scale parameters (c, rho, a_s) are scalars, or equal-length
 1-D arrays for a grid, evaluated as one batch per contour spec; their domain is
 a NomaSystem's (c = a_s*rho or rho), which that class checks, and the exponent w
 is positive (effrate.log_moment passes tau*nu > 0 or N s/ln 2, s > 0).  The Mellin
-forms return (sign, log|mean|): a mean far below the doubles keeps its log.
+forms return (sign, log|mean|): a mean far below the doubles keeps its log.  The weak
+user's is one Fox-H per exponent, the minimum-gain mixture inside its outer Gamma.
 
 The Meijer-G parameter blocks follow the Gauss-multiplication pattern:
 ``_delta(x, y)`` expands a Gamma of argument scaled by x into x Gamma
@@ -25,10 +26,10 @@ from .channel import AlphaMuChannel, ChannelPair
 from .specfun import ContourError, FoxH2Spec, MeijerGSpec, fox_h2, meijer_g
 
 LN2 = math.log(2.0)
-# The largest mu the closed forms are checked at: at every mu from 81 to 100 every
-# er row (NOMA and OMA, both users) on alpha in {1, 2, 3, 4, 6}, theta in {0.5, 1, 2},
-# rho from -10 to 30 dB in 1 dB steps and a_s in {0.05, 0.24, 0.45} agrees with
-# quadrature to 1.2e-9 relative; above 100 nothing has been checked.
+# The largest mu the closed forms are checked at: at mu 81-100 every er row (NOMA, OMA, both
+# users; alpha in {1,2,3,4,6}, theta in {0.5,1,2}, -10 to 30 dB by 1 dB, a_s in {0.05,0.24,0.45})
+# is within 1.6e-9 of quadrature.  Above it the weak rate drifts: at alpha = 1, -10 dB, theta 0.5,
+# a_s 0.24 within 2.9e-10 at mu = 100, 110, ..., 200, but 2.9e-6 off at mu = 250, 8.3e-4 at 300.
 MAX_MU = 100
 
 
@@ -71,20 +72,16 @@ def ratio_mellin_analytic(pair: ChannelPair, rho, a_s, w: float):
     """E[((1 + rho*g_min) / (1 + a_s*rho*g_min))^-w], bivariate Fox-H form.
 
     This is the weak-user SINR kernel: the ratio equals 1 + sinr where
-    sinr = (1-a_s)*rho*g_min / (a_s*rho*g_min + 1).  One Fox-H value per
-    component of the minimum-gain mixture, summed in logs: (sign, log|mean|).
+    sinr = (1-a_s)*rho*g_min / (a_s*rho*g_min + 1).  One Fox-H value, whose outer factor
+    carries the whole minimum-gain mixture (``FoxH2Spec.weights``): (sign, log|mean|).
     """
-    r = 2.0 / pair.alpha
-    signs, logs = [], []
-    for weight, c in channel.min_gain_mixture(pair):
-        z1 = rho * (c.omega**c.alpha / c.mu) ** r
-        h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), _argument(z1), _argument(a_s * z1))
-        signs.append(h.sign)
-        logs.append(np.log(weight) - math.lgamma(c.mu) + h.log_abs)
-    top = np.max(logs, axis=0)
+    (weight, c), *rest = channel.min_gain_mixture(pair)  # component k: shape mu+k, the same z1
+    r, weights = 2.0 / c.alpha, (1.0, *(v / weight for v, _ in rest))
+    z1 = rho * (c.omega**c.alpha / c.mu) ** r
+    h = fox_h2(FoxH2Spec(c.mu, r, w, weights), _argument(z1), _argument(a_s * z1))
     # 1 / (Gamma(w) Gamma(-w)) by reflection, finite at every non-integer w
-    total = np.sum(np.multiply(signs, np.exp(logs - top)), axis=0) * -w * math.sin(math.pi * w) / math.pi
-    return np.sign(total), top + np.log(np.abs(total))
+    total = h.sign * -w * math.sin(math.pi * w) / math.pi
+    return np.sign(total), np.log(weight) - math.lgamma(c.mu) + h.log_abs + np.log(np.abs(total))
 
 
 def log_mean_analytic(ch: AlphaMuChannel, c):

@@ -114,18 +114,17 @@ class MeijerGSpec:
 class FoxH2Spec:
     """Bivariate Fox-H kernel used for the weak-user transforms.
 
-    Evaluates the double Mellin-Barnes integral
+    Evaluates the double Mellin-Barnes integral, u = s+t,
 
-        (1/2*pi*i)^2 * Int Int Gamma(c0 + r*(s+t))
+        (1/2*pi*i)^2 * Int Int Gamma(c0 + r*u) * sum_k w_k prod_{j<k} (1 + r*u/(c0+j))
                        * Gamma(x+s)Gamma(-s) * Gamma(t-x)Gamma(-t)
                        * z1^s z2^t ds dt
 
-    i.e. an outer merging block (1-c0; r, r) with no lower companion, and
-    two variable blocks ((1-x,1);(0,1)) and ((1+x,1);(0,1)).  In the
-    compressed index notation for the extended bivariate H-function this
-    is upper index vector (0,1 : 1,1 : 1,1) -- no outer lower factor, one
-    outer upper factor, one numerator top/bottom pair per variable -- and
-    lower index vector (1,0 : 1,1 : 1,1) for the block sizes.
+    i.e. sum_k w_k Gamma(c0)/Gamma(c0+k) times the extended bivariate H-function with an
+    outer merging block (1-c0-k; r, r) and no lower companion, and two variable blocks
+    ((1-x,1);(0,1)) and ((1+x,1);(0,1)): upper index vector (0,1 : 1,1 : 1,1) -- no outer
+    lower factor, one outer upper factor, one numerator top/bottom pair per variable -- and
+    lower (1,0 : 1,1 : 1,1) for the block sizes.  The default weights (1,) are one H-function.
 
     The second variable block carries a positive binomial power, so its
     pole families interleave and the defining contour is the analytic
@@ -137,6 +136,7 @@ class FoxH2Spec:
     outer_c: float  # c0
     outer_r: float  # r, the s/t coefficient in the outer Gamma
     power: float    # x, the binomial exponent of the variable blocks
+    weights: tuple[float, ...] = (1.0,)  # w_k of the outer factor's mixture sum
 
     def __post_init__(self):
         if not self.outer_c > 0:
@@ -324,7 +324,7 @@ def _find_height(logf):
     raise ContourError("integrand does not decay")
 
 
-def _saddle_search(terms, left, right, log_z):
+def _saddle_search(log_g, left, right, log_z):
     """Per entry of the array ``log_z``, the scan point minimizing the on-axis integrand magnitude.
 
     The vertical-line peak sits on the real axis, so placing the line at
@@ -333,7 +333,7 @@ def _saddle_search(terms, left, right, log_z):
     the integrand; the line's position does not change the integral, so a
     scan point next to the saddle serves as well.  The scan stays a safe margin
     inside (left, right); an unbounded side (no pole family) is scanned
-    geometrically.  Its log-gammas do not depend on z: one loggamma call.
+    geometrically.  The z-free log-integrand ``log_g`` takes one call.
     """
     margin = 0.05 * min(1.0, right - left)
     lo, hi = left + margin, right - margin
@@ -343,7 +343,7 @@ def _saddle_search(terms, left, right, log_z):
         cand = lo + np.geomspace(1e-3, 1 << 20, 513)
     else:
         cand = np.linspace(lo, hi, 129)
-    base = _log_gammas(terms)(cand + 0j).real
+    base = log_g(cand + 0j).real
     return cand[np.argmin(base + cand * log_z[:, None], axis=1)]
 
 
@@ -379,15 +379,14 @@ def _nested(log_f, origin, unit=1j):
     return values
 
 
-def _trapezoid_lines(terms, log_z, offsets):
+def _trapezoid_lines(log_g, log_z, offsets):
     """Per column of ``log_z``, (1/2*pi*i) * integral over Re(s) = its offset by conjugate
     symmetry (gamma parameters and z real): (totals, log scales, relative errors).
 
     On a line Re(s*ln z) = offset*ln z is constant, so the rule refines the z-free
-    log-gammas once per distinct offset, and each column adds its phases t*ln z.
+    log-integrand ``log_g`` once per distinct offset, and each column adds its phases t*ln z.
     """
     lines, line = np.unique(offsets, return_inverse=True)  # a column's line: lines[line]
-    log_g = _log_gammas(terms)
     height = _find_height(lambda t: log_g(lines[:, None] + 1j * t).real)[:, None]
     nodes = _nested(log_g, lines[:, None])
     scale = None
@@ -407,12 +406,12 @@ def _trapezoid_lines(terms, log_z, offsets):
     return np.array(total), scale[line, 0] + lines[line] * log_z, np.array(err)
 
 
-def _saddle_lines(terms, left, right, log_z):
+def _saddle_lines(log_g, left, right, log_z):
     """``_trapezoid_lines``, each column's line at its saddle in the pole gap (left, right)
     (``_saddle_search``, one call for all), one rule per block of _COLUMNS columns."""
-    offsets = _saddle_search(terms, left, right, log_z)
+    offsets = _saddle_search(log_g, left, right, log_z)
     blocks = [slice(b, b + _COLUMNS) for b in range(0, log_z.size, _COLUMNS)]
-    parts = [_trapezoid_lines(terms, log_z[blk], offsets[blk]) for blk in blocks]
+    parts = [_trapezoid_lines(log_g, log_z[blk], offsets[blk]) for blk in blocks]
     return (np.concatenate(p) for p in zip(*parts))
 
 
@@ -438,13 +437,13 @@ def _quad_value(total, log_scale, err, scalar):
 # Meijer G
 
 
-def _meijer_terms(spec: MeijerGSpec):
+def _meijer_integrand(spec: MeijerGSpec):
     terms = []
     for l, b in enumerate(spec.b):
         terms.append((b, -1.0, 1) if l < spec.m else (1.0 - b, 1.0, -1))
     for l, a in enumerate(spec.a):
         terms.append((1.0 - a, 1.0, 1) if l < spec.n else (a, -1.0, -1))
-    return terms
+    return _log_gammas(terms)
 
 
 def _meijer_gap(spec: MeijerGSpec) -> tuple[float, float]:
@@ -462,11 +461,29 @@ def meijer_g(spec: MeijerGSpec, z) -> QuadValue:
     delta = spec.m + spec.n - 0.5 * (spec.p + spec.q)
     if delta <= 0:
         raise ContourError("vertical contour integral does not converge (m+n <= (p+q)/2)")
-    return _quad_value(*_saddle_lines(_meijer_terms(spec), *_meijer_gap(spec), np.log(z)), scalar)
+    return _quad_value(*_saddle_lines(_meijer_integrand(spec), *_meijer_gap(spec), np.log(z)), scalar)
 
 
 # ---------------------------------------------------------------------------
 # bivariate Fox H
+
+
+def _fox_factors(spec: FoxH2Spec):
+    """``outer(shift, block)``: u -> ln of the outer factor at shift + u plus the log-gammas of the
+    terms ``block`` at u; and the terms of the blocks Gamma(x+s)Gamma(-s) and Gamma(t-x)Gamma(-t)."""
+    c0, r, x, weights = spec.outer_c, spec.outer_r, spec.power, spec.weights
+
+    def log_mixture(v):  # sum_k w_k prod_{j<k} (1 + r*v/(c0+j)) by Horner's rule, last component first
+        rv, total = r * v, weights[-1]
+        for k in range(len(weights) - 2, -1, -1):
+            total = weights[k] + total * (1.0 + rv / (c0 + k))
+        return _log(total)
+
+    def outer(shift, block=()):  # Gamma(c0 + r*v) times the mixture sum; at weights (1,) one list
+        log_g = _log_gammas([(c0 + r * shift, r, 1), *block])
+        return log_g if weights == (1.0,) else lambda u: log_g(u) + log_mixture(shift + u)
+
+    return outer, [(x, 1.0, 1), (0.0, -1.0, 1)], [(-x, 1.0, 1), (0.0, -1.0, 1)]
 
 
 def _place_fox_contours(spec: FoxH2Spec):
@@ -491,18 +508,15 @@ def _fox_double_integral(spec, log_z1, log_z2, sigma, tau):
     Both lines share one trapezoid step h, each extent rounded up to whole
     steps, so with s_k = sigma + i(k-K)h and t_j = tau + ijh the integrand
     separates as exp(A_k + B_j + C_{k+j}): A and B hold the four one-variable
-    Gamma factors, and the coupled Gamma(c0 + r(s+t)) is needed only on the
+    Gamma factors and C the coupled outer factor, needed only on the
     lattice s + t.  Each row sum over k is then one row of a Hankel
     matrix-vector product.  z1^s z2^t is z1^sigma z2^tau times phases, so the
     heights and log-gammas (each rescaled by its maximum at the first
     estimate) serve every column, and a block of _COLUMNS columns takes its
     row sums as one matrix product per block of at most _BLOCK entries.
     """
-    c0, r, x = spec.outer_c, spec.outer_r, spec.power
-
-    log_a = _log_gammas([(x, 1.0, 1), (0.0, -1.0, 1)])
-    log_b = _log_gammas([(-x, 1.0, 1), (0.0, -1.0, 1)])
-    log_c = _log_gammas([(c0, r, 1)])
+    outer, s_block, t_block = _fox_factors(spec)
+    log_a, log_b, log_c = _log_gammas(s_block), _log_gammas(t_block), outer(0.0)
 
     hu = 1.3 * _find_height(lambda u: (log_a(sigma + 1j * u) + log_c(sigma + tau + 1j * u)).real)[0]
     hv = 1.3 * _find_height(lambda v: (log_b(tau + 1j * v) + log_c(sigma + tau + 1j * v)).real)[0]
@@ -562,26 +576,23 @@ def fox_h2(spec: FoxH2Spec, z1, z2) -> QuadValue:
     """
     (z1, z2), scalar = _arguments(z1, z2)
     c0, r, x = spec.outer_c, spec.outer_r, spec.power
-    tau, n_res, reach = _place_fox_contours(spec)
+    (tau, n_res, reach), (outer, s_block, t_block) = _place_fox_contours(spec), _fox_factors(spec)
 
     log_z1, log_z2 = np.log(z1), np.log(z2)
     runs = np.floor((log_z1 - log_z1.min()) * reach / (2.0 * math.log(1e4)))
     parts = [np.empty((3, z1.size))]  # per part: totals, log scales, relative errors
-    s_terms = [(c0 + r * tau, r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
     for run in sorted(set(runs.tolist())):  # np.unique would load numpy.ma (numpy 2.4)
         cols = np.flatnonzero(runs == run)
         mid = cols[np.argsort(log_z1[cols], kind="stable")[[cols.size // 2]]]
-        (sigma,) = _saddle_search(s_terms, -reach, 0.0, log_z1[mid])
-        t_terms = [(c0 + r * sigma, r, 1), (-x, 1.0, 1), (0.0, -1.0, 1)]
+        (sigma,) = _saddle_search(outer(tau, s_block), -reach, 0.0, log_z1[mid])
         t_gap = max(x - n_res, -c0 / r - sigma), min(x - n_res + 1.0, 0.0)
-        (t,) = _saddle_search(t_terms, *t_gap, log_z2[mid])
+        (t,) = _saddle_search(outer(sigma, t_block), *t_gap, log_z2[mid])
         parts[0][:, cols] = _fox_double_integral(spec, log_z1[cols], log_z2[cols], sigma, t)
 
     # residue k: (-1)^k/k! Gamma(k-x) z2^(x-k), of sign (-1)^(floor(x)+1) at every k, times a line
     for k in range(n_res):
-        a = c0 + r * (x - k)  # Gamma(a + rs) Gamma(x + s) Gamma(-s), pole-free on (max(-a/r, -x), 0)
-        terms = [(a, r, 1), (x, 1.0, 1), (0.0, -1.0, 1)]
-        line, log_scale, line_err = _saddle_lines(terms, max(-a / r, -x), 0.0, log_z1)
+        a = c0 + r * (x - k)  # the outer factor at x-k+s, Gamma(x+s) Gamma(-s): no pole on (max(-a/r, -x), 0)
+        line, log_scale, line_err = _saddle_lines(outer(x - k, s_block), max(-a / r, -x), 0.0, log_z1)
         log_coeff = math.lgamma(k - x) - math.lgamma(k + 1.0) + (x - k) * log_z2
         parts.append(((-1.0) ** (math.floor(x) + 1) * line, log_scale + log_coeff, line_err))
     total, log_scale, err = np.stack(parts, axis=1)

@@ -182,10 +182,12 @@ class TestErCommand:
          "[channel]\nmu = 3\n[system]\nrho_db = 120\ntheta = 1\n",
          "[system]\ntheta = 33.6\n",
          "[system]\nrho_db = 150\ntheta = 33.6\n",
-         "[system]\ntheta = 119\n"],
+         "[system]\ntheta = 119\n",
+         "[channel]\nmu = 40\n[system]\nrho_db = 120\ntheta = 28\n"],
         ids=["alpha1-omega_s-1e20", "alpha1-omega_s-1e76", "rayleigh-80dB-theta2", "rayleigh-100dB-theta2",
              "rayleigh-120dB-theta1", "rayleigh-120dB-theta2", "nakagami3-120dB-theta2",
-             "nakagami3-120dB-theta1", "default-theta-33.6", "default-150dB-theta-33.6", "default-theta-119"],
+             "nakagami3-120dB-theta1", "default-theta-33.6", "default-150dB-theta-33.6", "default-theta-119",
+             "mu40-120dB-theta28"],
     )
     def test_closed_form_rows_match_quadrature(self, tmp_path, text):
         # inputs where a weak-user Fox-H line off its saddle cancels to no digits (`line
@@ -193,7 +195,8 @@ class TestErCommand:
         # above 1) or finds no admissible contour pair (nu = 48.5), and at their saddles give
         # the quadrature rows; and inputs whose residue coefficients z2^(x-k) (nu = 48.5 at
         # 150 dB) or 1/k! (nu = 171.7) leave the doubles, which the contour engines carry as
-        # logs.  Each text ends in its [system] section
+        # logs; and mu = 40, whose 40 mixture components share one Fox-H value per exponent
+        # and finish within run_cli's 5 s.  Each text ends in its [system] section
         rows = {}
         for strategy in ("quadrature", "closed-form"):
             path = write_config(tmp_path, text + f"strategy = {strategy}\n")  # into [system]

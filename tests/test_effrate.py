@@ -575,8 +575,8 @@ class TestGrids:
             self.assert_bitwise(rate, systems, "strong", "closed-form")
 
     def test_closed_form_grid_shares_contours(self, monkeypatch):
-        # a cf-nakagami3-shaped grid: 2 exponents x 3 mixture components are 6 Fox-H
-        # specs, one lattice height pair each, not one per system and component (36)
+        # a cf-nakagami3-shaped grid: 2 exponents are 2 Fox-H specs, the 3 mixture components
+        # inside each one's outer factor, one lattice height pair each, not one per system (12)
         import sys
 
         from noma_effrate import specfun
@@ -590,7 +590,7 @@ class TestGrids:
         monkeypatch.setattr(specfun, "_find_height", spy)
         systems = self.grid(2, 3, thetas=(0.5, 1.0), a_s=(0.15, 0.3), rho_db=(5, 15, 25))
         er_noma(systems, "weak", "closed-form")
-        assert callers.count("_fox_double_integral") == 2 * 6
+        assert callers.count("_fox_double_integral") == 2 * 2
 
     @pytest.mark.parametrize("alpha, mu", [(2, 3), (4, 3), (6, 2)])
     def test_closed_form_grid_spans_130_dB(self, alpha, mu):

@@ -274,8 +274,15 @@ class TestFoxH2:
         assert time.perf_counter() - start < 20.0
 
     def test_double_integral_matches_row_loop(self, monkeypatch):
-        # the separable lattice evaluation against a direct row-by-row
-        # trapezoid of the full five-Gamma integrand on its own grid
+        self.assert_double_integral_matches_row_loop(monkeypatch, (1.0,))
+
+    def test_double_integral_with_mixture_matches_row_loop(self, monkeypatch):
+        self.assert_double_integral_matches_row_loop(monkeypatch, (1.0, 0.6, 0.3))
+
+    @staticmethod
+    def assert_double_integral_matches_row_loop(monkeypatch, weights):
+        # the separable lattice evaluation against a direct row-by-row trapezoid of the
+        # full five-Gamma integrand, times the outer factor's mixture sum, on its own grid
         from noma_effrate.specfun import _find_height, _fox_double_integral, refine
 
         c0, r, x = 2.0, 1.0, 0.7213
@@ -284,9 +291,12 @@ class TestFoxH2:
         set_contour(monkeypatch, nodes=65, max_nodes=4097, rtol=1e-10)
 
         def log_f(s, t):
+            u = np.asarray(s + t)
+            mixture = sum(w * np.prod([1 + r * u / (c0 + j) for j in range(k)], axis=0)
+                          for k, w in enumerate(weights))
             return (
-                loggamma(c0 + r * (s + t)) + loggamma(x + s) + loggamma(-s)
-                + loggamma(t - x) + loggamma(-t) + s * log_z1 + t * log_z2
+                loggamma(c0 + r * u) + loggamma(x + s) + loggamma(-s)
+                + loggamma(t - x) + loggamma(-t) + s * log_z1 + t * log_z2 + np.log(mixture + 0j)
             )
 
         (hu,) = 1.3 * _find_height(lambda u: log_f(sigma + 1j * u, complex(tau)).real)
@@ -299,12 +309,59 @@ class TestFoxH2:
             return 2.0 * np.trapezoid(np.real(rows), v) / (4.0 * math.pi**2)
 
         (want,), _ = refine(lambda n, cols: [rows_estimate(n)], 65, 4097, 1e-10, "oracle", 1)
-        spec = FoxH2Spec(outer_c=c0, outer_r=r, power=x)
+        spec = FoxH2Spec(outer_c=c0, outer_r=r, power=x, weights=weights)
         (got,), (log_scale,), (err,) = _fox_double_integral(
             spec, np.array([log_z1]), np.array([log_z2]), sigma, tau
         )
         assert err <= 1e-10
         assert got * math.exp(log_scale) == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def per_component(pair, rho, a_s, w):
+        """The weak form as one single-weight Fox-H value per mixture component, of shape
+        mu+k, combined with the weights w_k / Gamma(mu+k) in logs: (sign, log|mean|)."""
+        r = 2.0 / pair.alpha
+        signs, logs = [], []
+        for weight, c in min_gain_mixture(pair):
+            z1 = rho * (c.omega**c.alpha / c.mu) ** r
+            h = fox_h2(FoxH2Spec(outer_c=c.mu, outer_r=r, power=w), z1, a_s * z1)
+            signs.append(h.sign)
+            logs.append(np.log(weight) - math.lgamma(c.mu) + h.log_abs)
+        top = np.max(logs, axis=0)
+        total = np.sum(np.multiply(signs, np.exp(logs - top)), axis=0)
+        total *= -w * math.sin(math.pi * w) / math.pi  # 1 / (Gamma(w) Gamma(-w))
+        return np.sign(total), top + np.log(np.abs(total))
+
+    @pytest.mark.parametrize("alpha", [1, 2, 4])
+    @pytest.mark.parametrize("mu", [2, 3, 5, 10])
+    def test_folded_mixture_matches_per_component(self, alpha, mu):
+        # one Fox-H value whose outer factor sums the mixture equals the sum of the
+        # components' own Fox-H values
+        pair = make_pair(alpha, mu)
+        a_s = np.tile([0.15, 0.3], 3)
+        rho = 10.0 ** (np.repeat([5.0, 15.0, 25.0], 2) / 10.0)
+        for theta in (0.17, 0.5, 2.0):
+            w = theta / math.log(2.0)
+            sign, got = ratio_mellin_analytic(pair, rho, a_s, w)
+            want_sign, want = self.per_component(pair, rho, a_s, w)
+            assert np.array_equal(sign, want_sign)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"theta={theta}")
+
+    def test_weak_form_is_one_fox_h(self, monkeypatch):
+        from noma_effrate import closedform
+
+        calls = []
+
+        def spy(spec, z1, z2):
+            calls.append(spec)
+            return fox_h2(spec, z1, z2)
+
+        monkeypatch.setattr(closedform, "fox_h2", spy)
+        pair = make_pair(2, 3)
+        ratio_mellin_analytic(pair, np.array([3.2, 31.6]), np.array([0.24, 0.3]), 1.7)
+        assert len(calls) == 1
+        (w0, _), *rest = min_gain_mixture(pair)
+        assert calls[0].outer_c == 3 and calls[0].weights == (1.0, *(w / w0 for w, _ in rest))
 
     def test_small_exponent_matches_quadrature(self):
         pair = make_pair(2, 1, 1.0, 0.1)
@@ -435,12 +492,12 @@ class TestLogGamma:
         # the objective reads -inf there, and the line may sit on it without a warning
         import warnings
 
-        from noma_effrate.specfun import _log_gammas, _meijer_terms, _saddle_search
+        from noma_effrate.specfun import _meijer_integrand, _saddle_search
 
         spec = MeijerGSpec(a=(0.0,), b=(1.0, 1.0), m=1, n=1)
-        terms = _meijer_terms(spec)
-        assert _log_gammas(terms)(0j).real == -math.inf
-        assert abs(_saddle_search(terms, -1.0, 1.0, np.array([math.log(0.7)]))[0]) < 1e-9
+        log_g = _meijer_integrand(spec)
+        assert log_g(0j).real == -math.inf
+        assert abs(_saddle_search(log_g, -1.0, 1.0, np.array([math.log(0.7)]))[0]) < 1e-9
         want = float(mp.meijerg([[0.0], []], [[1.0], [1.0]], 0.7))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -609,11 +666,11 @@ class TestNestedRule:
 
     def line(self):
         # the offset's scan makes one loggamma call of its own, outside every rule level
-        from noma_effrate.specfun import _meijer_terms, _saddle_search, _trapezoid_lines
+        from noma_effrate.specfun import _meijer_integrand, _saddle_search, _trapezoid_lines
 
-        terms, log_z = _meijer_terms(self.MEIJER), np.array([math.log(1.7)])
-        offsets = _saddle_search(terms, -0.5, -0.25, log_z)
-        return lambda: _trapezoid_lines(terms, log_z, offsets)
+        log_g, log_z = _meijer_integrand(self.MEIJER), np.array([math.log(1.7)])
+        offsets = _saddle_search(log_g, -0.5, -0.25, log_z)
+        return lambda: _trapezoid_lines(log_g, log_z, offsets)
 
     def lattice(self):
         from noma_effrate.specfun import _fox_double_integral
