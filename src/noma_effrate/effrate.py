@@ -137,8 +137,8 @@ def log_moment(law, k, w, params=(), route: Route = "quadrature", tilted=False):
     """(log E[(1 + SINR)^-w], relative error) per column over a ``log1p_sinr`` service (law,
     k, params), k = ln(1 + SINR); where ``tilted``, of E[k e^(-w k)], the ergodic mean E[k]
     at w = 0.  The quadrature route broadcasts w, tilted and params to the columns of one
-    engine pass, with the kernel -w*k + ln k.  The closed-form route takes one w, the Meijer-G
-    or Fox-H Mellin form at w > 0 and the log-mean forms (tilted) at w = 0, with the contour
+    engine pass, with the kernel -w*k + ln k.  The closed-form route takes one w, the gain-line
+    or Fox-H Mellin form at w > 0 and the log-mean lines (tilted) at w = 0, with the contour
     tolerance as the error; a mean that is not positive, or above 1 at w > 0, is a ContourError."""
     if route not in ("quadrature", "closed-form"):
         raise ParameterError("strategy", f"unsupported strategy {route!r}; the routes are "
@@ -260,9 +260,9 @@ def er_high_snr(sys: NomaSystem, user: User) -> RateResult:
         psi = -np.euler_gamma + sum(1.0 / k for k in range(1, mu))
         log_mean = 2.0 * math.log(om) + 2.0 / al * (psi - math.log(mu))
         return RateResult(math.log2(sys.a_s * sys.rho) + log_mean / LN2, "closed-form")
-    corr = (2.0 * nu) * math.log2(mu ** (1.0 / al) / om) + math.log2(
-        math.gamma(mu - 2.0 * nu / al) / math.gamma(mu)
-    )
+    # log2 Gamma(mu - 2nu/alpha) / Gamma(mu) by lgamma: each Gamma overflows from mu = 172
+    log_ratio = math.lgamma(mu - 2.0 * nu / al) - math.lgamma(mu)
+    corr = (2.0 * nu) * math.log2(mu ** (1.0 / al) / om) + log_ratio / LN2
     return RateResult(math.log2(sys.a_s * sys.rho) - corr / nu, "closed-form")
 
 

@@ -10,16 +10,17 @@ library needs:
   density, with the trapezoid rule in the log-envelope ln r, behind
   ``effrate.log_moment``; its linear view ``laguerre_expectation`` serves
   tests (the Gauss-Laguerre names stay: the benchmark's spans patch them);
-* ``meijer_g`` / ``fox_h2`` evaluate the analytic closed forms as
-  Mellin-Barnes contour integrals (single and double contour), on the
-  module's own complex log-gamma (``loggamma``, a shifted Stirling series
-  in numpy), so no route needs scipy.
+* ``gain_line`` / ``fox_h2`` evaluate the analytic closed forms as
+  Mellin-Barnes contour integrals (single and double contour), the gain
+  law's Mellin moment inside both (``_outer``), on the module's own complex
+  log-gamma (``loggamma``, a shifted Stirling series in numpy), so no route
+  needs scipy; ``meijer_g``, on the same line rule, is the tests' reference.
 
 Keeping both routes genuinely independent is the point: the closed forms
 are cross-validated against quadrature rather than trusted.
 
-Every Mellin-Barnes line sits at a saddle (``_saddle_search``): a single line, Meijer-G
-or Fox-H residue, at its argument's, sharing height and nodes with arguments whose saddle
+Every Mellin-Barnes line sits at a saddle (``_saddle_search``): a single line (gain line,
+Meijer-G or Fox-H residue) at its argument's, sharing height and nodes with arguments whose saddle
 is the same (``_saddle_lines``); both lines of ``fox_h2``'s separable double contour
 (``_fox_double_integral``) at those of the middle argument of a run of nearby ones.  All
 three engines are doubling trapezoid rules: each refines through ``refine``, evaluates
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -465,24 +466,42 @@ def meijer_g(spec: MeijerGSpec, z) -> QuadValue:
 
 
 # ---------------------------------------------------------------------------
+# the gain law's Mellin moment
+
+
+def _outer(c0, r, weights, shift=0.0, block=()):
+    """u -> ln of the outer factor Gamma(c0 + r*v) sum_k w_k prod_{j<k} (1 + r*v/(c0+j)) at
+    v = shift + u, plus the log-gammas of the terms ``block`` at u; at weights (1,) one list."""
+    log_g = _log_gammas([(c0 + r * shift, r, 1), *block])
+
+    def log_f(u):  # the mixture sum by Horner's rule, last component first
+        rv, total = r * (shift + u), weights[-1]
+        for k in range(len(weights) - 2, -1, -1):
+            total = weights[k] + total * (1.0 + rv / (c0 + k))
+        return log_g(u) + _log(total)
+
+    return log_g if weights == (1.0,) else log_f
+
+
+def gain_line(c0, r, weights, block, gap, z) -> QuadValue:
+    """(1/2*pi*i) * integral of the outer factor (``_outer``) times the Gamma factors ``block``
+    times z^s over a line in the pole gap ``gap``, at z > 0, a scalar or a 1-D array, each z's
+    line at its saddle (``_saddle_lines``).  At c0 = mu, r = 2/alpha and z = c*gscale the outer
+    factor is Gamma(mu) E[g^s] / (weight gscale^s) of an alpha-mu gain or a pair's minimum gain,
+    and the line Gamma(mu) E[k(c*g)] / weight for the kernel k of Mellin-Barnes integrand ``block``."""
+    (z,), scalar = _arguments(z)
+    return _quad_value(*_saddle_lines(_outer(c0, r, weights, 0.0, block), *gap, np.log(z)), scalar)
+
+
+# ---------------------------------------------------------------------------
 # bivariate Fox H
 
 
 def _fox_factors(spec: FoxH2Spec):
-    """``outer(shift, block)``: u -> ln of the outer factor at shift + u plus the log-gammas of the
-    terms ``block`` at u; and the terms of the blocks Gamma(x+s)Gamma(-s) and Gamma(t-x)Gamma(-t)."""
-    c0, r, x, weights = spec.outer_c, spec.outer_r, spec.power, spec.weights
-
-    def log_mixture(v):  # sum_k w_k prod_{j<k} (1 + r*v/(c0+j)) by Horner's rule, last component first
-        rv, total = r * v, weights[-1]
-        for k in range(len(weights) - 2, -1, -1):
-            total = weights[k] + total * (1.0 + rv / (c0 + k))
-        return _log(total)
-
-    def outer(shift, block=()):  # Gamma(c0 + r*v) times the mixture sum; at weights (1,) one list
-        log_g = _log_gammas([(c0 + r * shift, r, 1), *block])
-        return log_g if weights == (1.0,) else lambda u: log_g(u) + log_mixture(shift + u)
-
+    """``outer(shift, block)``, the spec's ``_outer``; and the terms of the blocks
+    Gamma(x+s)Gamma(-s) and Gamma(t-x)Gamma(-t)."""
+    x = spec.power
+    outer = partial(_outer, spec.outer_c, spec.outer_r, spec.weights)
     return outer, [(x, 1.0, 1), (0.0, -1.0, 1)], [(-x, 1.0, 1), (0.0, -1.0, 1)]
 
 

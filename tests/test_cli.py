@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -183,11 +184,12 @@ class TestErCommand:
          "[system]\ntheta = 33.6\n",
          "[system]\nrho_db = 150\ntheta = 33.6\n",
          "[system]\ntheta = 119\n",
-         "[channel]\nmu = 40\n[system]\nrho_db = 120\ntheta = 28\n"],
+         "[channel]\nmu = 40\n[system]\nrho_db = 120\ntheta = 28\n",
+         "[channel]\nalpha = 3\nomega_s = 1e76\nomega_w = 1e75\n[system]\n"],
         ids=["alpha1-omega_s-1e20", "alpha1-omega_s-1e76", "rayleigh-80dB-theta2", "rayleigh-100dB-theta2",
              "rayleigh-120dB-theta1", "rayleigh-120dB-theta2", "nakagami3-120dB-theta2",
              "nakagami3-120dB-theta1", "default-theta-33.6", "default-150dB-theta-33.6", "default-theta-119",
-             "mu40-120dB-theta28"],
+             "mu40-120dB-theta28", "closed-form-argument-overflows"],
     )
     def test_closed_form_rows_match_quadrature(self, tmp_path, text):
         # inputs where a weak-user Fox-H line off its saddle cancels to no digits (`line
@@ -196,7 +198,9 @@ class TestErCommand:
         # the quadrature rows; and inputs whose residue coefficients z2^(x-k) (nu = 48.5 at
         # 150 dB) or 1/k! (nu = 171.7) leave the doubles, which the contour engines carry as
         # logs; and mu = 40, whose 40 mixture components share one Fox-H value per exponent
-        # and finish within run_cli's 5 s.  Each text ends in its [system] section
+        # and finish within run_cli's 5 s; and alpha = 3 at omega_s = 1e76, where a Meijer-G
+        # form's argument mu^2 / (4 c^3 omega^6) underflowed to 0 while the gain line's c*gscale
+        # is about 1e153.  Each text ends in its [system] section
         rows = {}
         for strategy in ("quadrature", "closed-form"):
             path = write_config(tmp_path, text + f"strategy = {strategy}\n")  # into [system]
@@ -204,6 +208,20 @@ class TestErCommand:
             assert code == 0 and err == "", (strategy, err)
             rows[strategy] = [row.split(",")[:11] for row in out.splitlines()[1:]]
         assert rows["closed-form"] == rows["quadrature"] and rows["quadrature"]
+
+    def test_low_snr_strong_type_rows_match_quadrature(self, tmp_path):
+        # at -100 dB 1 - E[(1 + SINR)^-w] is about 2e-11, below the contour tolerance: the
+        # strong-type forms measure it directly, so R_s and R_sum_oma print quadrature's digits
+        # (the weak NOMA R_w, a Fox-H value, does not yet)
+        rows = {}
+        for strategy in ("quadrature", "closed-form"):
+            path = write_config(tmp_path, f"[system]\nrho_db = -100\nstrategy = {strategy}\n")
+            code, out, err = run_cli(["er", "--config", path])
+            assert code == 0 and err == "", (strategy, err)
+            header, row = out.splitlines()
+            rows[strategy] = dict(zip(header.split(","), row.split(",")))
+        assert rows["quadrature"]["R_s"] == rows["closed-form"]["R_s"] == "3.4624681e-11"
+        assert rows["quadrature"]["R_sum_oma"] == rows["closed-form"]["R_sum_oma"] == "7.93482272e-11"
 
 
 class TestDvpCommand:
@@ -369,6 +387,21 @@ theta = 0.5
         cfg = load_config(write_config(tmp_path, text))
         _, rows = cmd_approx(cfg)
         assert all(row[2] is None for row in rows)
+
+    def test_high_snr_column_at_large_mu(self, tmp_path):
+        # Gamma(mu) overflows a double from mu = 172: the strong high-SNR form takes the log-gamma
+        # difference, log2(a_s rho) - 2 log2(sqrt(mu)/omega_s) - log2(Gamma(mu - nu) / Gamma(mu)) / nu
+        text = self.APPROX.replace("mu = 2", "mu = 180").replace("rho_db = -30, 40", "rho_db = 40")
+        code, out, err = run_cli(["approx", "--config", write_config(tmp_path, text)])
+        assert code == 0 and err == "", err
+        header, row = out.splitlines()
+        got = float(dict(zip(header.split(","), row.split(",")))["high_snr_sum"])
+        with mp.workdps(30):
+            mu, nu, a_s = mp.mpf(180), mp.mpf(0.5) / mp.log(2), mp.mpf(0.24)
+            strong = mp.log(a_s * mp.mpf(10) ** 4, 2) - 2 * mp.log(mp.sqrt(mu), 2) - mp.log(
+                mp.gamma(mu - nu) / mp.gamma(mu), 2) / nu
+            want = float(strong + mp.log(1 + (1 - a_s) / a_s, 2))
+        assert got == pytest.approx(want, rel=1e-8)
 
     def test_theta_zero_fills_every_column(self, tmp_path):
         cfg = load_config(write_config(tmp_path, self.APPROX.replace("theta = 0.5", "theta = 0")))
@@ -668,9 +701,6 @@ class TestMainEntry:
              "[channel] omega_s: omega^(+-alpha) or omega^(+-4) overflows at alpha = 1, got 1e+300"),
             ("approx", "[channel]\nalpha = 1\nomega_s = 1e100\nomega_w = 1e99\n", "[channel] omega_s: omega^"),
             ("approx", "[channel]\nomega_w = 0.9e-154\n", "[channel] omega_w: omega^"),
-            ("er", "[channel]\nalpha = 3\nomega_s = 1e76\nomega_w = 1e75\n[system]\nstrategy = closed-form\n",
-             "closed form cannot evaluate theta = 0.5 (nu = 0.7213475204): the contour argument is not a "
-             "positive double; use strategy = quadrature"),
             ("dvp", "[system]\nrho_db = 650\n[snc]\nlambda = 120\n",
              "[system] rho_db: the delay bound needs a mean SNR scale rho*omega_s^2 of at most 1e60 (600 dB), "
              "got 1e+65"),
@@ -691,8 +721,7 @@ class TestMainEntry:
              "s_max-unknown-key", "batches-with-slots", "slots-too-short", "omega_tilde-underflows",
              "symbols_per_slot-zero", "a_s-half", "tb-zero", "theta-negative",
              "a_s-and-a_s_grid", "omega_s-gain-overflows", "omega_s-second-moment-overflows",
-             "omega_w-second-moment-underflows", "closed-form-argument-overflows",
-             "dvp-snr-above-600-dB",
+             "omega_w-second-moment-underflows", "dvp-snr-above-600-dB",
              "er-mixture-component-underflows", "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
              "power-a_s-infeasible"],
     )
@@ -744,7 +773,7 @@ class TestMainEntry:
 DOMAINS = {
     "channel": {
         "alpha": ["2", "1", "3", "4", "6", "0", "-1", "700", "2.5"],
-        "mu": ["1", "2", "3", "100", "101", "150", "0", "-1"],
+        "mu": ["1", "2", "3", "100", "101", "150", "172", "0", "-1"],
         "omega_s": ["1.0", "0.31622776601683794", "1e76", "1e-77", "1e-154", "1e200", "0", "-1", "inf", "nan"],
         "omega_w": ["0.31622776601683794", "0.1", "1.0", "1e-76", "0.99e-77", "0.9e-154", "1e-170", "0", "inf",
                     "nan"],

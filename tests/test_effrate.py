@@ -158,6 +158,24 @@ class TestExtremeClosedForm:
         assert er_noma(sys, "strong", "closed-form").value == pytest.approx(want, rel=1e-9, abs=0)
 
 
+class TestLowSnrClosedForm:
+    """Closed-form rates whose mean lies within a few 1e-11 of one, or whose log mean is
+    that small: the contour tolerance holds on the deviation, not on the mean."""
+
+    @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_rates_match_quadrature(self, alpha, mu, theta):
+        # the strong-type means (NOMA strong, both OMA users) measure their distance from one
+        # on a line right of the pole at 0; the ergodic rates are lines in (0, 1).  The weak
+        # NOMA Fox-H form still loses its digits here and is not held
+        systems = [make_system(alpha, mu, rho_db=rho_db, theta=theta) for rho_db in range(-100, 31, 5)]
+        for rate, user in [(er_noma, "strong"), (er_oma, "strong"), (er_oma, "weak"),
+                           (ergodic_rate, "strong"), (ergodic_rate, "weak")]:
+            want = [r.value for r in rate(systems, user)]
+            got = [r.value for r in rate(systems, user, "closed-form")]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"{rate.__name__} {user}")
+
+
 class TestLogMoment:
     """The one entry point to log E[(1+SINR)^-w] and its tilted form, for rates and delay bounds."""
 

@@ -27,7 +27,12 @@ from noma_effrate.channel import (
     min_gain_mixture,
     min_gain_pdf,
 )
-from noma_effrate.closedform import power_mellin_analytic, ratio_mellin_analytic
+from noma_effrate.closedform import (
+    log_mean_analytic,
+    min_log_mean_difference_analytic,
+    power_mellin_analytic,
+    ratio_mellin_analytic,
+)
 from noma_effrate.specfun import (
     ContourError,
     FoxH2Spec,
@@ -154,7 +159,6 @@ class TestMellinStrongClosedForm:
         # scan, to both ends of a gap or deep into an open side; the closed forms hold the
         # contour tolerance on the value, |delta ln| <= 1e-8, also where the mean lies far
         # below the doubles (down to about e^-9000)
-        from noma_effrate.closedform import log_mean_analytic
         from noma_effrate.specfun import CONTOUR_RTOL
 
         ch, cs = AlphaMuChannel(alpha, mu, 1.0), np.geomspace(1e-3, 1e12, 16)
@@ -171,6 +175,77 @@ class TestMellinStrongClosedForm:
         np.testing.assert_allclose(
             np.log(log_mean_analytic(ch, cs)), np.log(log_mean), rtol=0, atol=CONTOUR_RTOL
         )
+
+
+def _delta(x, y):
+    """Gauss multiplication: Gamma(x*s + y) as x Gamma factors at offsets (y+k)/x."""
+    return tuple((y + k) / x for k in range(x))
+
+
+def meijer_power_mellin(ch, c, w):
+    """E[(1 + c*g)^-w] for an alpha-mu gain as one Meijer-G value, (sign, log|mean|): the oracle."""
+    al, mu, om = ch.alpha, ch.mu, ch.omega
+    spec = MeijerGSpec(
+        a=_delta(al, 1.0 - 0.5 * al * mu), b=_delta(2, 0.0) + _delta(al, w - 0.5 * al * mu), m=2 + al, n=al
+    )
+    g = meijer_g(spec, mu**2 / (4.0 * np.float64(c) ** al * np.float64(om) ** (2 * al)))
+    log_pref = (
+        w * math.log(al) + mu * math.log(mu) - 0.5 * math.log(2.0) - (al - 0.5) * math.log(2.0 * math.pi)
+        - al * mu * math.log(om) - math.lgamma(mu) - math.lgamma(w) - 0.5 * al * mu * np.log(c)
+    )
+    return g.sign, log_pref + g.log_abs
+
+
+def meijer_log_mean(law, c):
+    """E[log2(1 + c*g)] for an alpha-mu gain as one Meijer-G value, or for a pair's minimum
+    gain as the weighted sum of its mixture components' values: the oracle."""
+    if isinstance(law, ChannelPair):
+        return sum(weight * meijer_log_mean(comp, c) for weight, comp in min_gain_mixture(law))
+    al, mu, om = law.alpha, law.mu, law.omega
+    zeta, chi = _delta(al, -0.5 * al * mu), _delta(al, 1.0 - 0.5 * al * mu)
+    spec = MeijerGSpec(a=zeta + chi, b=_delta(2, 0.0) + zeta + zeta, m=2 + 2 * al, n=al)
+    g = meijer_g(spec, (mu / (2.0 * np.float64(om) ** al)) ** 2 / np.float64(c) ** al)
+    log_pref = (
+        mu * math.log(mu) - 0.5 * math.log(2.0) - math.log(math.log(2.0)) - (al - 0.5) * math.log(2.0 * math.pi)
+        - math.lgamma(mu) - al * mu * math.log(om) - 0.5 * al * mu * np.log(c)
+    )
+    return g.sign * np.exp(log_pref + g.log_abs)
+
+
+class TestGainLine:
+    """Each single-variable closed form is one line of the gain law's Mellin moment against
+    its kernel's; the Meijer-G forms it replaced (Gauss multiplication, a value per mixture
+    component) are the oracle."""
+
+    @pytest.mark.parametrize("alpha, mu", [(1, 1), (2, 1), (2, 3), (4, 3), (1, 2), (6, 5), (3, 10)])
+    def test_forms_match_meijer_g(self, alpha, mu):
+        # -40 to 120 dB.  The theta = 0 weak form is two of the pair's log-mean lines, each held
+        # here: their difference (ln(1/a_s) out of ln(rho g) at high SNR) amplifies the oracle's
+        # own error, 1.3e-12 off quadrature at alpha 6, mu 5, 96 dB against the lines' 1.2e-14
+        pair, c = make_pair(alpha, mu), 10.0 ** (np.arange(-40.0, 121.0, 4.0) / 10.0)
+        for w in (0.12, 0.5, 0.7213, 1.0, 1.7, 2.9):
+            sign, got = power_mellin_analytic(pair.strong, 0.24 * c, w)
+            want_sign, want = meijer_power_mellin(pair.strong, 0.24 * c, w)
+            assert np.array_equal(sign, want_sign)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"w={w}")
+        for law in (pair.weak, pair):
+            got, want = np.log(log_mean_analytic(law, c)), np.log(meijer_log_mean(law, c))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(law))
+
+    def test_no_form_reaches_meijer_g(self, monkeypatch):
+        from noma_effrate import closedform, specfun
+
+        def unreachable(*args):
+            raise AssertionError("a closed form evaluated a Meijer-G function")
+
+        for module in (closedform, specfun):
+            monkeypatch.setattr(module, "meijer_g", unreachable)
+        monkeypatch.setattr(specfun, "_meijer_integrand", unreachable)
+        pair, rho, a_s = make_pair(2, 3), np.array([1e-10, 3.2, 31.6]), np.array([0.24, 0.3, 0.24])
+        power_mellin_analytic(pair.strong, a_s * rho, 1.7)  # the first column's line is right of 0
+        ratio_mellin_analytic(pair, rho, a_s, 1.7)
+        log_mean_analytic(pair.strong, rho)
+        min_log_mean_difference_analytic(pair, rho, a_s)
 
 
 class TestFoxH2:
@@ -510,8 +585,6 @@ class TestBatches:
 
     @pytest.mark.parametrize("alpha,mu", [(2, 1), (2, 3), (4, 3)])
     def test_closed_forms_equal_one_at_a_time(self, alpha, mu):
-        from noma_effrate.closedform import log_mean_analytic, min_log_mean_difference_analytic
-
         pair, w = make_pair(alpha, mu), 0.5 / math.log(2.0)
         grid = itertools.product([0.15, 0.3], 10.0 ** (np.array([5.0, 15.0, 25.0]) / 10.0))
         a_s, rho = (np.array(col) for col in zip(*grid))
