@@ -7,8 +7,8 @@ The power gain g = |h|^2 of an alpha-mu fading link with non-linearity
              / (2 * omega^(alpha*mu) * Gamma(mu)) * exp(-mu x^(alpha/2) / omega^alpha)
 
 which covers Rayleigh (alpha=2, mu=1), Nakagami-m (alpha=2, mu=m) and
-Weibull (mu=1) as special cases.  Both parameters are restricted to
-positive integers, which keeps the CDF a finite sum and makes the
+Weibull (mu=1) as special cases.  alpha is any positive real; mu must be a
+positive integer, which keeps the CDF a finite sum and makes the
 minimum-gain density of a two-link pair a finite mixture of alpha-mu
 densities (used heavily by the expectation routines).
 """
@@ -32,7 +32,7 @@ class ParameterError(ValueError):
 
 
 class UnboundedDensityError(ValueError):
-    """Density diverges at the requested point (x=0 with alpha=mu=1)."""
+    """Density diverges at the requested point (x=0 with alpha*mu < 2)."""
 
 
 def _as_array(x):
@@ -46,29 +46,30 @@ def _as_array(x):
 class AlphaMuChannel:
     """One alpha-mu fading link.
 
-    alpha and mu must be positive integers; omega is the alpha-root-mean
+    alpha is any finite positive real; mu must be a positive integer, as the
+    minimum gain's mixture has mu components; omega is the alpha-root-mean
     of the gain, and omega^(+-alpha) and omega^(+-4), the scale of the gain's
     second moment, must be finite and positive.
     """
 
-    alpha: int
+    alpha: float
     mu: int
     omega: float
 
     def __post_init__(self):
-        if int(self.alpha) != self.alpha or self.alpha < 1:
-            raise ParameterError("alpha", f"must be a positive integer, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError("alpha", f"must be finite and positive, got {self.alpha}")
         if int(self.mu) != self.mu or self.mu < 1:
             raise ParameterError("mu", f"must be a positive integer, got {self.mu}")
         if not 0 < self.omega < math.inf:
             raise ParameterError("omega", f"must be finite and positive, got {self.omega}")
-        object.__setattr__(self, "alpha", int(self.alpha))
         object.__setattr__(self, "mu", int(self.mu))
         object.__setattr__(self, "omega", float(self.omega))
         # below ln of the largest double, 709.78271, omega^(+-alpha) and omega^(+-4) are finite
         if not max(self.alpha, 4) * abs(math.log(self.omega)) < 709.78:
             raise ParameterError("omega", f"omega^(+-alpha) or omega^(+-4) overflows at alpha = "
                                  f"{self.alpha}, got {self.omega!r}")
+        gain_moment(self, 2)  # its Gamma(mu + 4/alpha) passes the doubles as alpha falls toward 0
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class ChannelPair:
                                  f"({exc})") from None
 
     @property
-    def alpha(self) -> int:
+    def alpha(self) -> float:
         return self.strong.alpha
 
     @property
@@ -120,24 +121,16 @@ def gain_pdf(ch: AlphaMuChannel, x) -> np.ndarray | float:
     a, m, w = ch.alpha, ch.mu, ch.omega
     if a * m < 2 and np.any(arr == 0):
         raise UnboundedDensityError(
-            "gain density is unbounded at x=0 for alpha=mu=1"
+            f"gain density is unbounded at x=0 for alpha*mu < 2, got alpha*mu = {a * m}"
         )
     out = np.zeros_like(arr)
     pos = arr > 0
     xp = arr[pos]
-    log_pdf = (
-        math.log(a)
-        + m * math.log(m)
-        + (0.5 * a * m - 1.0) * np.log(xp)
-        - math.log(2.0)
-        - a * m * math.log(w)
-        - math.lgamma(m)
-        - m * xp ** (0.5 * a) / w**a
-    )
-    out[pos] = np.exp(log_pdf)
+    log_scale = math.log(a) + m * math.log(m) - math.log(2.0) - a * m * math.log(w) - math.lgamma(m)
+    out[pos] = np.exp(log_scale + (0.5 * a * m - 1.0) * np.log(xp) - m * xp ** (0.5 * a) / w**a)
     if a * m == 2:
         # finite limit at the origin: the power of x vanishes
-        out[arr == 0] = a * m**m / (2.0 * w ** (a * m) * math.gamma(m))
+        out[arr == 0] = math.exp(log_scale)
     return out if out.ndim else float(out)
 
 
@@ -190,12 +183,17 @@ def min_gain_pdf(pair: ChannelPair, x) -> np.ndarray | float:
 
 
 def gain_moment(ch: AlphaMuChannel, k: int) -> float:
-    """k-th moment of the gain: omega^2k Gamma(mu+2k/alpha) / (mu^(2k/alpha) Gamma(mu))."""
+    """k-th moment of the gain: omega^2k Gamma(mu+2k/alpha) / (mu^(2k/alpha) Gamma(mu)); a
+    ParameterError naming alpha where it passes the doubles."""
     if k < 1 or int(k) != k:
         raise ValueError(f"moment order must be a positive integer, got {k}")
     a, m, w = ch.alpha, ch.mu, ch.omega
     r = 2.0 * k / a
-    return math.exp(2 * k * math.log(w) + math.lgamma(m + r) - r * math.log(m) - math.lgamma(m))
+    log_moment = 2 * k * math.log(w) + math.lgamma(m + r) - r * math.log(m) - math.lgamma(m)
+    if not log_moment < 709.78:
+        raise ParameterError("alpha", f"moment {k} of the gain, omega^{2 * k} Gamma(mu + {2 * k}/alpha) / "
+                             f"(mu^({2 * k}/alpha) Gamma(mu)), overflows at mu = {m} and omega = {w!r}, got {a}")
+    return math.exp(log_moment)
 
 
 @lru_cache(maxsize=256)

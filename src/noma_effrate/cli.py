@@ -104,7 +104,7 @@ def parse_values(text: str) -> list[float]:
 class SweepConfig:
     """Typed view of one sweep configuration file, with the library objects load_config builds."""
 
-    alpha: int = 2
+    alpha: float = 2
     mu: int = 1
     omega_s: float = 1.0
     omega_w: float = math.sqrt(0.1)
@@ -128,10 +128,11 @@ class SweepConfig:
     plan: SimPlan | None = field(default=None, repr=False)
 
 
-# [section] key -> parser; no other key is accepted.  A key sets the
-# SweepConfig field of its own name unless FIELD_OF renames it.
+# [section] key -> parser; no other key is accepted.  A key sets the SweepConfig field of its own
+# name unless FIELD_OF renames it.  A real alpha written as an integer is an int: it prints as written.
 CONFIG_KEYS = {
-    "channel": {"alpha": int, "mu": int, "omega_s": float, "omega_w": float},
+    "channel": {"alpha": lambda text: int(text) if text.strip().lstrip("+-").replace("_", "").isdecimal()
+                else float(text), "mu": int, "omega_s": float, "omega_w": float},
     "system": {"a_s": parse_values, "a_s_grid": parse_values, "rho_db": parse_values,
                "theta": parse_values, "tb": float, "strategy": str.strip},
     "snc": {"symbols_per_slot": int, "lambda": parse_values, "vartheta_max": int},
@@ -401,12 +402,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, out_path=args.out, out_format=args.format)
         with warnings.catch_warnings(), keyed(grid=f"[system] {cfg.a_s_key}"):
-            # a warning (such as an unstable queue) is one line, like an error, under any -W filter
+            # a warning (such as an unstable queue) is one line, like an error, under any -W filter,
+            # printed once the rows are in: an error that ends the command is its only line
             warnings.simplefilter("always")
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=_sys.stderr)
+            held = []
+            warnings.showwarning = lambda message, *_: held.append(f"warning: {message}\n")
             command = {"er": cmd_er, "approx": cmd_approx, "power": cmd_power,
                        "dvp": lambda cfg: cmd_dvp(cfg, args.lambda_scale)}[args.command]
             header, rows = command(cfg)
+        _sys.stderr.writelines(held)
         writer = write_csv if cfg.out_format == "csv" else write_svg
         if cfg.out_path:
             with open(cfg.out_path, "w") as fh:

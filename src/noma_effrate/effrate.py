@@ -211,7 +211,8 @@ def _rate(systems, user, access, strategy, ergodic=False) -> list[RateResult]:
             logs = log_moment(law, k, w, np.array([c[1:] for c in at]).T, strategy, np.equal(w, 0.0))[0]
         except (ContourError, ConvergenceError) as exc:
             if strategy == "quadrature":
-                raise
+                raise type(exc)(f"the {user} user's {access.upper()} rate at alpha = {law.alpha}, "
+                                f"mu = {law.mu}: {exc}") from exc
             first = systems[cols.index(at[0])]
             raise type(exc)(
                 f"closed form cannot evaluate theta = {first.qos.theta:.10g} "

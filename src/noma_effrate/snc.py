@@ -22,6 +22,7 @@ import numpy as np
 
 from .channel import ParameterError
 from .effrate import LN2, NomaSystem, Route, User, _check_user, log1p_sinr, log_moment
+from .specfun import ContourError, ConvergenceError
 from .specfun import laguerre_log_expectation  # noqa: F401  (unused: perfbench/spans.py patches this name)
 
 _OCTAVES = 2.0 ** np.arange(-30, 43, 3)  # exponents varpi of the stability scan, 8 apart
@@ -85,7 +86,10 @@ def _log_mellin(cfg: SncConfig, user: User, s, tilted=False, route: Route = "qua
     """``log_moment`` at w = varpi(s) for an array of s: (log M(s), relative error), or where
     ``tilted``, of E[k e^(-varpi k)], k = ln(1 + SINR): d log M/ds = -(N/ln 2) E[k e^(-varpi k)] / M."""
     law, k, params, _ = log1p_sinr(cfg.system, user)
-    return log_moment(law, k, cfg.varpi(s), params, route, tilted)
+    try:
+        return log_moment(law, k, cfg.varpi(s), params, route, tilted)
+    except (ContourError, ConvergenceError) as exc:
+        raise type(exc)(f"the {user} user's delay bound at alpha = {law.alpha}, mu = {law.mu}: {exc}") from exc
 
 
 def _mellin(cfg: SncConfig, user: User, s: float, strategy: Route) -> MellinValue:

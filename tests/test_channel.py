@@ -3,6 +3,7 @@ identities, moment formulas, and sampling contracts."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import relaxed_pair
 from noma_effrate.channel import (
     AlphaMuChannel,
     ChannelPair,
+    ParameterError,
     UnboundedDensityError,
     gain_cdf,
     gain_moment,
@@ -38,9 +40,23 @@ def make_pair(alpha=2, mu=1, omega_s=1.0, omega_w2=0.1):
 
 
 class TestConstruction:
-    def test_rejects_non_integer_alpha(self):
-        with pytest.raises(ValueError):
-            AlphaMuChannel(2.5, 1, 1.0)
+    @pytest.mark.parametrize("alpha", [2.5, 0.7, 0.05, 3.3])
+    def test_accepts_real_alpha(self, alpha):
+        ch = AlphaMuChannel(alpha, 2, 1.0)
+        assert ch.alpha == alpha and type(ch.alpha) is float
+        assert type(AlphaMuChannel(2, 2, 1.0).alpha) is int  # an integer alpha stays one
+
+    @pytest.mark.parametrize("alpha", [0, 0.0, -1, -2.5, math.nan, math.inf])
+    def test_rejects_alpha_not_finite_and_positive(self, alpha):
+        with pytest.raises(ParameterError, match=f"^alpha: must be finite and positive, got {alpha}$"):
+            AlphaMuChannel(alpha, 1, 1.0)
+
+    @pytest.mark.parametrize("alpha, mu", [(0.01, 1), (0.01, 3), (0.02, 1)])
+    def test_rejects_alpha_whose_second_moment_overflows(self, alpha, mu):
+        # Gamma(mu + 4/alpha) passes the doubles as alpha falls toward 0
+        with pytest.raises(ParameterError, match="^alpha: moment 2 of the gain, .* overflows at mu = "):
+            AlphaMuChannel(alpha, mu, 1.0)
+        assert gain_moment(AlphaMuChannel(0.05, 1, 1.0), 2) == pytest.approx(math.factorial(80), rel=1e-12)
 
     def test_rejects_non_integer_mu(self):
         with pytest.raises(ValueError):
@@ -104,13 +120,26 @@ class TestGainPdf:
         with pytest.raises(UnboundedDensityError):
             gain_pdf(ch, 0.0)
 
+    @pytest.mark.parametrize("alpha, mu", [(0.5, 3), (1.5, 1), (0.7, 2)])
+    def test_unbounded_at_origin_below_alpha_mu_two(self, alpha, mu):
+        with pytest.raises(UnboundedDensityError, match="alpha\\*mu < 2"):
+            gain_pdf(AlphaMuChannel(alpha, mu, 1.0), 0.0)
+
+    @pytest.mark.parametrize("alpha, mu, omega", [(0.01, 200, 1.0), (0.5, 4, 0.7), (2.0 / 3.0, 3, 1.3)])
+    def test_origin_value_at_alpha_mu_two(self, alpha, mu, omega):
+        # the power of x vanishes: pdf(0) = alpha mu^mu / (2 omega^(alpha mu) Gamma(mu)), whose
+        # mu^mu and Gamma(mu) leave the doubles at mu = 200
+        assert alpha * mu == 2
+        want = mp.mpf(alpha) * mp.mpf(mu) ** mu / (2 * mp.mpf(omega) ** (alpha * mu) * mp.gamma(mu))
+        assert gain_pdf(AlphaMuChannel(alpha, mu, omega), 0.0) == pytest.approx(float(want), rel=1e-12)
+
     def test_matches_cdf_derivative(self):
         ch = AlphaMuChannel(3, 2, 0.8)
         x, h = 0.5, 1e-5
         deriv = (gain_cdf(ch, x + h) - gain_cdf(ch, x - h)) / (2 * h)
         assert gain_pdf(ch, x) == pytest.approx(deriv, rel=1e-6)
 
-    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 0.7, 2.5])
     @pytest.mark.parametrize("mu", [1, 2, 3, 4])
     def test_integrates_to_one(self, alpha, mu):
         ch = AlphaMuChannel(alpha, mu, 0.9)
@@ -203,7 +232,7 @@ class TestMinGainPdf:
         ) * survival(pair.strong, x)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
-    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 0.7, 2.5])
     @pytest.mark.parametrize("mu", [1, 2, 3, 4])
     def test_integrates_to_one(self, alpha, mu):
         pair = make_pair(alpha, mu, 1.0, 0.4)
@@ -235,6 +264,13 @@ class TestMoments:
         ch = AlphaMuChannel(3, 2, 0.9)
         want, _ = quad(lambda x: x**k * gain_pdf(ch, x), 0, np.inf, limit=300)
         assert gain_moment(ch, k) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.5])
+    def test_real_alpha_matches_pdf_integral(self, alpha):
+        ch = AlphaMuChannel(alpha, 2, 0.9)
+        for k in (1, 2):
+            want, _ = quad(lambda x: x**k * gain_pdf(ch, x), 0, np.inf, limit=300)
+            assert gain_moment(ch, k) == pytest.approx(want, rel=1e-8)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -272,7 +308,7 @@ class TestSampling:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) < 3 * se
 
-    @pytest.mark.parametrize("alpha,mu", [(2, 1), (3, 2), (4, 1), (1, 3)])
+    @pytest.mark.parametrize("alpha,mu", [(2, 1), (3, 2), (4, 1), (1, 3), (0.7, 1), (2.5, 2)])
     def test_kolmogorov_smirnov(self, alpha, mu):
         ch = AlphaMuChannel(alpha, mu, 0.9)
         rng = np.random.default_rng(11)

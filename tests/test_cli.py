@@ -154,6 +154,17 @@ class TestErCommand:
             gaps.append(rows[0][10])
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("text, column", [("2.5", "2.5"), ("0.7", "0.7"), ("2", "2"), ("+2", "2"),
+                                              ("2.0", "2"), ("1e0", "1")])
+    def test_real_alpha_gives_rows(self, tmp_path, capsys, text, column):
+        # alpha parses as a real; written as an integer it stays an int, so it prints as written
+        path = write_config(tmp_path, ER_CONFIG.replace("alpha = 2", f"alpha = {text}"))
+        assert type(load_config(path).alpha) is (int if text.lstrip("+").isdigit() else float)
+        assert main(["er", "--config", path]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 6 and all(row[0] == column for row in rows)
+        assert all(0 < float(row[7]) < float(row[6]) for row in rows)  # 0 < R_w < R_s
+
     @pytest.mark.parametrize("alpha, mu", [(2, 1), (2, 3), (4, 3), (6, 2)])
     def test_high_snr_rows_match_closed_form(self, tmp_path, alpha, mu):
         # the kernel's knee sits far below the gain law's scale at these SNRs; the
@@ -714,6 +725,18 @@ class TestMainEntry:
             ("approx", "[system]\na_s_grid = 0.1:0.2:0.1\n", "[system] a_s_grid: approx needs a single value, got 2"),
             ("power", "[system]\na_s = 0.3\n",
              "[system] a_s: a_s = 0.3 is outside the feasible range (0, 0.25) for target rate 2.0"),
+            ("dvp", "[channel]\nmu = 1000\n[snc]\nlambda = 120\n",
+             "the weak user's delay bound at alpha = 2, mu = 1000: gain expectation did not reach relative "
+             "tolerance 1e-09 by size 5121"),
+            ("dvp", "[channel]\nmu = 1000\n[snc]\nlambda = 120\n[sim]\nslots = 20000\n",
+             "the weak user's delay bound at alpha = 2, mu = 1000: gain expectation"),
+            ("er", "[channel]\nalpha = 0.03\n",
+             "the strong user's NOMA rate at alpha = 0.03, mu = 1: gain expectation did not reach"),
+            ("er", "[channel]\nalpha = 0.01\n", "[channel] alpha: moment 2 of the gain, omega^4 Gamma(mu + "
+             "4/alpha) / (mu^(4/alpha) Gamma(mu)), overflows at mu = 1 and omega = 1.0, got 0.01"),
+            ("approx", "[channel]\nalpha = 0.02\nmu = 2\n", "[channel] alpha: moment 2 of the gain"),
+            ("er", "[channel]\nalpha = 0\n", "[channel] alpha: must be finite and positive, got 0"),
+            ("er", "[channel]\nalpha = nan\n", "[channel] alpha: must be finite and positive, got nan"),
         ],
         ids=["rho_db", "theta-nan", "theta-inf", "tb", "omega", "vartheta_max", "vartheta_max-zero-with-slots",
              "lambda-inf", "lambda-nan", "seed-er", "seed-dvp", "seed-flag", "mu-closed-form",
@@ -723,7 +746,9 @@ class TestMainEntry:
              "a_s-and-a_s_grid", "omega_s-gain-overflows", "omega_s-second-moment-overflows",
              "omega_w-second-moment-underflows", "dvp-snr-above-600-dB",
              "er-mixture-component-underflows", "approx-mixture-component-underflows", "a_s_grid-half", "a_s_grid-approx-single",
-             "power-a_s-infeasible"],
+             "power-a_s-infeasible", "dvp-mu-1000-weak-quadrature", "dvp-mu-1000-error-after-unstable-queue",
+             "er-alpha-quadrature-budget",
+             "alpha-second-moment-overflows", "approx-alpha-second-moment-overflows", "alpha-zero", "alpha-nan"],
     )
     def test_hostile_config_is_one_error_line(self, tmp_path, capsys, command, text, names):
         path = write_config(tmp_path, text)
@@ -772,8 +797,8 @@ class TestMainEntry:
 # of value; counts stay small enough that every run takes seconds.
 DOMAINS = {
     "channel": {
-        "alpha": ["2", "1", "3", "4", "6", "0", "-1", "700", "2.5"],
-        "mu": ["1", "2", "3", "100", "101", "150", "172", "0", "-1"],
+        "alpha": ["2", "1", "3", "4", "6", "0", "-1", "700", "2.5", "0.5", "1.5", "0.05"],
+        "mu": ["1", "2", "3", "100", "101", "150", "172", "1000", "0", "-1"],
         "omega_s": ["1.0", "0.31622776601683794", "1e76", "1e-77", "1e-154", "1e200", "0", "-1", "inf", "nan"],
         "omega_w": ["0.31622776601683794", "0.1", "1.0", "1e-76", "0.99e-77", "0.9e-154", "1e-170", "0", "inf",
                     "nan"],

@@ -632,3 +632,49 @@ class TestGrids:
         a, b = make_system(mu=1), make_system(mu=2)
         with pytest.raises(ValueError, match="one channel pair"):
             er_noma([a, b], "strong")
+
+
+class TestRealAlpha:
+    """alpha-mu fading at non-integer alpha: the closed forms against quadrature, and Monte Carlo
+    against quadrature, on alpha in {0.7, 1.5, 2.5, 3.3}, mu in {1, 2, 3}, rho in {-10, 5, 20,
+    40} dB and theta in {0.5, 2}, with a_s = 0.24, omega_s = 1 and omega_w^alpha = 0.1."""
+
+    @staticmethod
+    def grid(alpha, mu):
+        pair = ChannelPair(AlphaMuChannel(alpha, mu, 1.0), AlphaMuChannel(alpha, mu, 0.1 ** (1.0 / alpha)))
+        return [NomaSystem(pair, 0.24, 10.0 ** (r / 10.0), DelayQos(t))
+                for t in (0.5, 2.0) for r in (-10, 5, 20, 40)]
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.5, 3.3])
+    @pytest.mark.parametrize("mu", [1, 2, 3])
+    def test_closed_forms_match_quadrature(self, alpha, mu):
+        # within both rows' reported errors, and within 1e-9 relative: the worst row is weak
+        # NOMA at alpha 0.7, mu 3, -10 dB, theta 0.5, 5.1e-10 off; the others are within 1.1e-13
+        systems = self.grid(alpha, mu)
+        for rate, user in itertools.product([er_noma, er_oma, ergodic_rate], ["strong", "weak"]):
+            for s, want, got in zip(systems, rate(systems, user), rate(systems, user, "closed-form")):
+                where = (rate.__name__, user, s.rho, s.qos.theta, got.value, want.value)
+                assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate, where
+                assert got.value == pytest.approx(want.value, rel=1e-9, abs=0), where
+
+    def test_monte_carlo_matches_quadrature(self):
+        # Monte Carlo is held where its estimator of E[X], X = (1 + SINR)^-nu, is in its normal
+        # regime: draws at least 100 times E[X^2]/E[X]^2, the relative second moment, which
+        # quadrature gives as M(2 nu)/M(nu)^2.  The 7 rows left out, the strong user at 40 dB and
+        # theta = 2 (where E[X] lives on rare gains near 1/(a_s rho)), have it from 8.8e3 to 1.1e6.
+        # 20 batches give the standard error 19 degrees of freedom
+        from noma_effrate.sim import SimPlan, mc_effective_rate
+
+        draws, held = 100_000, 0
+        for alpha, mu, user in itertools.product([0.7, 1.5, 2.5, 3.3], [1, 2, 3], ["strong", "weak"]):
+            systems = self.grid(alpha, mu)
+            doubled = [replace(s, qos=DelayQos(2.0 * s.qos.theta)) for s in systems]
+            for i, (s, want, want2) in enumerate(zip(systems, er_noma(systems, user), er_noma(doubled, user))):
+                log_k = 2.0 * s.nu * LN2 * (want.value - want2.value)  # log M(2 nu) - 2 log M(nu)
+                if log_k > math.log(draws / 100):
+                    continue
+                held += 1
+                mc = mc_effective_rate(s, user, SimPlan(100 * mu + i, draws, batches=20))
+                where = (alpha, mu, user, s.rho, s.qos.theta, mc.value, want.value)
+                assert abs(mc.value - want.value) <= 6.0 * mc.error_estimate, where
+        assert held == 185

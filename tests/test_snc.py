@@ -335,6 +335,21 @@ class TestDvpBound:
             want = min(b.target_delay * log_m - math.log(-math.expm1(h)), 0.0)
             assert b.log_bound == pytest.approx(want, rel=1e-9, abs=1e-12), b.target_delay
 
+    @pytest.mark.parametrize("alpha, mu", [(2.5, 2), (0.7, 3)])
+    def test_real_alpha_bounds_lie_above_the_trace(self, alpha, mu):
+        # a non-integer alpha: every feasible bound, both users, is at or above the lower end
+        # of the simulated queue's confidence interval
+        from noma_effrate.sim import SimPlan, queue_dvp
+
+        cfg = make_cfg(alpha=alpha, mu=mu, user_for_load="weak")
+        emp = queue_dvp(cfg, ("strong", "weak"), SimPlan(seed=31, draws=200_000), 20)
+        assert np.count_nonzero(emp.ci_low[1]) >= 2  # the loaded weak user's trace sees delays
+        for i, user in enumerate(("strong", "weak")):
+            curve = dvp_curve(cfg, user, range(21))
+            assert sum(b.feasible for b in curve) == 21
+            for d, b in enumerate(curve):
+                assert emp.ci_low[i, d] <= b.bound + 1e-12, (user, d)
+
     def test_long_curve_keeps_no_delay_by_grid_matrix(self):
         # the coarse scan keeps each delay's argmin and minimum, not a row of 200
         # brackets: 20,000 delays x 200 doubles alone would take 30.5 MiB.  The README
